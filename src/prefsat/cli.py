@@ -10,7 +10,8 @@ Commands:
 KB arguments accept a file path or the name of a shipped case (pierson,
 post, conti).  Exit codes: 0 every query came back positive (bounded-valid,
 satisfiable, or all steps passed); 1 a countermodel or failing step was
-found and rendered; 2 usage, parse, or budget problems; 3 the two engines
+found and rendered; 2 usage, parse, or budget problems, or a query outside
+the enumeration oracle's domain under --engine enum; 3 the two engines
 disagreed (a bug report is printed).
 
 Output is deterministic: the same command line always produces the same
@@ -30,6 +31,7 @@ from .solver import (
     BoundedValid,
     Countermodel,
     EngineDisagreement,
+    OracleDomainError,
     Satisfiable,
     Unknown,
     check,
@@ -54,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="time budget per query")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized suite rows")
-    common.add_argument("--inject-enum-fault", action="store_true",
-                        help=argparse.SUPPRESS)
 
     frame = argparse.ArgumentParser(add_help=False)
     frame.add_argument("--total", action="store_const", const=True, default=None,
@@ -104,7 +104,6 @@ def _overrides(args) -> dict:
         "engine": args.engine,
         "budget": args.budget,
         "total": getattr(args, "total", None),
-        "seed": args.seed,
     }
 
 
@@ -123,7 +122,7 @@ def _cmd_goals(args, with_facts: bool) -> int:
     verdicts = []
     for name in kb.goals:
         q = kbmod.goal_query(kb, name, with_facts=with_facts, **_overrides(args))
-        v = check(q, fault_inject_enum=args.inject_enum_fault)
+        v = check(q)
         print(f"goal {name}: {render_verdict(v)}")
         if isinstance(v, Countermodel) and dot_model is None:
             dot_model = v.model
@@ -137,7 +136,7 @@ def _cmd_goals(args, with_facts: bool) -> int:
 def _cmd_model(args) -> int:
     kb = _load_kb_arg(args.kb_file)
     q = kbmod.sat_query(kb, **_overrides(args))
-    v = check(q, fault_inject_enum=args.inject_enum_fault)
+    v = check(q)
     print(f"{kb.name}: {render_verdict(v)}")
     if isinstance(v, Satisfiable):
         _write_dot(args, v.model)
@@ -190,7 +189,6 @@ def _cmd_suite(args) -> int:
         bound=args.bound if args.bound is not None else DEFAULT_BOUND,
         seed=args.seed,
         budget=args.budget,
-        fault=args.inject_enum_fault,
     )
     print(text)
     return code
@@ -212,10 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         print("engine disagreement (this is a bug; file the output below)")
         print(str(e))
         return 3
-    except (sx.ParseError, kbmod.ConfigError, ModelError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (sx.ParseError, kbmod.ConfigError, ModelError, OracleDomainError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

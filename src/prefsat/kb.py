@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import syntax as sx
+from .ontology import CONTENDERS
 from .solver import (
     DEFAULT_BOUND,
     BoundedValid,
@@ -46,15 +47,26 @@ class KnowledgeBase:
     goals: dict[str, sx.Formula] = field(default_factory=dict)
     options: dict[str, str] = field(default_factory=dict)
     imports: tuple[str, ...] = ()
+    # entry name -> (formula, its elaboration); the formula is compared on
+    # every lookup, so replaced or deleted entries are never served stale
+    _elaborated: dict[str, tuple[sx.Formula, sx.Formula]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def entry_names(self) -> set[str]:
         return set(self.axioms) | set(self.facts) | set(self.goals)
 
+    def elaborated(self, name: str, formula: sx.Formula) -> sx.Formula:
+        """The entry's formula, grounded and desugared once per KB."""
+        hit = self._elaborated.get(name)
+        if hit is None or hit[0] is not formula:
+            hit = self._elaborated[name] = (formula, sx.elaborate(formula, self.sig))
+        return hit[1]
+
     def elaborated_axioms(self) -> tuple[sx.Formula, ...]:
-        return tuple(sx.elaborate(f, self.sig) for f in self.axioms.values())
+        return tuple(self.elaborated(n, f) for n, f in self.axioms.items())
 
     def elaborated_facts(self) -> tuple[sx.Formula, ...]:
-        return tuple(sx.elaborate(f, self.sig) for f in self.facts.values())
+        return tuple(self.elaborated(n, f) for n, f in self.facts.items())
 
 
 def _sym_text(node, what: str) -> str:
@@ -156,14 +168,16 @@ def case_proof_path(name: str) -> Path:
 # queries from a KB
 
 
-def _q_opts(kb: KnowledgeBase, overrides: dict) -> dict:
+def _kb_query(kb: KnowledgeBase, target: sx.Formula | None, mode: str,
+              facts: tuple[sx.Formula, ...], overrides: dict) -> Query:
+    """Every query on a KB: its axioms globally, its options, then overrides."""
     opts = {}
     if "bound" in kb.options:
         opts["bound"] = int(kb.options["bound"])
     if "total" in kb.options:
         opts["total"] = kb.options["total"] in ("true", "yes", "1")
     opts.update({k: v for k, v in overrides.items() if v is not None})
-    return opts
+    return Query(axioms=kb.elaborated_axioms(), facts=facts, target=target, mode=mode, **opts)
 
 
 def goal_query(kb: KnowledgeBase, goal_name: str, with_facts: bool = True,
@@ -172,43 +186,23 @@ def goal_query(kb: KnowledgeBase, goal_name: str, with_facts: bool = True,
     facts at world 0, the goal's negation at world 0."""
     if goal_name not in kb.goals:
         raise ConfigError(f"no goal named {goal_name!r} in {kb.name}")
-    target = sx.elaborate(kb.goals[goal_name], kb.sig)
-    return Query(
-        axioms=kb.elaborated_axioms(),
-        facts=kb.elaborated_facts() if with_facts else (),
-        target=target,
-        mode="refute",
-        **_q_opts(kb, overrides),
-    )
+    target = kb.elaborated(goal_name, kb.goals[goal_name])
+    facts = kb.elaborated_facts() if with_facts else ()
+    return _kb_query(kb, target, "refute", facts, overrides)
 
 
 def sat_query(kb: KnowledgeBase, **overrides) -> Query:
     """Model-finding query: axioms globally, facts at world 0."""
-    return Query(
-        axioms=kb.elaborated_axioms(),
-        facts=kb.elaborated_facts(),
-        target=None,
-        mode="find",
-        **_q_opts(kb, overrides),
-    )
+    return _kb_query(kb, None, "find", kb.elaborated_facts(), overrides)
 
 
 def audit_queries(kb: KnowledgeBase, **overrides) -> dict[str, Query]:
     """Per-party refutation query: does the KB force a value conflict at the
     designated world?"""
-    from .ontology import CONTENDERS
-
-    out: dict[str, Query] = {}
-    for party in CONTENDERS:
-        target = sx.desugar(sx.Conflict(sx.Const(party)))
-        out[party] = Query(
-            axioms=kb.elaborated_axioms(),
-            facts=kb.elaborated_facts(),
-            target=target,
-            mode="refute",
-            **_q_opts(kb, overrides),
-        )
-    return out
+    facts = kb.elaborated_facts()
+    return {party: _kb_query(kb, sx.desugar(sx.Conflict(sx.Const(party))), "refute",
+                             facts, overrides)
+            for party in CONTENDERS}
 
 
 def conflict_audit(kb: KnowledgeBase, **overrides) -> dict[str, Verdict]:
@@ -286,28 +280,43 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
     return steps
 
 
+def _step_query(step: ProofStep, kb: KnowledgeBase, established: dict[str, sx.Formula],
+                failed: set[str], overrides: dict):
+    """The entailment query of one step from its cited support: cited axioms
+    globally, cited facts and established steps at world 0.  Also returns
+    the citations that resolve to nothing and those naming failed steps."""
+    axioms: list[sx.Formula] = []
+    at_w0: list[sx.Formula] = []
+    missing: list[str] = []
+    unavailable: list[str] = []
+    for ref in step.uses:
+        if ref in kb.axioms:
+            axioms.append(kb.elaborated(ref, kb.axioms[ref]))
+        elif ref in kb.facts:
+            at_w0.append(kb.elaborated(ref, kb.facts[ref]))
+        elif ref in established:
+            at_w0.append(established[ref])
+        elif ref in failed:
+            unavailable.append(ref)
+        else:
+            missing.append(ref)
+    opts = {"bound": step.bound}
+    opts.update({k: v for k, v in overrides.items() if v is not None})
+    q = Query(axioms=tuple(axioms), facts=tuple(at_w0),
+              target=sx.elaborate(step.formula, kb.sig), mode="refute", **opts)
+    return q, tuple(missing), tuple(unavailable)
+
+
 def step_queries(steps: list[ProofStep], kb: KnowledgeBase,
                  **overrides) -> list[tuple[str, Query]]:
     """The entailment query each step would run when all its cited steps are
     established; used for cross-checking engines on the replay workload."""
     out: list[tuple[str, Query]] = []
-    elaborated: dict[str, sx.Formula] = {}
+    established: dict[str, sx.Formula] = {}
     for step in steps:
-        axioms: list[sx.Formula] = []
-        at_w0: list[sx.Formula] = []
-        for ref in step.uses:
-            if ref in kb.axioms:
-                axioms.append(sx.elaborate(kb.axioms[ref], kb.sig))
-            elif ref in kb.facts:
-                at_w0.append(sx.elaborate(kb.facts[ref], kb.sig))
-            elif ref in elaborated:
-                at_w0.append(elaborated[ref])
-        target = sx.elaborate(step.formula, kb.sig)
-        elaborated[step.name] = target
-        opts = {"bound": step.bound}
-        opts.update({k: v for k, v in overrides.items() if v is not None})
-        out.append((step.name, Query(axioms=tuple(axioms), facts=tuple(at_w0),
-                                     target=target, mode="refute", **opts)))
+        q, _, _ = _step_query(step, kb, established, set(), overrides)
+        established[step.name] = q.target
+        out.append((step.name, q))
     return out
 
 
@@ -317,41 +326,16 @@ def replay(steps: list[ProofStep], kb: KnowledgeBase, *, engine: str | None = No
     results: list[StepResult] = []
     established: dict[str, sx.Formula] = {}  # passed steps, elaborated
     failed: set[str] = set()
+    overrides = {"engine": engine, "total": total, "budget": budget}
     for step in steps:
-        axioms: list[sx.Formula] = []
-        at_w0: list[sx.Formula] = []
-        missing: list[str] = []
-        unavailable: list[str] = []
-        for ref in step.uses:
-            if ref in kb.axioms:
-                axioms.append(sx.elaborate(kb.axioms[ref], kb.sig))
-            elif ref in kb.facts:
-                at_w0.append(sx.elaborate(kb.facts[ref], kb.sig))
-            elif ref in established:
-                at_w0.append(established[ref])
-            elif ref in failed:
-                unavailable.append(ref)
-            else:
-                missing.append(ref)
-        target = sx.elaborate(step.formula, kb.sig)
-        q = Query(
-            axioms=tuple(axioms),
-            facts=tuple(at_w0),
-            target=target,
-            mode="refute",
-            bound=step.bound,
-            engine=engine or "sat",
-            total=bool(total),
-            budget=budget,
-        )
+        q, missing, unavailable = _step_query(step, kb, established, failed, overrides)
         verdict = check(q)
         # broken support fails the step even when the shrunken check passes;
         # the verdict is kept so a genuine countermodel can still be rendered
         passed = isinstance(verdict, BoundedValid) and not missing and not unavailable
         if passed:
-            established[step.name] = target
+            established[step.name] = q.target
         else:
             failed.add(step.name)
-        results.append(StepResult(step.name, passed, verdict,
-                                  tuple(missing), tuple(unavailable)))
+        results.append(StepResult(step.name, passed, verdict, missing, unavailable))
     return results

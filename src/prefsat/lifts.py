@@ -12,12 +12,6 @@ from __future__ import annotations
 from .model import Extension, PreferenceModel, cp_rows, sx_iter_bits
 from . import syntax as sx
 
-LIFT_PATTERNS = sx.LIFT_PATTERNS  # ee, ea, ae, aa
-
-
-def _rows(m: PreferenceModel, strict: bool) -> tuple[int, ...]:
-    return m.lt if strict else m.leq
-
 
 def _check_args(m: PreferenceModel, a: Extension, b: Extension) -> None:
     if a.width != m.n or b.width != m.n:
@@ -33,7 +27,7 @@ def sem_lift(m: PreferenceModel, pattern: str, strict: bool, a: Extension, b: Ex
     aa: every a-world sits below every b-world.
     """
     _check_args(m, a, b)
-    rows = _rows(m, strict)
+    rows = m.lt if strict else m.leq
     if pattern == "ee":
         return any(rows[s] & b.bits for s in sx_iter_bits(a.bits))
     if pattern == "ae":

@@ -135,9 +135,6 @@ class PreferenceModel:
             self._lt = tuple(rows)
         return self._lt
 
-    def extension(self, bits: int) -> Extension:
-        return Extension(bits & self._full, self.n)
-
     def atom_bits(self, key: AtomKey) -> int:
         try:
             return self.valuation[key]

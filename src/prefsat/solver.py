@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from . import syntax as sx
@@ -33,11 +34,11 @@ from .model import (
     all_preorders,
     eval_formula,
     globally_true,
+    is_total,
     render_text,
     truth_at,
     validate_model,
 )
-from .ontology import BasicValue
 
 DEFAULT_BOUND = 4
 
@@ -71,7 +72,7 @@ class _Budget:
         self.deadline = None if seconds is None else time.monotonic() + seconds
 
     def check(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded()
 
 
@@ -85,7 +86,6 @@ class Query:
     mode: str = "refute"  # refute | find
     bound: int = DEFAULT_BOUND
     total: bool = False
-    seed: int = 0
     budget: float | None = None
     engine: str = "sat"  # sat | enum | both
 
@@ -98,6 +98,21 @@ class Query:
             raise ValueError(f"bound must be in 1..{MAX_WORLDS}")
         if self.engine not in ("sat", "enum", "both"):
             raise ValueError(f"unknown engine {self.engine!r}")
+
+    @cached_property
+    def symbols(self) -> tuple[tuple, tuple]:
+        """Ground atom keys and value symbols of every formula, each sorted in
+        variable order; collected once per query."""
+        atoms: set = set()
+        incidence: set = set()
+        formulas = [*self.axioms, *self.facts]
+        if self.target is not None:
+            formulas.append(self.target)
+        for f in formulas:
+            a, i = sx.collect_symbols(f)
+            atoms |= a
+            incidence |= i
+        return tuple(sorted(atoms)), tuple(sorted(incidence, key=lambda k: (k[0].value, k[1])))
 
 
 @dataclass(frozen=True)
@@ -366,10 +381,10 @@ class _Encoder:
                 if i != j:
                     self.rel[(i, j)] = self._new()
         self.atom_vars: dict = {}
-        for key in sorted(atom_keys):
+        for key in atom_keys:
             self.atom_vars[key] = [self._new() for _ in range(n)]
         self.inc_vars: dict = {}
-        for key in sorted(inc_keys, key=lambda k: (k[0].value, k[1])):
+        for key in inc_keys:
             self.inc_vars[key] = [self._new() for _ in range(n)]
         self.vtrue = self._new()
         self.clauses.append([self.vtrue])
@@ -521,36 +536,16 @@ class _Encoder:
                 if i != j and solver.value[self.rel[(i, j)]] == 1:
                     row |= 1 << j
             rows.append(row)
-        valuation = {}
-        for key, vars_ in self.atom_vars.items():
-            bits = 0
-            for w, var in enumerate(vars_):
-                if solver.value[var] == 1:
-                    bits |= 1 << w
-            valuation[key] = bits
-        incidence = {}
-        for key, vars_ in self.inc_vars.items():
-            bits = 0
-            for w, var in enumerate(vars_):
-                if solver.value[var] == 1:
-                    bits |= 1 << w
-            incidence[key] = bits
-        return PreferenceModel(self.n, tuple(rows), valuation, incidence)
+        def world_sets(vars_by_key: dict) -> dict:
+            return {key: sum(1 << w for w, var in enumerate(vars_) if solver.value[var] == 1)
+                    for key, vars_ in vars_by_key.items()}
 
-
-def _query_symbols(q: Query):
-    atoms: set = set()
-    incidence: set = set()
-    for f in list(q.axioms) + list(q.facts) + ([q.target] if q.target is not None else []):
-        a, i = sx.collect_symbols(f)
-        atoms |= a
-        incidence |= i
-    return atoms, incidence
+        return PreferenceModel(self.n, tuple(rows), world_sets(self.atom_vars),
+                               world_sets(self.inc_vars))
 
 
 def encode(q: Query, n: int) -> _Encoder:
-    atoms, incidence = _query_symbols(q)
-    enc = _Encoder(n, atoms, incidence, q.total)
+    enc = _Encoder(n, *q.symbols, q.total)
     for ax in q.axioms:
         for w in range(n):
             enc.clauses.append([enc.t(ax, w)])
@@ -607,6 +602,7 @@ def check_sat_engine(q: Query) -> Verdict:
     budget = _Budget(q.budget)
     try:
         for n in range(1, q.bound + 1):
+            budget.check()
             m = solve_at(q, n, budget)
             if m is not None:
                 if q.mode == "refute":
@@ -617,15 +613,8 @@ def check_sat_engine(q: Query) -> Verdict:
         return Unknown("budget-exhausted")
 
 
-def _rows_total(rows) -> bool:
-    n = len(rows)
-    return all(
-        (rows[w] >> v & 1) or (rows[v] >> w & 1) for w in range(n) for v in range(w + 1, n)
-    )
-
-
 def _oracle_work(q: Query) -> int:
-    atoms, incidence = _query_symbols(q)
+    atoms, incidence = q.symbols
     syms = len(atoms) + len(incidence)
     return sum(_PREORDER_COUNTS[n] * (1 << (n * syms)) for n in range(1, q.bound + 1))
 
@@ -635,7 +624,7 @@ def oracle_in_domain(q: Query) -> bool:
     return q.bound <= ORACLE_MAX_WORLDS and _oracle_work(q) <= ORACLE_MAX_WORK
 
 
-def enum_oracle(q: Query, fault_inject: bool = False) -> Verdict:
+def enum_oracle(q: Query) -> Verdict:
     """Exhaustive reference engine for tiny queries.
 
     Enumerates every preorder on up to bound (<= 3) worlds and every
@@ -645,18 +634,16 @@ def enum_oracle(q: Query, fault_inject: bool = False) -> Verdict:
         raise OracleDomainError(f"oracle handles bound <= {ORACLE_MAX_WORLDS}")
     if _oracle_work(q) > ORACLE_MAX_WORK:
         raise OracleDomainError("query enumerates too many models for the oracle")
-    atom_keys, inc_keys = _query_symbols(q)
-    atom_keys = sorted(atom_keys)
-    inc_keys = sorted(inc_keys, key=lambda k: (k[0].value, k[1]))
+    atom_keys, inc_keys = q.symbols
     budget = _Budget(q.budget)
-    verdict = None
     ticks = 0
     try:
         for n in range(1, q.bound + 1):
+            budget.check()
             masks = range(1 << n)
             n_syms = len(atom_keys) + len(inc_keys)
             for rows in all_preorders(n):
-                if q.total and not _rows_total(rows):
+                if q.total and not is_total(PreferenceModel(n, rows)):
                     continue
                 for assignment in product(masks, repeat=n_syms):
                     ticks += 1
@@ -667,30 +654,14 @@ def enum_oracle(q: Query, fault_inject: bool = False) -> Verdict:
                     m = PreferenceModel(n, rows, valuation, incidence)
                     if not _model_admits(q, m):
                         continue
-                    if q.mode == "refute":
-                        if not truth_at(m, q.target, 0):
-                            verdict = Countermodel(m, q.bound)
-                            break
-                    else:
-                        if q.target is None or truth_at(m, q.target, 0):
-                            verdict = Satisfiable(m)
-                            break
-                if verdict:
-                    break
-            if verdict:
-                break
-        if verdict is None:
-            verdict = BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
+                    holds = q.target is None or truth_at(m, q.target, 0)
+                    if q.mode == "refute" and not holds:
+                        return Countermodel(m, q.bound)
+                    if q.mode == "find" and holds:
+                        return Satisfiable(m)
     except BudgetExceeded:
         return Unknown("budget-exhausted")
-
-    if fault_inject:
-        # test hook: deliberately report the wrong verdict kind
-        flip = PreferenceModel(1, (1,), {k: 0 for k in atom_keys}, {k: 0 for k in inc_keys})
-        if isinstance(verdict, (BoundedValid, NoModel)):
-            return Countermodel(flip, q.bound) if q.mode == "refute" else Satisfiable(flip)
-        return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
-    return verdict
+    return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
 
 
 def verdicts_agree(v1: Verdict, v2: Verdict) -> bool:
@@ -698,7 +669,7 @@ def verdicts_agree(v1: Verdict, v2: Verdict) -> bool:
     return v1.kind == v2.kind
 
 
-def check(q: Query, fault_inject_enum: bool = False) -> Verdict:
+def check(q: Query) -> Verdict:
     """Answer a query with the engine(s) it names.
 
     engine="both" runs the SAT path and, when the query is inside the
@@ -708,10 +679,10 @@ def check(q: Query, fault_inject_enum: bool = False) -> Verdict:
     if q.engine == "sat":
         return check_sat_engine(q)
     if q.engine == "enum":
-        return enum_oracle(q, fault_inject=fault_inject_enum)
+        return enum_oracle(q)
     v_sat = check_sat_engine(q)
     try:
-        v_enum = enum_oracle(q, fault_inject=fault_inject_enum)
+        v_enum = enum_oracle(q)
     except OracleDomainError:
         return v_sat
     if isinstance(v_sat, Unknown) or isinstance(v_enum, Unknown):

@@ -63,9 +63,8 @@ class SuiteRow:
     kind: str = ""  # verdict kind for query rows, "" for direct checks
 
 
-def _run_query_row(name: str, q: Query, expect: str, rows: list[SuiteRow],
-                   fault: bool = False):
-    v = check(q, fault_inject_enum=fault)
+def _run_query_row(name: str, q: Query, expect: str, rows: list[SuiteRow]):
+    v = check(q)
     if v.kind == expect:
         if isinstance(v, (Countermodel, Satisfiable)):
             detail = f"{v.kind} worlds={v.model.n}"
@@ -209,10 +208,10 @@ def _cond_triangle_row() -> SuiteRow:
 
 
 def meta_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 0,
-               budget: float | None = None, fault: bool = False) -> list[SuiteRow]:
+               budget: float | None = None) -> list[SuiteRow]:
     rows: list[SuiteRow] = []
     for name, q, expect in _meta_query_rows(engine=engine, bound=bound, budget=budget):
-        _run_query_row(name, q, expect, rows, fault)
+        _run_query_row(name, q, expect, rows)
     rows.append(_preorder_count_row())
     rows.append(_semsyn_agree_row("lift-ee-ae-agree", ("ee", "ae"), total_only=False))
     rows.append(_semsyn_agree_row("lift-ea-aa-total-agree", ("ea", "aa"), total_only=True))
@@ -290,110 +289,82 @@ def _galois_rows(seed: int, count: int = 500) -> list[SuiteRow]:
     value symbols, random incidence) and samples a few set pairs per context.
     """
 
-    def contexts(tag: str):
-        rng = random.Random(f"{seed}:{tag}")
-        for _ in range(count):
-            n = rng.randint(1, 4)
-            inc = {s: rng.randrange(1 << n) for s in ALL_VALUE_SYMBOLS}
-            yield rng, PreferenceModel(n, tuple(1 << i for i in range(n)), {}, inc)
+    def rand_ext(rng: random.Random, m: PreferenceModel) -> Extension:
+        return Extension(rng.randrange(1 << m.n), m.n)
 
     def rand_syms(rng: random.Random) -> frozenset:
         return frozenset(s for s in ALL_VALUE_SYMBOLS if rng.randrange(2))
 
+    def adjunction(rng, m):
+        a, b = rand_ext(rng, m), rand_syms(rng)
+        return (b <= up(m, a)) == (a <= down(m, b))
+
+    def closure(rng, m):
+        d1 = down(m, rand_syms(rng))
+        return down(m, up(m, d1)) == d1
+
+    def antitone(rng, m):
+        a2 = rand_ext(rng, m)
+        a1 = Extension(a2.bits & rng.randrange(1 << m.n), m.n)
+        b2 = rand_syms(rng)
+        b1 = b2 & rand_syms(rng)
+        return up(m, a2) <= up(m, a1) and down(m, b2) <= down(m, b1)
+
+    def meet_join(rng, m):
+        c1 = concept_from_intent(m, rand_syms(rng))
+        c2 = concept_from_intent(m, rand_syms(rng))
+        meet = concept_meet(m, c1, c2)
+        join = concept_join(m, c1, c2)
+        return (is_concept(m, meet.extent, meet.intent)
+                and is_concept(m, join.extent, join.intent)
+                and meet.extent == Extension(c1.extent.bits & c2.extent.bits, m.n)
+                and join.intent == (c1.intent & c2.intent))
+
+    def aggregation(rng, m):
+        s1, s2 = rand_syms(rng), rand_syms(rng)
+        return aggregate2(m, s1, s2) <= aggregate1(m, s1, s2)
+
+    # (row, stream tag, samples per context, instances per sample, law, failure)
+    laws = (
+        ("galois-adjunction", "adjunction", 8, 1, adjunction,
+         "adjunction broken on a random context"),
+        ("galois-closure", "closure", 4, 1, closure,
+         "down-up-down is not down on a random context"),
+        ("galois-antitone", "antitone", 4, 2, antitone,
+         "derivation operators are not antitone"),
+        ("concept-meet-join", "concepts", 2, 1, meet_join,
+         "meet/join left the concept lattice"),
+        ("aggregate-inclusion", "aggregation", 4, 1, aggregation,
+         "union aggregation escaped the join aggregation"),
+    )
     rows: list[SuiteRow] = []
-
-    ok, inst = True, 0
-    for rng, m in contexts("adjunction"):
-        for _ in range(8):
-            a = Extension(rng.randrange(1 << m.n), m.n)
-            b = rand_syms(rng)
-            if (b <= up(m, a)) != (a <= down(m, b)):
-                ok = False
+    for name, tag, samples, weight, law, failure in laws:
+        rng = random.Random(f"{seed}:{tag}")
+        ok, inst = True, 0
+        for _ in range(count):
+            n = rng.randint(1, 4)
+            inc = {s: rng.randrange(1 << n) for s in ALL_VALUE_SYMBOLS}
+            m = PreferenceModel(n, tuple(1 << i for i in range(n)), {}, inc)
+            for _ in range(samples):
+                if not law(rng, m):
+                    ok = False
+                    break
+                inst += weight
+            if not ok:
                 break
-            inst += 1
-        if not ok:
-            break
-    rows.append(SuiteRow("galois-adjunction", ok,
-                         f"{inst} instances on {count} random contexts" if ok
-                         else "adjunction broken on a random context"))
-
-    ok, inst = True, 0
-    for rng, m in contexts("closure"):
-        for _ in range(4):
-            b = rand_syms(rng)
-            d1 = down(m, b)
-            if down(m, up(m, d1)) != d1:
-                ok = False
-                break
-            inst += 1
-        if not ok:
-            break
-    rows.append(SuiteRow("galois-closure", ok,
-                         f"{inst} instances on {count} random contexts" if ok
-                         else "down-up-down is not down on a random context"))
-
-    ok, inst = True, 0
-    for rng, m in contexts("antitone"):
-        for _ in range(4):
-            a2 = Extension(rng.randrange(1 << m.n), m.n)
-            a1 = Extension(a2.bits & rng.randrange(1 << m.n), m.n)
-            b2 = rand_syms(rng)
-            b1 = b2 & rand_syms(rng)
-            if not (up(m, a2) <= up(m, a1) and down(m, b2) <= down(m, b1)):
-                ok = False
-                break
-            inst += 2
-        if not ok:
-            break
-    rows.append(SuiteRow("galois-antitone", ok,
-                         f"{inst} instances on {count} random contexts" if ok
-                         else "derivation operators are not antitone"))
-
-    ok, inst = True, 0
-    for rng, m in contexts("concepts"):
-        for _ in range(2):
-            c1 = concept_from_intent(m, rand_syms(rng))
-            c2 = concept_from_intent(m, rand_syms(rng))
-            meet = concept_meet(m, c1, c2)
-            join = concept_join(m, c1, c2)
-            if not (is_concept(m, meet.extent, meet.intent)
-                    and is_concept(m, join.extent, join.intent)
-                    and meet.extent == Extension(c1.extent.bits & c2.extent.bits, m.n)
-                    and join.intent == (c1.intent & c2.intent)):
-                ok = False
-                break
-            inst += 1
-        if not ok:
-            break
-    rows.append(SuiteRow("concept-meet-join", ok,
-                         f"{inst} instances on {count} random contexts" if ok
-                         else "meet/join left the concept lattice"))
-
-    ok, inst = True, 0
-    for rng, m in contexts("aggregation"):
-        for _ in range(4):
-            s1, s2 = rand_syms(rng), rand_syms(rng)
-            if not aggregate2(m, s1, s2) <= aggregate1(m, s1, s2):
-                ok = False
-                break
-            inst += 1
-        if not ok:
-            break
-    rows.append(SuiteRow("aggregate-inclusion", ok,
-                         f"{inst} instances on {count} random contexts" if ok
-                         else "union aggregation escaped the join aggregation"))
-
+        rows.append(SuiteRow(name, ok, f"{inst} instances on {count} random contexts" if ok
+                             else failure))
     return rows
 
 
 def values_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 0,
-                 budget: float | None = None, fault: bool = False) -> list[SuiteRow]:
+                 budget: float | None = None) -> list[SuiteRow]:
     rows: list[SuiteRow] = []
     for name, q, expect in _agg_query_rows(engine=engine, bound=bound, budget=budget):
-        _run_query_row(name, q, expect, rows, fault)
+        _run_query_row(name, q, expect, rows)
     rows.extend(_galois_rows(seed))
     for name, q, expect in _conflict_query_rows(engine=engine, bound=bound, budget=budget):
-        _run_query_row(name, q, expect, rows, fault)
+        _run_query_row(name, q, expect, rows)
     return rows
 
 
@@ -405,13 +376,13 @@ CASE_NAMES = ("pierson", "post", "conti")
 
 
 def cases_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 0,
-                budget: float | None = None, fault: bool = False) -> list[SuiteRow]:
+                budget: float | None = None) -> list[SuiteRow]:
     rows: list[SuiteRow] = []
     for case in CASE_NAMES:
         kb = kbmod.case_kb(case)
         for goal_name in sorted(kb.goals):
             q = kbmod.goal_query(kb, goal_name, bound=bound, engine=engine, budget=budget)
-            _run_query_row(f"{case}-{goal_name}", q, "bounded-valid", rows, fault)
+            _run_query_row(f"{case}-{goal_name}", q, "bounded-valid", rows)
 
         sq = kbmod.sat_query(kb, bound=bound, engine=engine, budget=budget)
         v = check(sq)
@@ -472,12 +443,11 @@ def format_suite(name: str, rows: list[SuiteRow], *, engine: str, bound: int,
 
 
 def run_suite(name: str, *, engine: str = "sat", bound: int = DEFAULT_BOUND,
-              seed: int = 0, budget: float | None = None,
-              fault: bool = False) -> tuple[str, int]:
+              seed: int = 0, budget: float | None = None) -> tuple[str, int]:
     """Run one suite; returns (rendered table, exit code)."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {', '.join(SUITE_NAMES)}")
-    rows = _SUITES[name](engine=engine, bound=bound, seed=seed, budget=budget, fault=fault)
+    rows = _SUITES[name](engine=engine, bound=bound, seed=seed, budget=budget)
     text = format_suite(name, rows, engine=engine, bound=bound, seed=seed)
     if any(r.kind == "unknown" for r in rows):
         code = 2  # a budget ran out; the table says where
@@ -491,12 +461,8 @@ def run_suite(name: str, *, engine: str = "sat", bound: int = DEFAULT_BOUND,
 def suite_queries(*, bound: int = DEFAULT_BOUND) -> list[tuple[str, Query]]:
     """Every solver query the suites issue, for engine cross-checking."""
     out: list[tuple[str, Query]] = []
-    for name, q, _ in _meta_query_rows(engine="sat", bound=bound, budget=None):
-        out.append((name, q))
-    for name, q, _ in _agg_query_rows(engine="sat", bound=bound, budget=None):
-        out.append((name, q))
-    for name, q, _ in _conflict_query_rows(engine="sat", bound=bound, budget=None):
-        out.append((name, q))
+    for rows in (_meta_query_rows, _agg_query_rows, _conflict_query_rows):
+        out += [(name, q) for name, q, _ in rows(engine="sat", bound=bound, budget=None)]
     for case in CASE_NAMES:
         kb = kbmod.case_kb(case)
         for goal_name in sorted(kb.goals):
@@ -527,24 +493,14 @@ def random_queries(seed: int, count: int, *, bound: int = 3,
         if depth <= 0 or rng.random() < 0.3:
             return rng.choice(leaves)
         shape = rng.randrange(12)
-        if shape == 0:
-            return sx.Not(gen(depth - 1))
-        if shape == 1:
-            return sx.And((gen(depth - 1), gen(depth - 1)))
-        if shape == 2:
-            return sx.Or((gen(depth - 1), gen(depth - 1)))
-        if shape == 3:
-            return sx.Implies(gen(depth - 1), gen(depth - 1))
-        if shape == 4:
-            return sx.Iff(gen(depth - 1), gen(depth - 1))
-        if shape == 5:
-            return sx.DiaWeak(gen(depth - 1))
-        if shape == 6:
-            return sx.BoxWeak(gen(depth - 1))
-        if shape == 7:
-            return sx.DiaStrict(gen(depth - 1))
-        if shape == 8:
-            return sx.BoxStrict(gen(depth - 1))
+        if shape < 9:
+            cls = (sx.Not, sx.And, sx.Or, sx.Implies, sx.Iff,
+                   sx.DiaWeak, sx.BoxWeak, sx.DiaStrict, sx.BoxStrict)[shape]
+            if cls in (sx.And, sx.Or):
+                return cls((gen(depth - 1), gen(depth - 1)))
+            if cls in (sx.Implies, sx.Iff):
+                return cls(gen(depth - 1), gen(depth - 1))
+            return cls(gen(depth - 1))
         if shape == 9:
             return sx.Somewhere(gen(depth - 1)) if rng.randrange(2) \
                 else sx.Everywhere(gen(depth - 1))

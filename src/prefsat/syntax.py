@@ -10,7 +10,7 @@ emits text that parses back to an equal AST.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .ontology import CONTENDERS, PRINCIPLES, BasicValue, other
 
@@ -329,19 +329,80 @@ def make_or(args: list[Formula]) -> Formula:
     return args[0] if len(args) == 1 else Or(tuple(args))
 
 
+# Operator keyword of every node class but Atom, shared by parser and printer.
+KEYWORDS: dict[str, type] = {
+    "not": Not, "and": And, "or": Or, "implies": Implies, "iff": Iff,
+    "boxleq": BoxWeak, "dialeq": DiaWeak, "boxlt": BoxStrict, "dialt": DiaStrict,
+    "A": Everywhere, "E": Somewhere,
+    "forall": Forall, "exists": Exists, "prefsyn": SynPref,
+    "cp-dialeq": CpDiaWeak, "cp-dialt": CpDiaStrict, "cp-pref-aa": CpPrefAA, "cond": Cond,
+    "ext": PrincipleExt, "agg": Agg, "vpref": VPref, "promotes": Promotes,
+    "conflict": Conflict, "val": ValAtom,
+}
+_KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
+
+# Field layout of every node class, read once from the field annotations: each
+# field is a sub-formula, a tuple of them, a term, a tuple of terms, a tuple of
+# (principle, term) pairs, or (None) plain data.
+_FIELD_KINDS = {
+    "Formula": "formula", "tuple[Formula, ...]": "formulas",
+    "Term": "term", "tuple[Term, ...]": "terms", "tuple[tuple[str, Term], ...]": "pairs",
+}
+_LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
+    cls: tuple((fd.name, _FIELD_KINDS.get(fd.type)) for fd in fields(cls))
+    for cls in (Atom, *KEYWORDS.values())
+}
+# Nodes without sub-formulas.
+_LEAVES = frozenset(cls for cls, layout in _LAYOUT.items()
+                    if not any(kind in ("formula", "formulas") for _, kind in layout))
+
+
+def _layout(f: Formula) -> tuple[tuple[str, str | None], ...]:
+    try:
+        return _LAYOUT[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {type(f).__name__}") from None
+
+
+def _rebuild(f: Formula, on_formula, on_term=None) -> Formula:
+    """The node f with every sub-formula mapped by on_formula and, when given,
+    every term by on_term; other fields are kept.  Without on_term a node
+    with no sub-formulas is returned as is."""
+    layout = _layout(f)
+    if on_term is None and type(f) in _LEAVES:
+        return f
+    values = []
+    for name, kind in layout:
+        value = getattr(f, name)
+        if kind == "formula":
+            value = on_formula(value)
+        elif kind == "formulas":
+            value = tuple(map(on_formula, value))
+        elif on_term is not None:
+            if kind == "term":
+                value = on_term(value)
+            elif kind == "terms":
+                value = tuple(map(on_term, value))
+            elif kind == "pairs":
+                value = tuple((p, on_term(t)) for p, t in value)
+        values.append(value)
+    return type(f)(*values)
+
+
+def children(f: Formula):
+    """The direct sub-formulas of f, in field order."""
+    for name, kind in _layout(f):
+        if kind == "formula":
+            yield getattr(f, name)
+        elif kind == "formulas":
+            yield from getattr(f, name)
+
+
 # ---------------------------------------------------------------------------
 # signature
 
 
-RESERVED_HEADS = frozenset(
-    {
-        "not", "and", "or", "implies", "iff",
-        "boxleq", "dialeq", "boxlt", "dialt", "A", "E",
-        "forall", "exists", "prefsyn",
-        "cp-dialeq", "cp-dialt", "cp-pref-aa", "cond",
-        "ext", "agg", "vpref", "promotes", "conflict", "val", "other",
-    }
-)
+RESERVED_HEADS = frozenset(KEYWORDS) | {"other"}
 
 
 @dataclass
@@ -430,10 +491,8 @@ def _parse_party(node, sig: Signature, env: dict[str, str]) -> Term:
 def _parse_principle_pair(node, sig, env) -> tuple[str, Term]:
     if not isinstance(node, SList) or len(node.items) != 2:
         raise ParseError("expected (PRINCIPLE party)", getattr(node, "line", None))
-    head = node.items[0]
-    if not isinstance(head, SSym) or head.text not in PRINCIPLES:
-        raise ParseError("unknown principle", node.line)
-    return head.text, _parse_party(node.items[1], sig, env)
+    principle = _parse_choice(node.items[0], PRINCIPLES, "unknown principle")
+    return principle, _parse_party(node.items[1], sig, env)
 
 
 def _parse_gammas(node, sig, env) -> tuple[Formula, ...]:
@@ -467,30 +526,13 @@ def _parse_formula(node, sig: Signature, env: dict[str, str]) -> Formula:
         raise ParseError("expected an operator or atom name", node.line)
     op = head.text
     items = node.items
+    cls = KEYWORDS.get(op)
 
-    if op == "not":
-        _want(node, 1, "not")
-        return Not(_parse_formula(items[1], sig, env))
-    if op in ("and", "or"):
+    if cls in (And, Or):
         if len(items) < 3:
             raise ParseError(f"{op} takes at least 2 arguments", node.line)
-        args = tuple(_parse_formula(x, sig, env) for x in items[1:])
-        return And(args) if op == "and" else Or(args)
-    if op == "implies":
-        _want(node, 2, "implies")
-        return Implies(_parse_formula(items[1], sig, env), _parse_formula(items[2], sig, env))
-    if op == "iff":
-        _want(node, 2, "iff")
-        return Iff(_parse_formula(items[1], sig, env), _parse_formula(items[2], sig, env))
-    if op in ("boxleq", "dialeq", "boxlt", "dialt", "A", "E"):
-        _want(node, 1, op)
-        cls = {
-            "boxleq": BoxWeak, "dialeq": DiaWeak,
-            "boxlt": BoxStrict, "dialt": DiaStrict,
-            "A": Everywhere, "E": Somewhere,
-        }[op]
-        return cls(_parse_formula(items[1], sig, env))
-    if op in ("forall", "exists"):
+        return cls(tuple(_parse_formula(x, sig, env) for x in items[1:]))
+    if cls in (Forall, Exists):
         _want(node, 3, op)
         var_node, sort_node, body_node = items[1], items[2], items[3]
         if not isinstance(var_node, SSym) or not isinstance(sort_node, SSym):
@@ -503,65 +545,25 @@ def _parse_formula(node, sig: Signature, env: dict[str, str]) -> Formula:
         if sig.const_sort(var) is not None or var in sig.atoms:
             raise ParseError(f"variable {var!r} shadows a declared name", node.line)
         body = _parse_formula(body_node, sig, {**env, var: sort})
-        return (Forall if op == "forall" else Exists)(var, sort, body)
-    if op == "prefsyn":
-        _want(node, 4, "prefsyn")
-        pat_node, strict_node = items[1], items[2]
-        if not isinstance(pat_node, SSym) or pat_node.text not in LIFT_PATTERNS:
-            raise ParseError("pattern must be one of ee ea ae aa", node.line)
-        strict = _parse_strictness(strict_node)
-        return SynPref(
-            pat_node.text, strict,
-            _parse_formula(items[3], sig, env), _parse_formula(items[4], sig, env),
-        )
-    if op in ("cp-dialeq", "cp-dialt"):
-        _want(node, 2, op)
-        gammas = _parse_gammas(items[1], sig, env)
-        sub = _parse_formula(items[2], sig, env)
-        return (CpDiaWeak if op == "cp-dialeq" else CpDiaStrict)(gammas, sub)
-    if op == "cp-pref-aa":
-        _want(node, 4, "cp-pref-aa")
-        gammas = _parse_gammas(items[1], sig, env)
-        strict = _parse_strictness(items[2])
-        return CpPrefAA(
-            gammas, strict,
-            _parse_formula(items[3], sig, env), _parse_formula(items[4], sig, env),
-        )
-    if op == "cond":
-        _want(node, 2, "cond")
-        return Cond(_parse_formula(items[1], sig, env), _parse_formula(items[2], sig, env))
-    if op == "ext":
-        _want(node, 2, "ext")
-        if not isinstance(items[1], SSym) or items[1].text not in PRINCIPLES:
-            raise ParseError("unknown principle", node.line)
-        return PrincipleExt(items[1].text, _parse_party(items[2], sig, env))
-    if op == "agg":
+        return cls(var, sort, body)
+    if cls is Agg:
         if len(items) < 2:
             raise ParseError("agg takes at least one (PRINCIPLE party) pair", node.line)
         return Agg(tuple(_parse_principle_pair(x, sig, env) for x in items[1:]))
-    if op == "vpref":
-        _want(node, 3, "vpref")
-        strict = _parse_strictness(items[1])
-        lhs = _parse_formula(items[2], sig, env)
-        rhs = _parse_formula(items[3], sig, env)
-        for side in (lhs, rhs):
-            if not isinstance(side, (PrincipleExt, Agg)):
-                raise ParseError("vpref sides must be ext or agg forms", node.line)
-        return VPref(strict, lhs, rhs)
-    if op == "promotes":
-        _want(node, 3, "promotes")
+    if cls is Promotes:
+        _want(node, 3, op)
         premise = _parse_formula(items[1], sig, env)
         decision = _parse_formula(items[2], sig, env)
-        principle, party = _parse_principle_pair(items[3], sig, env)
-        return Promotes(premise, decision, principle, party)
-    if op == "conflict":
-        _want(node, 1, "conflict")
-        return Conflict(_parse_party(items[1], sig, env))
-    if op == "val":
-        _want(node, 2, "val")
-        if not isinstance(items[1], SSym) or items[1].text not in BasicValue.__members__:
-            raise ParseError("unknown basic value", node.line)
-        return ValAtom(BasicValue[items[1].text], _parse_party(items[2], sig, env))
+        return Promotes(premise, decision, *_parse_principle_pair(items[3], sig, env))
+    if cls is not None:
+        # every other form lists its fields in order, each read by its kind
+        layout = _LAYOUT[cls]
+        _want(node, len(layout), op)
+        f = cls(*(_SLOT_READERS[kind or name](x, sig, env)
+                  for (name, kind), x in zip(layout, items[1:])))
+        if cls is VPref and not all(isinstance(s, (PrincipleExt, Agg)) for s in (f.lhs, f.rhs)):
+            raise ParseError("vpref sides must be ext or agg forms", node.line)
+        return f
 
     # anything else must be a declared atom applied to terms
     if op in RESERVED_HEADS:
@@ -584,10 +586,25 @@ def _parse_formula(node, sig: Signature, env: dict[str, str]) -> Formula:
     return Atom(op, tuple(args))
 
 
-def _parse_strictness(node) -> bool:
-    if isinstance(node, SSym) and node.text in ("weak", "strict"):
-        return node.text == "strict"
-    raise ParseError("expected weak or strict", getattr(node, "line", None))
+def _parse_choice(node, choices, message: str) -> str:
+    if isinstance(node, SSym) and node.text in choices:
+        return node.text
+    raise ParseError(message, getattr(node, "line", None))
+
+
+# Readers of keyword-form fields, by field kind or, for plain data, field name.
+_SLOT_READERS = {
+    "formula": _parse_formula,
+    "formulas": _parse_gammas,
+    "term": _parse_party,
+    "strict": lambda node, sig, env:
+        _parse_choice(node, ("weak", "strict"), "expected weak or strict") == "strict",
+    "pattern": lambda node, sig, env:
+        _parse_choice(node, LIFT_PATTERNS, "pattern must be one of ee ea ae aa"),
+    "principle": lambda node, sig, env: _parse_choice(node, PRINCIPLES, "unknown principle"),
+    "value": lambda node, sig, env:
+        BasicValue[_parse_choice(node, BasicValue.__members__, "unknown basic value")],
+}
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
@@ -612,63 +629,30 @@ def format_formula(f: Formula) -> str:
         if not f.args:
             return f.pred
         return "(" + " ".join([f.pred] + [_format_term(a) for a in f.args]) + ")"
-    if isinstance(f, ValAtom):
-        return f"(val {f.value.name} {_format_term(f.party)})"
-    if isinstance(f, Not):
-        return f"(not {format_formula(f.sub)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(format_formula(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(format_formula(a) for a in f.args) + ")"
-    if isinstance(f, Implies):
-        return f"(implies {format_formula(f.lhs)} {format_formula(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"(iff {format_formula(f.lhs)} {format_formula(f.rhs)})"
-    if isinstance(f, DiaWeak):
-        return f"(dialeq {format_formula(f.sub)})"
-    if isinstance(f, BoxWeak):
-        return f"(boxleq {format_formula(f.sub)})"
-    if isinstance(f, DiaStrict):
-        return f"(dialt {format_formula(f.sub)})"
-    if isinstance(f, BoxStrict):
-        return f"(boxlt {format_formula(f.sub)})"
-    if isinstance(f, Somewhere):
-        return f"(E {format_formula(f.sub)})"
-    if isinstance(f, Everywhere):
-        return f"(A {format_formula(f.sub)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {f.sort} {format_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {f.sort} {format_formula(f.body)})"
-    if isinstance(f, SynPref):
-        s = "strict" if f.strict else "weak"
-        return f"(prefsyn {f.pattern} {s} {format_formula(f.lhs)} {format_formula(f.rhs)})"
-    if isinstance(f, CpDiaWeak):
-        g = "(" + " ".join(format_formula(x) for x in f.guards) + ")"
-        return f"(cp-dialeq {g} {format_formula(f.sub)})"
-    if isinstance(f, CpDiaStrict):
-        g = "(" + " ".join(format_formula(x) for x in f.guards) + ")"
-        return f"(cp-dialt {g} {format_formula(f.sub)})"
-    if isinstance(f, CpPrefAA):
-        g = "(" + " ".join(format_formula(x) for x in f.guards) + ")"
-        s = "strict" if f.strict else "weak"
-        return f"(cp-pref-aa {g} {s} {format_formula(f.lhs)} {format_formula(f.rhs)})"
-    if isinstance(f, Cond):
-        return f"(cond {format_formula(f.lhs)} {format_formula(f.rhs)})"
-    if isinstance(f, PrincipleExt):
-        return f"(ext {f.principle} {_format_term(f.party)})"
-    if isinstance(f, Agg):
-        pairs = " ".join(f"({p} {_format_term(x)})" for p, x in f.parts)
-        return f"(agg {pairs})"
-    if isinstance(f, VPref):
-        s = "strict" if f.strict else "weak"
-        return f"(vpref {s} {format_formula(f.lhs)} {format_formula(f.rhs)})"
     if isinstance(f, Promotes):
         pair = f"({f.principle} {_format_term(f.party)})"
         return f"(promotes {format_formula(f.premise)} {format_formula(f.decision)} {pair})"
-    if isinstance(f, Conflict):
-        return f"(conflict {_format_term(f.party)})"
-    raise TypeError(f"cannot format {type(f).__name__}")
+    layout = _layout(f)
+    parts = [_KEYWORD_OF[type(f)]]
+    for name, kind in layout:
+        value = getattr(f, name)
+        if kind == "formula":
+            parts.append(format_formula(value))
+        elif kind == "formulas":
+            # a lone argument list is spread (and, or); a guard slot is a list
+            subs = " ".join(map(format_formula, value))
+            parts.append(subs if len(layout) == 1 else f"({subs})")
+        elif kind == "term":
+            parts.append(_format_term(value))
+        elif kind == "pairs":
+            parts += [f"({p} {_format_term(x)})" for p, x in value]
+        elif isinstance(value, bool):
+            parts.append("strict" if value else "weak")
+        elif isinstance(value, BasicValue):
+            parts.append(value.name)
+        else:
+            parts.append(value)
+    return "(" + " ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -676,49 +660,7 @@ def format_formula(f: Formula) -> str:
 
 
 def _subst(f: Formula, env: dict[str, Const]) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(resolve_term(a, env) for a in f.args))
-    if isinstance(f, ValAtom):
-        return ValAtom(f.value, resolve_term(f.party, env))
-    if isinstance(f, Not):
-        return Not(_subst(f.sub, env))
-    if isinstance(f, And):
-        return And(tuple(_subst(a, env) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(_subst(a, env) for a in f.args))
-    if isinstance(f, Implies):
-        return Implies(_subst(f.lhs, env), _subst(f.rhs, env))
-    if isinstance(f, Iff):
-        return Iff(_subst(f.lhs, env), _subst(f.rhs, env))
-    if isinstance(f, (DiaWeak, BoxWeak, DiaStrict, BoxStrict, Somewhere, Everywhere)):
-        return type(f)(_subst(f.sub, env))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, f.sort, _subst(f.body, env))
-    if isinstance(f, SynPref):
-        return SynPref(f.pattern, f.strict, _subst(f.lhs, env), _subst(f.rhs, env))
-    if isinstance(f, (CpDiaWeak, CpDiaStrict)):
-        return type(f)(tuple(_subst(g, env) for g in f.guards), _subst(f.sub, env))
-    if isinstance(f, CpPrefAA):
-        return CpPrefAA(
-            tuple(_subst(g, env) for g in f.guards),
-            f.strict, _subst(f.lhs, env), _subst(f.rhs, env),
-        )
-    if isinstance(f, Cond):
-        return Cond(_subst(f.lhs, env), _subst(f.rhs, env))
-    if isinstance(f, PrincipleExt):
-        return PrincipleExt(f.principle, resolve_term(f.party, env))
-    if isinstance(f, Agg):
-        return Agg(tuple((p, resolve_term(x, env)) for p, x in f.parts))
-    if isinstance(f, VPref):
-        return VPref(f.strict, _subst(f.lhs, env), _subst(f.rhs, env))
-    if isinstance(f, Promotes):
-        return Promotes(
-            _subst(f.premise, env), _subst(f.decision, env),
-            f.principle, resolve_term(f.party, env),
-        )
-    if isinstance(f, Conflict):
-        return Conflict(resolve_term(f.party, env))
-    raise TypeError(f"cannot substitute in {type(f).__name__}")
+    return _rebuild(f, lambda g: _subst(g, env), lambda t: resolve_term(t, env))
 
 
 def ground(f: Formula, sig: Signature) -> Formula:
@@ -729,34 +671,7 @@ def ground(f: Formula, sig: Signature) -> Formula:
             raise ParseError(f"cannot ground over empty or unknown sort {f.sort!r}")
         expanded = [ground(_subst(f.body, {f.var: Const(c)}), sig) for c in consts]
         return make_and(expanded) if isinstance(f, Forall) else make_or(expanded)
-    if isinstance(f, (Atom, ValAtom)):
-        return f
-    if isinstance(f, Not):
-        return Not(ground(f.sub, sig))
-    if isinstance(f, And):
-        return And(tuple(ground(a, sig) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(ground(a, sig) for a in f.args))
-    if isinstance(f, Implies):
-        return Implies(ground(f.lhs, sig), ground(f.rhs, sig))
-    if isinstance(f, Iff):
-        return Iff(ground(f.lhs, sig), ground(f.rhs, sig))
-    if isinstance(f, (DiaWeak, BoxWeak, DiaStrict, BoxStrict, Somewhere, Everywhere)):
-        return type(f)(ground(f.sub, sig))
-    if isinstance(f, SynPref):
-        return SynPref(f.pattern, f.strict, ground(f.lhs, sig), ground(f.rhs, sig))
-    if isinstance(f, (CpDiaWeak, CpDiaStrict)):
-        return type(f)(tuple(ground(g, sig) for g in f.guards), ground(f.sub, sig))
-    if isinstance(f, CpPrefAA):
-        return CpPrefAA(
-            tuple(ground(g, sig) for g in f.guards),
-            f.strict, ground(f.lhs, sig), ground(f.rhs, sig),
-        )
-    if isinstance(f, Cond):
-        return Cond(ground(f.lhs, sig), ground(f.rhs, sig))
-    if isinstance(f, (PrincipleExt, Agg, VPref, Promotes, Conflict)):
-        return f
-    raise TypeError(f"cannot ground {type(f).__name__}")
+    return _rebuild(f, lambda g: ground(g, sig))
 
 
 def _require_party_const(t: Term) -> Term:
@@ -793,29 +708,8 @@ def _principle_conjunction(principle: str, party: Term) -> Formula:
 
 def desugar(f: Formula) -> Formula:
     """Rewrite derived operators into the modal core.  Quantifier-free input."""
-    if isinstance(f, (Atom, ValAtom)):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.sub))
-    if isinstance(f, And):
-        return And(tuple(desugar(a) for a in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(desugar(a) for a in f.args))
-    if isinstance(f, Implies):
-        return Implies(desugar(f.lhs), desugar(f.rhs))
-    if isinstance(f, Iff):
-        return Iff(desugar(f.lhs), desugar(f.rhs))
-    if isinstance(f, (DiaWeak, BoxWeak, DiaStrict, BoxStrict, Somewhere, Everywhere)):
-        return type(f)(desugar(f.sub))
     if isinstance(f, SynPref):
         return _desugar_synpref(f.pattern, f.strict, desugar(f.lhs), desugar(f.rhs))
-    if isinstance(f, (CpDiaWeak, CpDiaStrict)):
-        return type(f)(tuple(desugar(g) for g in f.guards), desugar(f.sub))
-    if isinstance(f, CpPrefAA):
-        return CpPrefAA(
-            tuple(desugar(g) for g in f.guards),
-            f.strict, desugar(f.lhs), desugar(f.rhs),
-        )
     if isinstance(f, Cond):
         lhs, rhs = desugar(f.lhs), desugar(f.rhs)
         return Everywhere(Implies(lhs, DiaWeak(And((lhs, BoxWeak(Implies(lhs, rhs)))))))
@@ -836,7 +730,7 @@ def desugar(f: Formula) -> Formula:
         return And(tuple(ValAtom(v, party) for v in BasicValue))
     if isinstance(f, (Forall, Exists)):
         raise ParseError("desugar expects grounded input (quantifier found)")
-    raise TypeError(f"cannot desugar {type(f).__name__}")
+    return _rebuild(f, desugar)
 
 
 def elaborate(f: Formula, sig: Signature) -> Formula:
@@ -846,6 +740,9 @@ def elaborate(f: Formula, sig: Signature) -> Formula:
 
 # ---------------------------------------------------------------------------
 # symbol collection (used for oracle enumeration and model validation)
+
+# The forms desugar rewrites away; none may reach the evaluator or encoder.
+_DERIVED = (Forall, Exists, SynPref, Cond, PrincipleExt, Agg, VPref, Promotes, Conflict)
 
 
 def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[tuple[BasicValue, str]]]:
@@ -864,27 +761,11 @@ def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[t
         elif isinstance(g, ValAtom):
             party = _require_party_const(g.party)
             incidence.add((g.value, party.name))
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, (DiaWeak, BoxWeak, DiaStrict, BoxStrict, Somewhere, Everywhere)):
-            walk(g.sub)
-        elif isinstance(g, (CpDiaWeak, CpDiaStrict)):
-            for x in g.guards:
-                walk(x)
-            walk(g.sub)
-        elif isinstance(g, CpPrefAA):
-            for x in g.guards:
-                walk(x)
-            walk(g.lhs)
-            walk(g.rhs)
-        else:
+        elif isinstance(g, _DERIVED):
             raise ParseError(f"collect_symbols expects desugared input, found {type(g).__name__}")
+        else:
+            for sub in children(g):
+                walk(sub)
 
     walk(f)
     return atoms, incidence

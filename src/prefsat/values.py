@@ -14,15 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lifts import sem_lift
-from .model import Extension, PreferenceModel, sx_iter_bits
-from .ontology import ValueSymbol, principle_symbols
-
-_SYM_ORDER: dict = {}
-
-
-def _sym_key(sym: ValueSymbol):
-    value, party = sym
-    return (value.value, party)
+from .model import Extension, PreferenceModel
+from .ontology import BasicValue, ValueSymbol, principle_symbols
 
 
 def down(m: PreferenceModel, symbols) -> Extension:
@@ -126,6 +119,4 @@ def vpref_holds(m: PreferenceModel, strict: bool, lhs_parts, rhs_parts) -> bool:
 
 def conflict_extension(m: PreferenceModel, party: str) -> Extension:
     """Worlds where all four basic values are observed for the party."""
-    from .ontology import BasicValue
-
     return down(m, [(v, party) for v in BasicValue])

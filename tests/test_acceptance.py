@@ -227,7 +227,7 @@ def test_08_proof_replay():
     assert all(by_name[name].passed for name in untouched)
 
 
-def test_09_engine_cross_check():
+def test_09_engine_cross_check(request):
     # the full suite workload, shrunk to where the oracle is exhaustive
     exhausted = 0
     for name, q in suite_queries():
@@ -248,8 +248,8 @@ def test_09_engine_cross_check():
         check(q)  # engine="both": raises EngineDisagreement on mismatch
 
     # a disagreement is a hard failure with its own exit code
-    code = cli_main(["suite", "meta", "--engine", "both", "--bound", "2",
-                     "--inject-enum-fault"])
+    request.getfixturevalue("enum_fault")
+    code = cli_main(["suite", "meta", "--engine", "both", "--bound", "2"])
     assert code == 3
 
 

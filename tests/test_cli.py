@@ -1,5 +1,7 @@
 """Command-line behavior: verdict lines, exit codes, determinism."""
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +9,20 @@ from prefsat.cli import main
 from prefsat.kb import case_proof_path
 
 
+# recorded stdout and exit code of the shipped-case commands; the same
+# command line must keep printing the same bytes
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_golden(name, code, out):
+    assert (code, out) == (GOLDEN_CODES[name], (GOLDEN / f"{name}.out").read_text()), name
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +46,10 @@ def test_every_shipped_case_entails_its_ruling(capsys):
     for case in ("pierson", "post", "conti"):
         code, out, _ = run(capsys, "entail", case)
         assert code == 0 and "BoundedValid" in out, (case, out)
+        assert_golden(f"entail-{case}", code, out)
+        # the axioms-only check and the model search print fixed bytes too
+        for command in ("check", "model"):
+            assert_golden(f"{command}-{case}", *run(capsys, command, case)[:2])
 
 
 def test_bound_override_is_respected(capsys):
@@ -55,6 +71,7 @@ def test_dot_export(tmp_path, capsys):
     assert f"dot written to {target}" in out
     text = target.read_text()
     assert text.startswith("digraph preference_model {") and text.endswith("}\n")
+    assert text == (GOLDEN / "check-pierson.dot").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +81,7 @@ def test_dot_export(tmp_path, capsys):
 def test_replay_shipped_proof(capsys):
     code, out, _ = run(capsys, "replay", "pierson")
     assert code == 0
+    assert_golden("replay-pierson", code, out)
     lines = out.strip().splitlines()
     assert lines[-1] == "replay: 8/8 steps passed"
     assert sum(1 for line in lines if line.startswith("step ") and line.endswith(": pass")) == 8
@@ -97,10 +115,11 @@ def test_meta_suite_cross_checked_at_small_bound(capsys):
 
 def test_suites_all_pass_by_default(capsys):
     for name in ("meta", "values", "cases"):
-        code, out, _ = run(capsys, "suite", name)
+        code, out, _ = run(capsys, "suite", name, "--seed", "0")
         assert code == 0, (name, out)
         passed_line = out.strip().splitlines()[-1]
         assert passed_line.startswith(f"{name}:") and "rows passed" in passed_line
+        assert_golden(f"suite-{name}", code, out)
 
 
 def test_suite_output_is_deterministic(capsys):
@@ -109,11 +128,8 @@ def test_suite_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_fault_injection_reports_a_bug(capsys):
-    code, out, _ = run(
-        capsys, "suite", "meta", "--engine", "both", "--bound", "2",
-        "--inject-enum-fault",
-    )
+def test_fault_injection_reports_a_bug(capsys, enum_fault):
+    code, out, _ = run(capsys, "suite", "meta", "--engine", "both", "--bound", "2")
     assert code == 3
     assert "engine disagreement (this is a bug" in out
     assert "sat says" in out and "enum says" in out
@@ -137,6 +153,19 @@ def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "everything"])
     assert exc.value.code == 2
+
+
+def test_enum_engine_outside_its_domain_is_a_usage_error(capsys):
+    # the default bound 4 is beyond the oracle's three worlds
+    for argv in (("entail", "pierson"), ("suite", "meta")):
+        code, out, err = run(capsys, *argv, "--engine", "enum")
+        assert code == 2 and err.startswith("error:"), (argv, code, err)
+
+
+def test_zero_budget_is_exhausted_before_any_search(capsys):
+    code, out, _ = run(capsys, "entail", "pierson", "--budget", "0")
+    assert code == 2
+    assert out == "goal ruling-for-d: Unknown reason=budget-exhausted\n"
 
 
 def test_kb_without_goals(tmp_path, capsys):

@@ -29,9 +29,9 @@ def test_suite_text_is_seed_stable():
     assert a[0] != c[0]  # the seed is part of the header and the row data
 
 
-def test_fault_injection_surfaces_as_disagreement():
+def test_fault_injection_surfaces_as_disagreement(enum_fault):
     with pytest.raises(EngineDisagreement):
-        run_suite("meta", engine="both", bound=2, fault=True)
+        run_suite("meta", engine="both", bound=2)
 
 
 def test_suite_queries_are_named_and_well_formed():

@@ -198,6 +198,7 @@ def test_format_parse_round_trip(text):
     sig = sig2()
     f = parse_formula(text, sig)
     printed = sx.format_formula(f)
+    assert printed == text
     assert parse_formula(printed, sig) == f
 
 
@@ -300,6 +301,23 @@ def test_elaborate_is_ground_then_desugar():
         sx.And(tuple(sx.ValAtom(v, sx.Const("p")) for v in BasicValue)),
         sx.And(tuple(sx.ValAtom(v, sx.Const("d")) for v in BasicValue)),
     ))
+
+
+def test_elaborate_grounds_quantifiers_inside_promotes():
+    sig = sig2()
+    sig.add_sort("entity", ("fox", "whale"))
+    sig.add_atom("Pursue", ("contender", "entity"))
+    sig.add_atom("For", ("contender",))
+    f = parse_formula(
+        "(forall x contender (promotes (exists a entity (Pursue x a)) (For x) (WILL x)))", sig)
+
+    def promoted(party):
+        x = sx.Const(party)
+        premise = sx.Or(tuple(sx.Atom("Pursue", (x, sx.Const(a))) for a in ("fox", "whale")))
+        will = sx.And((sx.ValAtom(BasicValue.FREEDOM, x), sx.ValAtom(BasicValue.UTILITY, x)))
+        return sx.Implies(premise, sx.BoxStrict(sx.Iff(sx.Atom("For", (x,)), sx.DiaStrict(will))))
+
+    assert sx.elaborate(f, sig) == sx.And((promoted("p"), promoted("d")))
 
 
 def test_collect_symbols():
