@@ -9,6 +9,7 @@ world, which keeps evaluation to a handful of integer operations per node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .ontology import BasicValue, ValueSymbol
 from . import syntax as sx
@@ -123,16 +124,8 @@ class PreferenceModel:
 
     @property
     def lt(self) -> tuple[int, ...]:
-        """Strict rows, derived: v strictly better than w iff w<=v and not v<=w."""
         if self._lt is None:
-            rows = []
-            for w in range(self.n):
-                row = 0
-                for v in sx_iter_bits(self.leq[w]):
-                    if not (self.leq[v] >> w & 1):
-                        row |= 1 << v
-                rows.append(row)
-            self._lt = tuple(rows)
+            self._lt = strict_rows(self.leq)
         return self._lt
 
     def atom_bits(self, key: AtomKey) -> int:
@@ -146,6 +139,18 @@ class PreferenceModel:
             return self.incidence[key]
         except KeyError:
             raise ModelError(f"value symbol {key!r} not interpreted in model") from None
+
+
+def strict_rows(leq: tuple[int, ...]) -> tuple[int, ...]:
+    """Strict rows, derived: v strictly better than w iff w<=v and not v<=w."""
+    rows = []
+    for w, row in enumerate(leq):
+        lt = 0
+        for v in sx_iter_bits(row):
+            if not (leq[v] >> w & 1):
+                lt |= 1 << v
+        rows.append(lt)
+    return tuple(rows)
 
 
 def sx_iter_bits(mask: int):
@@ -203,10 +208,16 @@ def validate_model(m: PreferenceModel, total: bool = False) -> None:
 
 
 def is_total(m: PreferenceModel) -> bool:
+    return is_total_relation(m.leq)
+
+
+def is_total_relation(leq: tuple[int, ...]) -> bool:
+    """Every two worlds are comparable under the weak rows leq."""
+    n = len(leq)
     return all(
-        (m.leq[w] >> v & 1) or (m.leq[v] >> w & 1)
-        for w in range(m.n)
-        for v in range(w + 1, m.n)
+        (leq[w] >> v & 1) or (leq[v] >> w & 1)
+        for w in range(n)
+        for v in range(w + 1, n)
     )
 
 
@@ -231,6 +242,21 @@ def cp_rows(m: PreferenceModel, guard_bits: list[int], strict: bool) -> list[int
     return [base[w] & agree[w] for w in range(m.n)]
 
 
+def _ground_key(f: sx.Atom | sx.ValAtom) -> AtomKey | ValueSymbol:
+    """The valuation key of a grounded atom, or the incidence key of a
+    grounded value atom."""
+    if isinstance(f, sx.Atom):
+        args = []
+        for a in f.args:
+            if not isinstance(a, sx.Const):
+                raise ModelError("evaluation needs grounded formulas")
+            args.append(a.name)
+        return (f.pred, tuple(args))
+    if not isinstance(f.party, sx.Const):
+        raise ModelError("evaluation needs grounded formulas")
+    return (f.value, f.party.name)
+
+
 def _eval_bits(m: PreferenceModel, f: sx.Formula) -> int:
     # Cache keyed by node identity; the node reference is kept alongside so
     # the id stays valid for the cache's lifetime.
@@ -242,16 +268,9 @@ def _eval_bits(m: PreferenceModel, f: sx.Formula) -> int:
     n = m.n
 
     if isinstance(f, sx.Atom):
-        args = []
-        for a in f.args:
-            if not isinstance(a, sx.Const):
-                raise ModelError("evaluation needs grounded formulas")
-            args.append(a.name)
-        bits = m.atom_bits((f.pred, tuple(args)))
+        bits = m.atom_bits(_ground_key(f))
     elif isinstance(f, sx.ValAtom):
-        if not isinstance(f.party, sx.Const):
-            raise ModelError("evaluation needs grounded formulas")
-        bits = m.incidence_bits((f.value, f.party.name))
+        bits = m.incidence_bits(_ground_key(f))
     elif isinstance(f, sx.Not):
         bits = ~_eval_bits(m, f.sub) & full
     elif isinstance(f, sx.And):
@@ -334,6 +353,142 @@ def globally_true(m: PreferenceModel, f: sx.Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# valuation-sliced evaluation (oracle support)
+#
+# The oracle needs a formula's truth on one preorder under every assignment of
+# world sets to a fixed list of symbols.  Assignment i gives symbol k the
+# world set (i >> n*(count-1-k)) & (2^n - 1), which numbers assignments in
+# itertools.product(range(1 << n), repeat=count) order.  An extension is then
+# one int per world w whose bit i says "holds at w under assignment i", and
+# every connective is one big-int operation per world.
+
+
+def valuation_slices(n: int, keys) -> dict:
+    """Each symbol's extension under every assignment: per world w, bit i is
+    bit w of the world set that assignment i gives the symbol."""
+    size = 1 << (n * len(keys))
+    out = {}
+    for k, key in enumerate(keys):
+        ext = []
+        for w in range(n):
+            # bit j of the index i: runs of 2^j clear bits, then 2^j set bits
+            run = 1 << (n * (len(keys) - 1 - k) + w)
+            bits, period = ((1 << run) - 1) << run, 2 * run
+            while period < size:
+                bits |= bits << period
+                period *= 2
+            ext.append(bits)
+        out[key] = tuple(ext)
+    return out
+
+
+def valuation_at(n: int, keys, i: int) -> dict:
+    """The world set assignment i gives each symbol."""
+    mask = (1 << n) - 1
+    return {key: i >> (n * (len(keys) - 1 - k)) & mask for k, key in enumerate(keys)}
+
+
+class SlicedModel:
+    """One preorder under every assignment of world sets to its symbols;
+    `symbols` maps each atom key and value symbol to its slices, as
+    valuation_slices builds them."""
+
+    def __init__(self, leq: tuple[int, ...], symbols: dict):
+        self.leq = leq
+        self.symbols = symbols
+        self.n = len(leq)
+        self.full = (1 << (1 << self.n * len(symbols))) - 1  # one bit per assignment
+        self.lt = strict_rows(leq)
+        self._cache: dict[int, tuple[object, tuple[int, ...]]] = {}
+
+
+def _guard_split(guards: list[tuple[int, ...]], w: int, v: int) -> int:
+    """Assignments under which some guard differs between worlds w and v."""
+    bits = 0
+    for g in guards:
+        bits |= g[w] ^ g[v]
+    return bits
+
+
+def eval_sliced(s: SlicedModel, f: sx.Formula) -> tuple[int, ...]:
+    """Per world, the assignments under which the (grounded, desugared)
+    formula holds there: _eval_bits lifted to every assignment at once."""
+    key = id(f)
+    hit = s._cache.get(key)
+    if hit is not None:
+        return hit[1]
+    full = s.full
+    worlds = range(s.n)
+
+    if isinstance(f, (sx.Atom, sx.ValAtom)):
+        ext = s.symbols[_ground_key(f)]
+    elif isinstance(f, sx.Not):
+        ext = [full ^ x for x in eval_sliced(s, f.sub)]
+    elif isinstance(f, sx.And):
+        ext = [full] * s.n
+        for a in f.args:
+            ext = [x & y for x, y in zip(ext, eval_sliced(s, a))]
+    elif isinstance(f, sx.Or):
+        ext = [0] * s.n
+        for a in f.args:
+            ext = [x | y for x, y in zip(ext, eval_sliced(s, a))]
+    elif isinstance(f, sx.Implies):
+        ext = [(full ^ x) | y for x, y in zip(eval_sliced(s, f.lhs), eval_sliced(s, f.rhs))]
+    elif isinstance(f, sx.Iff):
+        ext = [full ^ x ^ y for x, y in zip(eval_sliced(s, f.lhs), eval_sliced(s, f.rhs))]
+    elif isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict)):
+        rows = s.lt if isinstance(f, (sx.DiaStrict, sx.CpDiaStrict)) else s.leq
+        guards = [eval_sliced(s, g) for g in f.guards] \
+            if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else []
+        sub = eval_sliced(s, f.sub)
+        ext = []
+        for w in worlds:
+            bits = 0
+            for v in sx_iter_bits(rows[w]):
+                bits |= sub[v] & ~_guard_split(guards, w, v)
+            ext.append(bits)
+    elif isinstance(f, (sx.BoxWeak, sx.BoxStrict)):
+        rows = s.lt if isinstance(f, sx.BoxStrict) else s.leq
+        sub = eval_sliced(s, f.sub)
+        ext = []
+        for w in worlds:
+            bits = full
+            for v in sx_iter_bits(rows[w]):
+                bits &= sub[v]
+            ext.append(bits)
+    elif isinstance(f, sx.Somewhere):
+        bits = 0
+        for x in eval_sliced(s, f.sub):
+            bits |= x
+        ext = [bits] * s.n
+    elif isinstance(f, sx.Everywhere):
+        bits = full
+        for x in eval_sliced(s, f.sub):
+            bits &= x
+        ext = [bits] * s.n
+    elif isinstance(f, sx.CpPrefAA):
+        rows = s.lt if f.strict else s.leq
+        guards = [eval_sliced(s, g) for g in f.guards]
+        lhs = eval_sliced(s, f.lhs)
+        rhs = eval_sliced(s, f.rhs)
+        bits = full
+        for a in worlds:
+            for b in worlds:
+                # lhs at a and rhs at b need b guard-respectingly better than a
+                bad = lhs[a] & rhs[b]
+                if rows[a] >> b & 1:
+                    bad &= _guard_split(guards, a, b)
+                bits &= ~bad
+        ext = [bits] * s.n
+    else:
+        raise ModelError(f"evaluation expects desugared formulas, found {type(f).__name__}")
+
+    ext = tuple(ext)
+    s._cache[key] = (f, ext)
+    return ext
+
+
+# ---------------------------------------------------------------------------
 # rendering
 
 
@@ -350,30 +505,32 @@ def _value_label(key: ValueSymbol) -> str:
 _VALUE_ORDER = {v: i for i, v in enumerate(BasicValue)}
 
 
+def _world_labels(m: PreferenceModel) -> list[tuple[list[str], list[str]]]:
+    """Per world, the labels of the atoms and of the value symbols true there,
+    atoms sorted by key and values in BasicValue order."""
+    atoms_sorted = sorted(m.valuation.keys())
+    values_sorted = sorted(m.incidence.keys(), key=lambda k: (_VALUE_ORDER[k[0]], k[1]))
+    return [([_atom_label(k) for k in atoms_sorted if m.valuation[k] >> w & 1],
+             [_value_label(k) for k in values_sorted if m.incidence[k] >> w & 1])
+            for w in range(m.n)]
+
+
 def render_text(m: PreferenceModel) -> str:
     """Canonical plain-text dump, one line per world; stable byte-for-byte."""
     lines = []
-    atoms_sorted = sorted(m.valuation.keys())
-    values_sorted = sorted(m.incidence.keys(), key=lambda k: (_VALUE_ORDER[k[0]], k[1]))
-    for w in range(m.n):
+    for w, (atoms, values) in enumerate(_world_labels(m)):
         succ = ",".join(f"w{v}" for v in sx_iter_bits(m.leq[w]))
-        atoms = ",".join(_atom_label(k) for k in atoms_sorted if m.valuation[k] >> w & 1)
-        values = ",".join(_value_label(k) for k in values_sorted if m.incidence[k] >> w & 1)
-        lines.append(f"w{w}: succ=[{succ}] atoms=[{atoms}] values=[{values}]")
+        lines.append(f"w{w}: succ=[{succ}] atoms=[{','.join(atoms)}] "
+                     f"values=[{','.join(values)}]")
     return "\n".join(lines)
 
 
 def render_dot(m: PreferenceModel) -> str:
     """Graphviz rendering: one node per world, one edge per non-reflexive
     weak-betterness pair (strict pairs drawn solid, ties dashed)."""
-    atoms_sorted = sorted(m.valuation.keys())
-    values_sorted = sorted(m.incidence.keys(), key=lambda k: (_VALUE_ORDER[k[0]], k[1]))
     out = ["digraph preference_model {", "  rankdir=BT;"]
-    for w in range(m.n):
-        parts = [f"w{w}"]
-        parts += [_atom_label(k) for k in atoms_sorted if m.valuation[k] >> w & 1]
-        parts += [_value_label(k) for k in values_sorted if m.incidence[k] >> w & 1]
-        label = "\\n".join(parts)
+    for w, (atoms, values) in enumerate(_world_labels(m)):
+        label = "\\n".join([f"w{w}", *atoms, *values])
         out.append(f'  w{w} [shape=box,label="{label}"];')
     for w in range(m.n):
         for v in sx_iter_bits(m.leq[w]):
@@ -389,25 +546,21 @@ def render_dot(m: PreferenceModel) -> str:
 # exhaustive enumeration of small relations (oracle support)
 
 
-def all_preorders(n: int):
-    """Yield every reflexive transitive relation on n worlds as leq rows.
-    Deterministic order.  Counts are 1, 4, 29 for n = 1, 2, 3."""
+@cache
+def all_preorders(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every reflexive transitive relation on n worlds as leq rows, in a
+    deterministic order; computed once per n.  Counts are 1, 4, 29, 355 for
+    n = 1, 2, 3, 4."""
     if not (1 <= n <= 4):
         raise ValueError("preorder enumeration supported for 1..4 worlds")
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
     base = tuple(1 << w for w in range(n))
+    out = []
     for choice in range(1 << len(off_diag)):
         rows = list(base)
         for k, (i, j) in enumerate(off_diag):
             if choice >> k & 1:
                 rows[i] |= 1 << j
-        ok = True
-        for w in range(n):
-            for v in sx_iter_bits(rows[w]):
-                if rows[v] & ~rows[w]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(rows)
+        if all(not (rows[v] & ~rows[w]) for w in range(n) for v in sx_iter_bits(rows[w])):
+            out.append(tuple(rows))
+    return tuple(out)

@@ -11,9 +11,12 @@ strict relation is defined from the weak one, and transitivity (plus
 optionally totality) is asserted as clauses.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
-a brute-force enumeration oracle that walks every preorder and valuation for
-very small instances.  Witnesses from either engine are re-checked by direct
-evaluation before being reported.
+an enumeration oracle for very small instances.  The oracle shares no code
+with the encoder: it walks every preorder and, per preorder, evaluates each
+subformula once for all assignments of world sets to the query's symbols
+together (model.eval_sliced, one bit per assignment), taking the first
+admitted assignment in enumeration order as its witness.  Witnesses from
+either engine are re-checked by direct evaluation before being reported.
 
 Everything is deterministic: variables are allocated in a documented order
 (relation variables, then atoms by name and world, then value symbols, then
@@ -23,30 +26,35 @@ trying False first.
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 from . import syntax as sx
 from .model import (
     MAX_WORLDS,
     PreferenceModel,
+    SlicedModel,
     all_preorders,
     eval_formula,
+    eval_sliced,
     globally_true,
-    is_total,
+    is_total_relation,
     render_text,
     truth_at,
     validate_model,
+    valuation_at,
+    valuation_slices,
 )
 
 DEFAULT_BOUND = 4
 
-# The oracle enumerates every preorder times 2^(n * symbols) valuations;
+# The oracle decides every preorder times 2^(n * symbols) valuations;
 # its domain is capped by that product so every accepted query stays cheap.
+# Memory, not time, sets the cap: a subformula's sliced extension takes
+# 2^(n * symbols) bits per world, so peak memory doubles with every doubling.
 ORACLE_MAX_WORLDS = 3
-ORACLE_MAX_WORK = 120_000
-_PREORDER_COUNTS = {1: 1, 2: 4, 3: 29}
+ORACLE_MAX_WORK = 1 << 23
 
 
 class EngineError(Exception):
@@ -74,6 +82,11 @@ class _Budget:
     def check(self):
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded()
+
+
+# The budget of the solve_at call in progress.  encode keeps its (q, n) form,
+# the one bench/tracing.py wraps, so the budget reaches it this way.
+_ENCODE_BUDGET: ContextVar[_Budget] = ContextVar("encode_budget", default=_Budget(None))
 
 
 @dataclass(frozen=True)
@@ -545,13 +558,19 @@ class _Encoder:
 
 
 def encode(q: Query, n: int) -> _Encoder:
+    """Clauses of the query at exactly n worlds.  Inside solve_at, its budget
+    is checked before each top-level formula."""
+    budget = _ENCODE_BUDGET.get()
     enc = _Encoder(n, *q.symbols, q.total)
     for ax in q.axioms:
+        budget.check()
         for w in range(n):
             enc.clauses.append([enc.t(ax, w)])
     for fact in q.facts:
+        budget.check()
         enc.clauses.append([enc.t(fact, 0)])
     if q.target is not None:
+        budget.check()
         lit = enc.t(q.target, 0)
         enc.clauses.append([-lit] if q.mode == "refute" else [lit])
     return enc
@@ -587,10 +606,15 @@ def _validate_witness(q: Query, m: PreferenceModel):
 def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel | None:
     """Solve the query's constraints at an exact world count; model or None."""
     budget = budget or _Budget(q.budget)
-    enc = encode(q, n)
+    token = _ENCODE_BUDGET.set(budget)
+    try:
+        enc = encode(q, n)
+    finally:
+        _ENCODE_BUDGET.reset(token)
     solver = CDCL(enc.nvars)
     for clause in enc.clauses:
         solver.add_clause(clause)
+    budget.check()
     if not solver.solve(budget):
         return None
     m = enc.decode(solver)
@@ -616,7 +640,7 @@ def check_sat_engine(q: Query) -> Verdict:
 def _oracle_work(q: Query) -> int:
     atoms, incidence = q.symbols
     syms = len(atoms) + len(incidence)
-    return sum(_PREORDER_COUNTS[n] * (1 << (n * syms)) for n in range(1, q.bound + 1))
+    return sum(len(all_preorders(n)) << (n * syms) for n in range(1, q.bound + 1))
 
 
 def oracle_in_domain(q: Query) -> bool:
@@ -624,41 +648,52 @@ def oracle_in_domain(q: Query) -> bool:
     return q.bound <= ORACLE_MAX_WORLDS and _oracle_work(q) <= ORACLE_MAX_WORK
 
 
+def _sliced_admitted(q: Query, s: SlicedModel) -> int:
+    """Assignments (as bits) whose model admits the query's axioms and facts
+    and refutes (refute mode) or satisfies (find mode) its target."""
+    bits = s.full
+    for ax in q.axioms:
+        for ext in eval_sliced(s, ax):
+            bits &= ext
+    for fact in q.facts:
+        bits &= eval_sliced(s, fact)[0]
+    if q.target is not None:
+        ext = eval_sliced(s, q.target)[0]
+        bits &= ~ext if q.mode == "refute" else ext
+    return bits
+
+
 def enum_oracle(q: Query) -> Verdict:
     """Exhaustive reference engine for tiny queries.
 
-    Enumerates every preorder on up to bound (<= 3) worlds and every
-    assignment of world sets to the query's symbols, evaluating directly.
+    Decides every preorder on up to bound (<= 3) worlds under every
+    assignment of world sets to the query's symbols, by direct evaluation
+    sliced over the assignments.  The witness is the first admitted model in
+    (world count, preorder, assignment) order.
     """
     if q.bound > ORACLE_MAX_WORLDS:
         raise OracleDomainError(f"oracle handles bound <= {ORACLE_MAX_WORLDS}")
     if _oracle_work(q) > ORACLE_MAX_WORK:
         raise OracleDomainError("query enumerates too many models for the oracle")
     atom_keys, inc_keys = q.symbols
+    keys = (*atom_keys, *inc_keys)
     budget = _Budget(q.budget)
-    ticks = 0
     try:
         for n in range(1, q.bound + 1):
             budget.check()
-            masks = range(1 << n)
-            n_syms = len(atom_keys) + len(inc_keys)
+            slices = valuation_slices(n, keys)
             for rows in all_preorders(n):
-                if q.total and not is_total(PreferenceModel(n, rows)):
+                if q.total and not is_total_relation(rows):
                     continue
-                for assignment in product(masks, repeat=n_syms):
-                    ticks += 1
-                    if ticks & 1023 == 0:
-                        budget.check()
-                    valuation = dict(zip(atom_keys, assignment))
-                    incidence = dict(zip(inc_keys, assignment[len(atom_keys):]))
-                    m = PreferenceModel(n, rows, valuation, incidence)
-                    if not _model_admits(q, m):
-                        continue
-                    holds = q.target is None or truth_at(m, q.target, 0)
-                    if q.mode == "refute" and not holds:
-                        return Countermodel(m, q.bound)
-                    if q.mode == "find" and holds:
-                        return Satisfiable(m)
+                budget.check()
+                admitted = _sliced_admitted(q, SlicedModel(rows, slices))
+                if not admitted:
+                    continue
+                sets = valuation_at(n, keys, (admitted & -admitted).bit_length() - 1)
+                m = PreferenceModel(n, rows, {k: sets[k] for k in atom_keys},
+                                    {k: sets[k] for k in inc_keys})
+                _validate_witness(q, m)
+                return Countermodel(m, q.bound) if q.mode == "refute" else Satisfiable(m)
     except BudgetExceeded:
         return Unknown("budget-exhausted")
     return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)

@@ -239,7 +239,7 @@ def test_09_engine_cross_check(request):
         assert verdicts_agree(v_sat, v_enum), (
             name, render_verdict(v_sat), render_verdict(v_enum))
         exhausted += 1
-    assert exhausted >= 25
+    assert exhausted >= 30
 
     # seeded random queries, each run through both engines by check()
     queries = random_queries(20260815, 200, bound=3)

@@ -1,4 +1,6 @@
 """Finite models: validation, bitmask evaluation, rendering, enumeration."""
+from itertools import product
+
 import pytest
 
 import prefsat.syntax as sx
@@ -6,8 +8,10 @@ from prefsat.model import (
     Extension,
     ModelError,
     PreferenceModel,
+    SlicedModel,
     all_preorders,
     eval_formula,
+    eval_sliced,
     from_edges,
     globally_true,
     is_total,
@@ -15,8 +19,10 @@ from prefsat.model import (
     render_text,
     truth_at,
     validate_model,
+    valuation_at,
+    valuation_slices,
 )
-from prefsat.ontology import BasicValue
+from prefsat.ontology import ALL_VALUE_SYMBOLS, BasicValue
 
 
 def chain3():
@@ -195,8 +201,9 @@ def test_render_dot_edge_styles():
 
 
 def test_preorder_counts():
-    counts = [sum(1 for _ in all_preorders(n)) for n in (1, 2, 3)]
-    assert counts == [1, 4, 29]
+    counts = [sum(1 for _ in all_preorders(n)) for n in (1, 2, 3, 4)]
+    assert counts == [1, 4, 29, 355]
+    assert all_preorders(3) is all_preorders(3)  # enumerated once per world count
 
 
 def test_every_enumerated_relation_validates():
@@ -206,3 +213,43 @@ def test_every_enumerated_relation_validates():
             validate_model(PreferenceModel(n, rows))
             seen.add(rows)
         assert len(seen) == sum(1 for _ in all_preorders(n))  # no duplicates
+
+
+# ---------------------------------------------------------------------------
+# valuation-sliced evaluation
+
+
+def test_sliced_evaluation_matches_per_model_evaluation():
+    P, Q = sx.Atom("P"), sx.Atom("Q")
+    value, party = ALL_VALUE_SYMBOLS[0]
+    V = sx.ValAtom(value, sx.Const(party))
+    formulas = [
+        P, V, sx.Not(P), sx.And((P, V)), sx.And(()), sx.Or((Q, sx.Not(V))), sx.Or(()),
+        sx.Implies(P, Q), sx.Iff(V, Q),
+        sx.DiaWeak(P), sx.BoxWeak(sx.Or((P, V))), sx.DiaStrict(Q), sx.BoxStrict(sx.Not(P)),
+        sx.Somewhere(sx.And((P, Q))), sx.Everywhere(sx.Implies(P, V)),
+        sx.CpDiaWeak((Q,), P), sx.CpDiaWeak((Q, V), sx.Not(P)),
+        sx.CpDiaStrict((V,), Q), sx.CpDiaStrict((), sx.DiaWeak(P)),
+        sx.CpPrefAA((), False, P, Q), sx.CpPrefAA((Q,), True, P, V),
+        sx.CpPrefAA((V, P), False, sx.Not(Q), Q),
+        sx.CpPrefAA((Q,), True, sx.DiaStrict(P), sx.BoxWeak(V)),
+    ]
+    keys = (("P", ()), ("Q", ()), (value, party))
+    checked = 0
+    for n in (1, 2, 3):
+        count = 1 << (n * len(keys))
+        assignments = [valuation_at(n, keys, i) for i in range(count)]
+        assert [tuple(a.values()) for a in assignments] == \
+            list(product(range(1 << n), repeat=len(keys)))
+        slices = valuation_slices(n, keys)
+        for rows in all_preorders(n):
+            s = SlicedModel(rows, slices)
+            exts = [eval_sliced(s, f) for f in formulas]
+            for i, sets in enumerate(assignments):
+                m = PreferenceModel(n, rows, {k: sets[k] for k in keys[:2]},
+                                    {keys[2]: sets[keys[2]]})
+                for f, ext in zip(formulas, exts):
+                    got = sum((ext[w] >> i & 1) << w for w in range(n))
+                    assert got == eval_formula(m, f).bits, (rows, sets, sx.format_formula(f))
+                checked += 1
+    assert checked == 1 * 8 + 4 * 64 + 29 * 512

@@ -1,10 +1,16 @@
 """Bounded decision procedures: SAT engine, enumeration oracle, agreement."""
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 import prefsat.syntax as sx
-from prefsat.model import validate_model
+from prefsat import solver
+from prefsat.model import PreferenceModel, all_preorders, is_total, truth_at, validate_model
 from prefsat.solver import (
     BoundedValid,
+    BudgetExceeded,
+    CDCL,
     Countermodel,
     EngineDisagreement,
     NoModel,
@@ -20,6 +26,7 @@ from prefsat.solver import (
     solve_at,
     verdicts_agree,
 )
+from prefsat.suites import random_queries, suite_queries
 
 SIG = sx.base_signature("P", "Q", "R", "S")
 
@@ -182,6 +189,46 @@ def test_oracle_agrees_on_hand_picked_queries():
         assert verdicts_agree(v_sat, v_enum), (render_verdict(v_sat), render_verdict(v_enum))
 
 
+def reference_oracle(q):
+    """The per-model enumeration the sliced oracle replaced: one model per
+    preorder and assignment, in the same order, evaluated one at a time."""
+    atom_keys, inc_keys = q.symbols
+    for n in range(1, q.bound + 1):
+        for rows in all_preorders(n):
+            if q.total and not is_total(PreferenceModel(n, rows)):
+                continue
+            for sets in product(range(1 << n), repeat=len(atom_keys) + len(inc_keys)):
+                m = PreferenceModel(n, rows, dict(zip(atom_keys, sets)),
+                                    dict(zip(inc_keys, sets[len(atom_keys):])))
+                if not solver._model_admits(q, m):
+                    continue
+                holds = truth_at(m, q.target, 0) if q.target is not None else True
+                if q.mode == "refute" and not holds:
+                    return Countermodel(m, q.bound)
+                if q.mode == "find" and holds:
+                    return Satisfiable(m)
+    return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
+
+
+def test_oracle_matches_the_per_model_reference():
+    queries = []
+    for bound in (1, 2, 3):
+        for _, q in suite_queries():
+            small = replace(q, bound=min(q.bound, bound))
+            # the reference takes microseconds per model; keep its share small
+            if oracle_in_domain(small) and solver._oracle_work(small) <= 4096:
+                queries += [small, replace(small, total=True)]
+    rand = random_queries(7, 40, bound=3)
+    queries += rand + [replace(q, total=True) for q in rand[:20]]
+    # a query whose answer turns on totality
+    comparable = refute("(or (prefsyn ee weak P Q) (prefsyn ee weak Q P))",
+                        axioms=["(E P)", "(E Q)"], bound=3)
+    queries += [comparable, replace(comparable, total=True)]
+    assert len(queries) > 190
+    for q in queries:
+        assert render_verdict(enum_oracle(q)) == render_verdict(reference_oracle(q)), q
+
+
 def test_check_both_compares_and_falls_back():
     q = refute("(implies P (dialeq P))", bound=2, engine="both")
     assert isinstance(check(q), BoundedValid)
@@ -218,6 +265,33 @@ def test_exhausted_budget_reports_unknown():
     # engine=both passes the Unknown through instead of raising disagreement
     both = check(refute("(or P (not P) Q R S)", bound=3, budget=0.0, engine="both"))
     assert isinstance(both, Unknown)
+
+
+def test_budget_is_checked_inside_one_world_count(monkeypatch):
+    class StopAt:
+        """Raises on its k-th check and on every later one."""
+
+        def __init__(self, k):
+            self.k = k
+
+        def check(self):
+            self.k -= 1
+            if self.k <= 0:
+                raise BudgetExceeded()
+
+    def unreachable(self, budget):
+        raise AssertionError("CDCL.solve reached")
+
+    monkeypatch.setattr(CDCL, "solve", unreachable)
+    q = refute("(implies P Q)", axioms=["(boxleq R)", "(or P S)"], facts=["Q"], bound=2)
+    # one check before each of the 4 top-level formulas, one before the search
+    for k in range(1, 6):
+        with pytest.raises(BudgetExceeded):
+            solve_at(q, 2, StopAt(k))
+    with pytest.raises(AssertionError, match="reached"):
+        solve_at(q, 2, StopAt(6))
+    # the budget does not outlive its solve_at call
+    assert solver.encode(q, 2).nvars > 0
 
 
 # ---------------------------------------------------------------------------
