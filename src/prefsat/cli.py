@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="decision engine; 'both' cross-checks them")
     common.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                         help="time budget per query")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suite rows")
 
     frame = argparse.ArgumentParser(add_help=False)
     frame.add_argument("--total", action="store_const", const=True, default=None,
@@ -85,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", parents=[common],
                        help="run a built-in verification suite")
     p.add_argument("name", choices=SUITE_NAMES)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suite rows")
 
     return ap
 
@@ -103,12 +102,12 @@ def _overrides(args) -> dict:
         "bound": args.bound,
         "engine": args.engine,
         "budget": args.budget,
-        "total": getattr(args, "total", None),
+        "total": args.total,
     }
 
 
 def _write_dot(args, model) -> None:
-    if getattr(args, "dot", None) and model is not None:
+    if args.dot and model is not None:
         Path(args.dot).write_text(render_dot(model))
         print(f"dot written to {args.dot}")
 

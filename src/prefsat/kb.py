@@ -4,7 +4,10 @@ A KB document is a sequence of top-level forms: (import NAME), (sort NAME
 CONST+), (atom NAME SORT*), (axiom NAME FORMULA), (fact NAME FORMULA),
 (goal NAME FORMULA), (option KEY VALUE).  Imports are resolved relative to
 the importing file; merged names must stay unique.  Axioms hold at every
-world, facts and goals at the designated world 0.
+world, facts and goals at the designated world 0.  The options are
+(option bound N), the largest world count searched, and (option total
+true|false), which restricts every query on the KB, proof steps included, to
+total betterness relations.
 
 A proof script is a sequence of (step NAME FORMULA (uses NAME+) (bound N))
 forms.  Replay checks each step as a bounded entailment from exactly the
@@ -45,7 +48,7 @@ class KnowledgeBase:
     axioms: dict[str, sx.Formula] = field(default_factory=dict)
     facts: dict[str, sx.Formula] = field(default_factory=dict)
     goals: dict[str, sx.Formula] = field(default_factory=dict)
-    options: dict[str, str] = field(default_factory=dict)
+    options: dict[str, int | bool] = field(default_factory=dict)  # typed at load
     imports: tuple[str, ...] = ()
     # entry name -> (formula, its elaboration); the formula is compared on
     # every lookup, so replaced or deleted entries are never served stale
@@ -123,11 +126,28 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
         elif head == "option":
             if len(items) != 3:
                 raise sx.ParseError("option takes a key and a value", form.line)
-            kb.options[_sym_text(items[1], "option")] = _sym_text(items[2], "value")
+            key, value = _sym_text(items[1], "option"), _sym_text(items[2], "value")
+            kb.options[key] = _option_value(key, value, form.line)
         else:
             raise sx.ParseError(f"unknown top-level form {head!r}", form.line)
     kb.imports = tuple(imports)
     return kb
+
+
+_TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _option_value(key: str, value: str, line: int | None) -> int | bool:
+    if key == "bound":
+        try:
+            return int(value)
+        except ValueError:
+            raise sx.ParseError("option bound takes an integer", line) from None
+    if key == "total":
+        if value not in _TRUTH:
+            raise sx.ParseError("option total takes true|yes|1 or false|no|0", line)
+        return _TRUTH[value]
+    raise sx.ParseError(f"unknown option {key!r}; the options are bound and total", line)
 
 
 def _merge_into(kb: KnowledgeBase, dep: KnowledgeBase, line: int | None):
@@ -169,15 +189,17 @@ def case_proof_path(name: str) -> Path:
 
 
 def _kb_query(kb: KnowledgeBase, target: sx.Formula | None, mode: str,
-              facts: tuple[sx.Formula, ...], overrides: dict) -> Query:
-    """Every query on a KB: its axioms globally, its options, then overrides."""
-    opts = {}
-    if "bound" in kb.options:
-        opts["bound"] = int(kb.options["bound"])
-    if "total" in kb.options:
-        opts["total"] = kb.options["total"] in ("true", "yes", "1")
+              facts: tuple[sx.Formula, ...], overrides: dict, *,
+              axioms: tuple[sx.Formula, ...] | None = None, bound: int | None = None) -> Query:
+    """Every query on a KB, from its axioms unless given others: the KB's
+    options, then the query's own bound, then the caller's non-None overrides."""
+    opts = dict(kb.options)
+    if bound is not None:
+        opts["bound"] = bound
     opts.update({k: v for k, v in overrides.items() if v is not None})
-    return Query(axioms=kb.elaborated_axioms(), facts=facts, target=target, mode=mode, **opts)
+    if axioms is None:
+        axioms = kb.elaborated_axioms()
+    return Query(axioms=axioms, facts=facts, target=target, mode=mode, **opts)
 
 
 def goal_query(kb: KnowledgeBase, goal_name: str, with_facts: bool = True,
@@ -300,10 +322,8 @@ def _step_query(step: ProofStep, kb: KnowledgeBase, established: dict[str, sx.Fo
             unavailable.append(ref)
         else:
             missing.append(ref)
-    opts = {"bound": step.bound}
-    opts.update({k: v for k, v in overrides.items() if v is not None})
-    q = Query(axioms=tuple(axioms), facts=tuple(at_w0),
-              target=sx.elaborate(step.formula, kb.sig), mode="refute", **opts)
+    q = _kb_query(kb, sx.elaborate(step.formula, kb.sig), "refute", tuple(at_w0), overrides,
+                  axioms=tuple(axioms), bound=step.bound)
     return q, tuple(missing), tuple(unavailable)
 
 

@@ -16,8 +16,9 @@ witness is a fixed size); the suite-wide bound applies to validity rows.
 """
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import kb as kbmod
 from . import syntax as sx
@@ -34,6 +35,7 @@ from .model import (
 from .ontology import ALL_VALUE_SYMBOLS
 from .solver import (
     DEFAULT_BOUND,
+    BudgetExceeded,
     Countermodel,
     Query,
     Satisfiable,
@@ -63,53 +65,77 @@ class SuiteRow:
     kind: str = ""  # verdict kind for query rows, "" for direct checks
 
 
-def _run_query_row(name: str, q: Query, expect: str, rows: list[SuiteRow]):
+def _query_row(name: str, q: Query, expect: str) -> SuiteRow:
     v = check(q)
-    if v.kind == expect:
-        if isinstance(v, (Countermodel, Satisfiable)):
-            detail = f"{v.kind} worlds={v.model.n}"
-        else:
-            detail = render_verdict(v)
-        rows.append(SuiteRow(name, True, detail, v.kind))
-    else:
-        detail = f"expected {expect}, got:\n{render_verdict(v)}"
-        rows.append(SuiteRow(name, False, detail, v.kind))
+    if v.kind != expect:
+        return SuiteRow(name, False, f"expected {expect}, got:\n{render_verdict(v)}", v.kind)
+    if isinstance(v, (Countermodel, Satisfiable)):
+        return SuiteRow(name, True, f"{v.kind} worlds={v.model.n}", v.kind)
+    return SuiteRow(name, True, render_verdict(v), v.kind)
+
+
+_VALID, _COUNTER, _SAT = "bounded-valid", "countermodel", "satisfiable"
+_goal_row = functools.partial(_query_row, expect=_VALID)
+
+# The query rows of the meta and values suites, in surface syntax over the
+# atoms P, Q, R and Fresh: (name, formula, mode, own bound or None for the
+# suite's bound, expected kind).
+_QUERY_ROWS = {
+    "meta": (
+        ("dual-dia-weak", "(iff (dialeq P) (not (boxleq (not P))))", "refute", None, _VALID),
+        ("dual-dia-strict", "(iff (dialt P) (not (boxlt (not P))))", "refute", None, _VALID),
+        ("dual-global", "(iff (E P) (not (A (not P))))", "refute", None, _VALID),
+        ("axiom-t-weak", "(implies (boxleq P) P)", "refute", None, _VALID),
+        ("axiom-4-weak", "(implies (boxleq P) (boxleq (boxleq P)))", "refute", None, _VALID),
+        ("axiom-4-strict", "(implies (boxlt P) (boxlt (boxlt P)))", "refute", None, _VALID),
+        ("inclusion-strict-weak", "(implies (dialt P) (dialeq P))", "refute", None, _VALID),
+        # reflexivity is deliberately absent from strict betterness
+        ("axiom-t-strict-fails", "(implies (boxlt P) P)", "refute", 1, _COUNTER),
+        ("cp-empty-weak", "(iff (cp-dialeq () P) (dialeq P))", "refute", None, _VALID),
+        ("cp-empty-strict", "(iff (cp-dialt () P) (dialt P))", "refute", None, _VALID),
+        ("cp-guarded-implies-base", "(implies (cp-dialeq (Q) P) (dialeq P))", "refute", None,
+         _VALID),
+    ),
+    "aggregation": (
+        ("agg-right", "(implies (prefsyn ae strict P Q) (prefsyn ae strict P (or Q R)))",
+         "refute", None, _VALID),
+        ("agg-left", "(implies (prefsyn ae strict (or P R) Q) (prefsyn ae strict P Q))",
+         "refute", None, _VALID),
+        ("agg-union", "(implies (and (prefsyn ae strict Q P) (prefsyn ae strict R P))"
+         " (prefsyn ae strict (or Q R) P))", "refute", None, _VALID),
+        # both converses fail on small models
+        ("agg-right-converse", "(implies (prefsyn ae strict P (or Q R)) (prefsyn ae strict P Q))",
+         "refute", 3, _COUNTER),
+        ("agg-left-converse", "(implies (prefsyn ae strict P Q) (prefsyn ae strict (or P R) Q))",
+         "refute", 3, _COUNTER),
+    ),
+    "conflict": (
+        ("conflict-resp-stab", "(implies (and (ext RESP p) (ext STAB p)) (conflict p))",
+         "refute", None, _VALID),
+        ("conflict-reli-will", "(implies (and (ext RELI p) (ext WILL p)) (conflict p))",
+         "refute", None, _VALID),
+        ("conflict-will-stab-open", "(implies (and (ext WILL p) (ext STAB p)) (conflict p))",
+         "refute", 2, _COUNTER),
+        ("conflict-cross-party-open", "(implies (and (ext RESP p) (ext STAB d)) (conflict p))",
+         "refute", 2, _COUNTER),
+        ("conflict-contingent-sat", "(conflict p)", "find", 2, _SAT),
+        ("conflict-contingent-open", "(conflict p)", "refute", 2, _COUNTER),
+        ("conflict-with-fresh-atom", "(and (conflict p) (not Fresh))", "find", 2, _SAT),
+    ),
+}
+
+
+def _query_rows(group: str, *, engine: str, bound: int, budget: float | None):
+    """(name, query, expected kind) for each row of one group of the table."""
+    sig = sx.base_signature("P", "Q", "R", "Fresh")
+    for name, text, mode, own_bound, expect in _QUERY_ROWS[group]:
+        target = sx.elaborate(sx.parse_formula(text, sig), sig)
+        yield name, Query(target=target, mode=mode, bound=own_bound or bound, engine=engine,
+                          budget=budget), expect
 
 
 # ---------------------------------------------------------------------------
 # meta suite
-
-
-def _meta_query_rows(*, engine: str, bound: int, budget: float | None):
-    P, Q = sx.Atom("P"), sx.Atom("Q")
-
-    def vq(f: sx.Formula, b: int | None = None, mode: str = "refute") -> Query:
-        return Query(target=sx.desugar(f), mode=mode, bound=b if b else bound,
-                     engine=engine, budget=budget)
-
-    return [
-        ("dual-dia-weak",
-         vq(sx.Iff(sx.DiaWeak(P), sx.Not(sx.BoxWeak(sx.Not(P))))), "bounded-valid"),
-        ("dual-dia-strict",
-         vq(sx.Iff(sx.DiaStrict(P), sx.Not(sx.BoxStrict(sx.Not(P))))), "bounded-valid"),
-        ("dual-global",
-         vq(sx.Iff(sx.Somewhere(P), sx.Not(sx.Everywhere(sx.Not(P))))), "bounded-valid"),
-        ("axiom-t-weak", vq(sx.Implies(sx.BoxWeak(P), P)), "bounded-valid"),
-        ("axiom-4-weak",
-         vq(sx.Implies(sx.BoxWeak(P), sx.BoxWeak(sx.BoxWeak(P)))), "bounded-valid"),
-        ("axiom-4-strict",
-         vq(sx.Implies(sx.BoxStrict(P), sx.BoxStrict(sx.BoxStrict(P)))), "bounded-valid"),
-        ("inclusion-strict-weak",
-         vq(sx.Implies(sx.DiaStrict(P), sx.DiaWeak(P))), "bounded-valid"),
-        # reflexivity is deliberately absent from strict betterness
-        ("axiom-t-strict-fails", vq(sx.Implies(sx.BoxStrict(P), P), b=1), "countermodel"),
-        ("cp-empty-weak",
-         vq(sx.Iff(sx.CpDiaWeak((), P), sx.DiaWeak(P))), "bounded-valid"),
-        ("cp-empty-strict",
-         vq(sx.Iff(sx.CpDiaStrict((), P), sx.DiaStrict(P))), "bounded-valid"),
-        ("cp-guarded-implies-base",
-         vq(sx.Implies(sx.CpDiaWeak((Q,), P), sx.DiaWeak(P))), "bounded-valid"),
-    ]
 
 
 def _enum_models(max_n: int = 3):
@@ -209,83 +235,29 @@ def _cond_triangle_row() -> SuiteRow:
 
 def meta_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 0,
                budget: float | None = None) -> list[SuiteRow]:
-    rows: list[SuiteRow] = []
-    for name, q, expect in _meta_query_rows(engine=engine, bound=bound, budget=budget):
-        _run_query_row(name, q, expect, rows)
-    rows.append(_preorder_count_row())
-    rows.append(_semsyn_agree_row("lift-ee-ae-agree", ("ee", "ae"), total_only=False))
-    rows.append(_semsyn_agree_row("lift-ea-aa-total-agree", ("ea", "aa"), total_only=True))
-    rows.append(_semsyn_witness_row())
-    rows.append(_cp_collapse_row())
-    rows.append(_cond_triangle_row())
-    return rows
+    rows = [_query_row(*r) for r in _query_rows("meta", engine=engine, bound=bound,
+                                                  budget=budget)]
+    return rows + [
+        _preorder_count_row(),
+        _semsyn_agree_row("lift-ee-ae-agree", ("ee", "ae"), total_only=False),
+        _semsyn_agree_row("lift-ea-aa-total-agree", ("ea", "aa"), total_only=True),
+        _semsyn_witness_row(),
+        _cp_collapse_row(),
+        _cond_triangle_row(),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # values suite
 
 
-def _agg_query_rows(*, engine: str, bound: int, budget: float | None):
-    P, Q, R = sx.Atom("P"), sx.Atom("Q"), sx.Atom("R")
-
-    def lift(x: sx.Formula, y: sx.Formula) -> sx.Formula:
-        return sx.SynPref("ae", True, x, y)
-
-    def vq(f: sx.Formula, b: int) -> Query:
-        return Query(target=sx.desugar(f), mode="refute", bound=b,
-                     engine=engine, budget=budget)
-
-    return [
-        ("agg-right",
-         vq(sx.Implies(lift(P, Q), lift(P, sx.Or((Q, R)))), bound), "bounded-valid"),
-        ("agg-left",
-         vq(sx.Implies(lift(sx.Or((P, R)), Q), lift(P, Q)), bound), "bounded-valid"),
-        ("agg-union",
-         vq(sx.Implies(sx.And((lift(Q, P), lift(R, P))), lift(sx.Or((Q, R)), P)), bound),
-         "bounded-valid"),
-        # both converses fail on small models
-        ("agg-right-converse",
-         vq(sx.Implies(lift(P, sx.Or((Q, R))), lift(P, Q)), 3), "countermodel"),
-        ("agg-left-converse",
-         vq(sx.Implies(lift(P, Q), lift(sx.Or((P, R)), Q)), 3), "countermodel"),
-    ]
+_GALOIS_CONTEXTS = 500
 
 
-def _conflict_query_rows(*, engine: str, bound: int, budget: float | None):
-    p, d = sx.Const("p"), sx.Const("d")
-    conflict_p = sx.Conflict(p)
-
-    def pe(principle: str, party: sx.Const) -> sx.Formula:
-        return sx.PrincipleExt(principle, party)
-
-    def q(f: sx.Formula, b: int, mode: str = "refute") -> Query:
-        return Query(target=sx.desugar(f), mode=mode, bound=b,
-                     engine=engine, budget=budget)
-
-    return [
-        ("conflict-resp-stab",
-         q(sx.Implies(sx.And((pe("RESP", p), pe("STAB", p))), conflict_p), bound),
-         "bounded-valid"),
-        ("conflict-reli-will",
-         q(sx.Implies(sx.And((pe("RELI", p), pe("WILL", p))), conflict_p), bound),
-         "bounded-valid"),
-        ("conflict-will-stab-open",
-         q(sx.Implies(sx.And((pe("WILL", p), pe("STAB", p))), conflict_p), 2),
-         "countermodel"),
-        ("conflict-cross-party-open",
-         q(sx.Implies(sx.And((pe("RESP", p), pe("STAB", d))), conflict_p), 2),
-         "countermodel"),
-        ("conflict-contingent-sat", q(conflict_p, 2, mode="find"), "satisfiable"),
-        ("conflict-contingent-open", q(conflict_p, 2), "countermodel"),
-        ("conflict-with-fresh-atom",
-         q(sx.And((conflict_p, sx.Not(sx.Atom("A")))), 2, mode="find"), "satisfiable"),
-    ]
-
-
-def _galois_rows(seed: int, count: int = 500) -> list[SuiteRow]:
+def _galois_rows(seed: int) -> list[SuiteRow]:
     """Derivation-operator laws on random incidence contexts.
 
-    Each row draws its own stream of `count` contexts (1..4 worlds, the eight
+    Each row draws its own stream of 500 contexts (1..4 worlds, the eight
     value symbols, random incidence) and samples a few set pairs per context.
     """
 
@@ -341,7 +313,7 @@ def _galois_rows(seed: int, count: int = 500) -> list[SuiteRow]:
     for name, tag, samples, weight, law, failure in laws:
         rng = random.Random(f"{seed}:{tag}")
         ok, inst = True, 0
-        for _ in range(count):
+        for _ in range(_GALOIS_CONTEXTS):
             n = rng.randint(1, 4)
             inc = {s: rng.randrange(1 << n) for s in ALL_VALUE_SYMBOLS}
             m = PreferenceModel(n, tuple(1 << i for i in range(n)), {}, inc)
@@ -352,20 +324,16 @@ def _galois_rows(seed: int, count: int = 500) -> list[SuiteRow]:
                 inst += weight
             if not ok:
                 break
-        rows.append(SuiteRow(name, ok, f"{inst} instances on {count} random contexts" if ok
-                             else failure))
+        rows.append(SuiteRow(name, ok, f"{inst} instances on {_GALOIS_CONTEXTS} random contexts"
+                             if ok else failure))
     return rows
 
 
 def values_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 0,
                  budget: float | None = None) -> list[SuiteRow]:
-    rows: list[SuiteRow] = []
-    for name, q, expect in _agg_query_rows(engine=engine, bound=bound, budget=budget):
-        _run_query_row(name, q, expect, rows)
-    rows.extend(_galois_rows(seed))
-    for name, q, expect in _conflict_query_rows(engine=engine, bound=bound, budget=budget):
-        _run_query_row(name, q, expect, rows)
-    return rows
+    opts = {"engine": engine, "bound": bound, "budget": budget}
+    return ([_query_row(*r) for r in _query_rows("aggregation", **opts)] + _galois_rows(seed)
+            + [_query_row(*r) for r in _query_rows("conflict", **opts)])
 
 
 # ---------------------------------------------------------------------------
@@ -375,51 +343,51 @@ def values_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int =
 CASE_NAMES = ("pierson", "post", "conti")
 
 
+def _case_queries(kbs: dict[str, kbmod.KnowledgeBase], **overrides):
+    """(row name, query, row builder) for each shipped case's goals, its
+    satisfiability and its conflict audit per party."""
+    for case, kb in kbs.items():
+        for goal_name in sorted(kb.goals):
+            yield f"{case}-{goal_name}", kbmod.goal_query(kb, goal_name, **overrides), _goal_row
+        yield f"{case}-satisfiable", kbmod.sat_query(kb, **overrides), _satisfiable_row
+        audits = kbmod.audit_queries(kb, **overrides)
+        for party in sorted(audits):
+            yield f"{case}-audit-{party}", audits[party], _audit_row
+
+
+def _satisfiable_row(name: str, q: Query) -> SuiteRow:
+    v = check(q)
+    if not isinstance(v, Satisfiable):
+        return SuiteRow(name, False, f"expected satisfiable, got:\n{render_verdict(v)}", v.kind)
+    # a one-world model is easy; also insist on a three-world one
+    try:
+        bigger = solve_at(q, 3)
+    except BudgetExceeded:
+        return SuiteRow(name, False, "Unknown reason=budget-exhausted", "unknown")
+    if bigger is None:
+        return SuiteRow(name, False, "satisfiable but no 3-world model exists", v.kind)
+    return SuiteRow(name, True, f"model worlds={v.model.n}, exact 3-world model found", v.kind)
+
+
+def _audit_row(name: str, q: Query) -> SuiteRow:
+    v = check(q)
+    if isinstance(v, Countermodel):
+        return SuiteRow(name, True, f"no forced conflict, countermodel worlds={v.model.n}",
+                        v.kind)
+    return SuiteRow(name, False, f"conflict implied:\n{render_verdict(v)}", v.kind)
+
+
 def cases_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 0,
                 budget: float | None = None) -> list[SuiteRow]:
-    rows: list[SuiteRow] = []
-    for case in CASE_NAMES:
-        kb = kbmod.case_kb(case)
-        for goal_name in sorted(kb.goals):
-            q = kbmod.goal_query(kb, goal_name, bound=bound, engine=engine, budget=budget)
-            _run_query_row(f"{case}-{goal_name}", q, "bounded-valid", rows)
-
-        sq = kbmod.sat_query(kb, bound=bound, engine=engine, budget=budget)
-        v = check(sq)
-        if isinstance(v, Satisfiable):
-            # a one-world model is easy; also insist on a three-world one
-            bigger = solve_at(replace(sq, engine="sat", bound=DEFAULT_BOUND), 3)
-            ok = bigger is not None
-            detail = (f"model worlds={v.model.n}, exact 3-world model found" if ok
-                      else "satisfiable but no 3-world model exists")
-            rows.append(SuiteRow(f"{case}-satisfiable", ok, detail, v.kind))
-        else:
-            rows.append(SuiteRow(f"{case}-satisfiable", False,
-                                 f"expected satisfiable, got:\n{render_verdict(v)}", v.kind))
-
-        audit = kbmod.conflict_audit(kb, bound=bound, engine=engine, budget=budget)
-        for party in sorted(audit):
-            av = audit[party]
-            if isinstance(av, Countermodel):
-                rows.append(SuiteRow(f"{case}-audit-{party}", True,
-                                     f"no forced conflict, countermodel worlds={av.model.n}",
-                                     av.kind))
-            else:
-                rows.append(SuiteRow(f"{case}-audit-{party}", False,
-                                     f"conflict implied:\n{render_verdict(av)}", av.kind))
-
-    kb = kbmod.case_kb("pierson")
-    steps = kbmod.load_proof(kbmod.case_proof_path("pierson"), kb.sig)
-    results = kbmod.replay(steps, kb, engine=engine, budget=budget)
+    kbs = {case: kbmod.case_kb(case) for case in CASE_NAMES}
+    rows = [row(name, q) for name, q, row in _case_queries(kbs, bound=bound, engine=engine,
+                                                           budget=budget)]
+    steps = kbmod.load_proof(kbmod.case_proof_path("pierson"), kbs["pierson"].sig)
+    results = kbmod.replay(steps, kbs["pierson"], engine=engine, budget=budget)
     bad = [r for r in results if not r.passed]
-    if not bad:
-        rows.append(SuiteRow("pierson-replay", True,
-                             f"{len(results)} steps, each from its cited support"))
-    else:
-        first = bad[0]
-        rows.append(SuiteRow("pierson-replay", False,
-                             f"step {first.name} failed:\n{render_verdict(first.verdict)}"))
-    return rows
+    detail = (f"step {bad[0].name} failed:\n{render_verdict(bad[0].verdict)}" if bad
+              else f"{len(results)} steps, each from its cited support")
+    return rows + [SuiteRow("pierson-replay", not bad, detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,27 +426,18 @@ def run_suite(name: str, *, engine: str = "sat", bound: int = DEFAULT_BOUND,
     return text, code
 
 
-def suite_queries(*, bound: int = DEFAULT_BOUND) -> list[tuple[str, Query]]:
+def suite_queries() -> list[tuple[str, Query]]:
     """Every solver query the suites issue, for engine cross-checking."""
-    out: list[tuple[str, Query]] = []
-    for rows in (_meta_query_rows, _agg_query_rows, _conflict_query_rows):
-        out += [(name, q) for name, q, _ in rows(engine="sat", bound=bound, budget=None)]
-    for case in CASE_NAMES:
-        kb = kbmod.case_kb(case)
-        for goal_name in sorted(kb.goals):
-            out.append((f"{case}-{goal_name}", kbmod.goal_query(kb, goal_name)))
-        out.append((f"{case}-sat", kbmod.sat_query(kb)))
-        for party, q in kbmod.audit_queries(kb).items():
-            out.append((f"{case}-audit-{party}", q))
-    kb = kbmod.case_kb("pierson")
-    steps = kbmod.load_proof(kbmod.case_proof_path("pierson"), kb.sig)
-    for name, q in kbmod.step_queries(steps, kb):
-        out.append((f"pierson-step-{name}", q))
+    out = [(name, q) for group in _QUERY_ROWS
+           for name, q, _ in _query_rows(group, engine="sat", bound=DEFAULT_BOUND, budget=None)]
+    kbs = {case: kbmod.case_kb(case) for case in CASE_NAMES}
+    out += [(name, q) for name, q, _ in _case_queries(kbs)]
+    steps = kbmod.load_proof(kbmod.case_proof_path("pierson"), kbs["pierson"].sig)
+    out += [(f"pierson-step-{name}", q) for name, q in kbmod.step_queries(steps, kbs["pierson"])]
     return out
 
 
-def random_queries(seed: int, count: int, *, bound: int = 3,
-                   engine: str = "both") -> list[Query]:
+def random_queries(seed: int, count: int, *, bound: int = 3) -> list[Query]:
     """Small random queries inside the enumeration oracle's domain.
 
     Formulas are drawn over two ground atoms and one value symbol so both
@@ -521,5 +480,5 @@ def random_queries(seed: int, count: int, *, bound: int = 3,
         facts = tuple(sx.desugar(gen(2)) for _ in range(rng.randrange(2)))
         mode = "refute" if rng.random() < 0.7 else "find"
         out.append(Query(axioms=axioms, facts=facts, target=target, mode=mode,
-                         bound=bound, total=rng.random() < 0.2, engine=engine))
+                         bound=bound, total=rng.random() < 0.2, engine="both"))
     return out

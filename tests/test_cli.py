@@ -52,6 +52,14 @@ def test_every_shipped_case_entails_its_ruling(capsys):
             assert_golden(f"{command}-{case}", *run(capsys, command, case)[:2])
 
 
+def test_seed_is_a_suite_option_only(capsys):
+    for command in ("check", "entail", "model", "replay"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "pierson", "--seed", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_bound_override_is_respected(capsys):
     code, out, _ = run(capsys, "entail", "pierson", "--bound", "2")
     assert code == 0

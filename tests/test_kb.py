@@ -4,6 +4,7 @@ import textwrap
 import pytest
 
 import prefsat.syntax as sx
+from prefsat.cli import main
 from prefsat.kb import (
     ConfigError,
     audit_queries,
@@ -44,7 +45,7 @@ def test_load_kb_collects_entries(tmp_path):
     kb = load_kb(p)
     assert kb.name == "demo"
     assert set(kb.axioms) == {"a1"} and set(kb.facts) == {"f1"} and set(kb.goals) == {"g1"}
-    assert kb.options == {"bound": "3"}
+    assert kb.options == {"bound": 3}
     assert kb.sig.atoms["Wet"] == ("contender",)
 
 
@@ -64,6 +65,19 @@ def test_load_kb_rejects_malformed_documents(tmp_path):
         load_kb(tmp_path / "absent.kb")
 
 
+@pytest.mark.parametrize("option, message", [
+    ("(option totl true)", "unknown option 'totl'"),
+    ("(option total maybe)", "option total takes"),
+    ("(option bound x)", "option bound takes an integer"),
+], ids=["unknown-key", "bad-total", "bad-bound"])
+def test_load_kb_rejects_bad_options(tmp_path, capsys, option, message):
+    p = write(tmp_path, "opt.kb", f"(atom Rain)\n(goal g1 Rain)\n{option}\n")
+    with pytest.raises(sx.ParseError, match=f"line 3: {message}"):
+        load_kb(p)
+    assert main(["entail", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_imports_merge_and_stay_unique(tmp_path):
     write(tmp_path, "base.kb", "(atom Rain) (axiom a1 Rain) (option bound 2)")
     child = write(tmp_path, "child.kb", """\
@@ -74,7 +88,7 @@ def test_imports_merge_and_stay_unique(tmp_path):
     kb = load_kb(child)
     assert kb.imports == ("base",)
     assert set(kb.axioms) == {"a1"} and set(kb.facts) == {"f1"}
-    assert kb.options["bound"] == "5"  # the importing file wins
+    assert kb.options["bound"] == 5  # the importing file wins
 
     write(tmp_path, "clash.kb", "(import base) (axiom a1 (not Rain))")
     with pytest.raises(sx.ParseError, match="duplicate entry"):
@@ -234,3 +248,23 @@ def test_step_queries_mirror_the_replay_workload():
     q2 = dict(named)["s2-pref-instance"]
     assert len(q2.axioms) == 1 and len(q2.facts) == 1  # R2 global, s1 at world 0
     assert all(isinstance(check(q), BoundedValid) for _, q in named)
+
+
+def test_replay_honours_the_total_option(tmp_path):
+    # one of any two propositions is weakly preferred to the other only when
+    # betterness is total; a two-world non-total model refutes it otherwise
+    goal = "(or (prefsyn ee weak P Q) (prefsyn ee weak Q P))"
+    p = write(tmp_path, "tot.kb", f"""\
+        (atom P) (atom Q)
+        (option total true)
+        (axiom some-p (E P))
+        (axiom some-q (E Q))
+        (goal either {goal})
+        """)
+    kb = load_kb(p)
+    assert isinstance(check(goal_query(kb, "either")), BoundedValid)
+    proof = write(tmp_path, "tot.proof", f"(step either {goal} (uses some-p some-q))")
+    (result,) = replay(load_proof(proof, kb.sig), kb)
+    assert result.passed and isinstance(result.verdict, BoundedValid)
+    (_, q), = step_queries(load_proof(proof, kb.sig), kb)
+    assert q.total and q.bound == 4

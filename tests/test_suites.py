@@ -1,7 +1,8 @@
 """Built-in verification suites: row plumbing, reporting, random workloads."""
 import pytest
 
-from prefsat.solver import EngineDisagreement, Query, check, oracle_in_domain
+from prefsat import suites
+from prefsat.solver import BudgetExceeded, EngineDisagreement, Query, check, oracle_in_domain
 from prefsat.suites import SUITE_NAMES, random_queries, run_suite, suite_queries
 
 
@@ -27,6 +28,18 @@ def test_suite_text_is_seed_stable():
     c = run_suite("values", seed=4)
     assert a == b
     assert a[0] != c[0]  # the seed is part of the header and the row data
+
+
+def test_budget_exhausted_in_the_three_world_check_is_unknown(monkeypatch):
+    def exhausted(q, n, budget=None):
+        raise BudgetExceeded()
+
+    monkeypatch.setattr(suites, "solve_at", exhausted)
+    text, code = run_suite("cases")
+    assert code == 2
+    rows = {line.split()[1]: line for line in text.splitlines() if line.startswith("FAIL")}
+    assert set(rows) == {f"{case}-satisfiable" for case in ("pierson", "post", "conti")}
+    assert all(line.endswith("  Unknown reason=budget-exhausted") for line in rows.values())
 
 
 def test_fault_injection_surfaces_as_disagreement(enum_fault):

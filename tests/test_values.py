@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from prefsat.model import Extension, PreferenceModel, all_preorders
-from prefsat.ontology import ALL_VALUE_SYMBOLS, BasicValue, other, principle_symbols
+import prefsat.syntax as sx
+from prefsat.model import Extension, PreferenceModel, all_preorders, eval_formula, globally_true
+from prefsat.ontology import ALL_VALUE_SYMBOLS, PRINCIPLES, BasicValue, other, principle_symbols
 from prefsat.values import (
     Concept,
     aggregate1,
@@ -198,3 +199,33 @@ def test_vpref_holds_on_a_chain():
     # weak self-preference always holds, strict never does on the top worlds
     assert vpref_holds(m, False, [("RELI", "d")], [("RELI", "d")])
     assert not vpref_holds(m, True, [("RELI", "d")], [("RELI", "d")])
+
+
+def test_value_layer_matches_the_formulas_it_mirrors():
+    """The set-level value layer and the desugared ext, agg, conflict and
+    vpref formulas agree on sampled preorders and incidence maps."""
+    rng = random.Random(20261018)
+    preorders = [(n, rows) for n in (1, 2, 3) for rows in all_preorders(n)]
+    principles = sorted(PRINCIPLES)
+
+    def parts():
+        return [(rng.choice(principles), rng.choice("pd")) for _ in range(rng.randint(1, 3))]
+
+    def agg(pairs):
+        return sx.Agg(tuple((principle, sx.Const(party)) for principle, party in pairs))
+
+    for _ in range(400):
+        n, rows = rng.choice(preorders)
+        m = PreferenceModel(n, rows,
+                            incidence={sym: rng.randrange(1 << n) for sym in ALL_VALUE_SYMBOLS})
+        for party in ("p", "d"):
+            conflict = sx.desugar(sx.Conflict(sx.Const(party)))
+            assert conflict_extension(m, party) == eval_formula(m, conflict)
+            principle = rng.choice(principles)
+            ext = sx.desugar(sx.PrincipleExt(principle, sx.Const(party)))
+            assert principle_extension(m, principle, party) == eval_formula(m, ext)
+        lhs, rhs = parts(), parts()
+        assert aggregate_principles(m, lhs) == eval_formula(m, sx.desugar(agg(lhs)))
+        for strict in (False, True):
+            vpref = sx.desugar(sx.VPref(strict, agg(lhs), agg(rhs)))
+            assert vpref_holds(m, strict, lhs, rhs) == globally_true(m, vpref), (m.leq, lhs, rhs)
