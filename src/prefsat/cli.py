@@ -47,9 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    # replay takes no --bound: every step runs at its own (bound N) or the KB's
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--bound", type=int, default=None, metavar="N",
+                         help="largest world count to search (default 4)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=None, metavar="N",
-                        help="largest world count to search (default 4)")
     common.add_argument("--engine", choices=("sat", "enum", "both"), default=None,
                         help="decision engine; 'both' cross-checks them")
     common.add_argument("--budget", type=float, default=None, metavar="SECONDS",
@@ -61,15 +63,15 @@ def _build_parser() -> argparse.ArgumentParser:
     frame.add_argument("--dot", metavar="PATH", default=None,
                        help="write the first rendered model as graphviz dot")
 
-    p = sub.add_parser("check", parents=[common, frame],
+    p = sub.add_parser("check", parents=[bounded, common, frame],
                        help="bounded validity of each goal from the axioms alone")
     p.add_argument("kb_file", metavar="KB")
 
-    p = sub.add_parser("entail", parents=[common, frame],
+    p = sub.add_parser("entail", parents=[bounded, common, frame],
                        help="bounded entailment of each goal from axioms plus facts")
     p.add_argument("kb_file", metavar="KB")
 
-    p = sub.add_parser("model", parents=[common, frame],
+    p = sub.add_parser("model", parents=[bounded, common, frame],
                        help="find a model of the axioms and facts")
     p.add_argument("kb_file", metavar="KB")
 
@@ -80,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", default=None, metavar="KB",
                    help="knowledge base to replay against (defaults to the case)")
 
-    p = sub.add_parser("suite", parents=[common],
+    p = sub.add_parser("suite", parents=[bounded, common],
                        help="run a built-in verification suite")
     p.add_argument("name", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suite rows")

@@ -179,33 +179,33 @@ def render_verdict(v: Verdict) -> str:
 
 
 class CDCL:
-    """Clause-learning SAT solver with two watched literals.
+    """Clause-learning SAT solver with two watched literals.  Branching is the
+    lowest-numbered unassigned variable, False first; no randomization, no
+    restarts, so identical clause sets always produce identical models.
 
-    Branching is the lowest-numbered unassigned variable, False first; no
-    randomization, no restarts.  Identical clause sets therefore always
-    produce identical models.
+    `lv`, `watch`, `level` and `reason` have 2 * nvars + 1 entries indexed by
+    literal; -v reads from the end (Python's negative indexing).  `lv[lit]` is
+    1 true, -1 false, 0 unassigned; `watch[lit]` holds the clauses whose first
+    or second literal is lit; `level` and `reason` are set at the true literal.
+    Learnt clauses of two or more literals are appended to `clauses`.  Counters:
+    `decisions`, `conflicts` (one learnt clause each, units included) and
+    `propagations` (trail literals whose watches were read).
     """
 
     def __init__(self, nvars: int):
         self.nvars = nvars
+        size = 2 * nvars + 1
         self.clauses: list[list[int]] = []
-        self.watch: dict[int, list[int]] = {}
-        self.value = [2] * (nvars + 1)  # 0 false, 1 true, 2 unassigned
-        self.reason = [-1] * (nvars + 1)
-        self.level = [0] * (nvars + 1)
+        self.watch: list[list[list[int]]] = [[] for _ in range(size)]
+        self.lv = [0] * size
+        self.level = [0] * size
+        self.reason: list[list[int] | None] = [None] * size
         self.trail: list[int] = []
         self.lim: list[int] = []
         self.qhead = 0
         self.ok = True
         self.units: list[int] = []
-
-    def _lit_true(self, lit: int) -> bool:
-        v = self.value[lit if lit > 0 else -lit]
-        return v == (1 if lit > 0 else 0)
-
-    def _lit_false(self, lit: int) -> bool:
-        v = self.value[lit if lit > 0 else -lit]
-        return v == (0 if lit > 0 else 1)
+        self.decisions = self.conflicts = self.propagations = 0
 
     def add_clause(self, lits):
         seen = set()
@@ -218,157 +218,161 @@ class CDCL:
                 out.append(l)
         if not out:
             self.ok = False
-            return
-        if len(out) == 1:
+        elif len(out) == 1:
             self.units.append(out[0])
-            return
-        ci = len(self.clauses)
-        self.clauses.append(out)
-        self.watch.setdefault(out[0], []).append(ci)
-        self.watch.setdefault(out[1], []).append(ci)
+        else:
+            self._attach(out)
 
-    def _assign(self, lit: int, reason: int):
-        var = lit if lit > 0 else -lit
-        self.value[var] = 1 if lit > 0 else 0
-        self.level[var] = len(self.lim)
-        self.reason[var] = reason
+    def _attach(self, clause: list[int]) -> list[int]:
+        self.clauses.append(clause)
+        self.watch[clause[0]].append(clause)
+        self.watch[clause[1]].append(clause)
+        return clause
+
+    def _assign(self, lit: int, reason: list[int] | None):
+        self.lv[lit], self.lv[-lit] = 1, -1
+        self.level[lit] = len(self.lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
 
-    def _propagate(self) -> int:
-        """Unit propagation; returns a conflicting clause index or -1."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            ws = self.watch.get(neg)
-            if not ws:
-                continue
-            kept = []
-            i = 0
-            n_ws = len(ws)
-            while i < n_ws:
-                ci = ws[i]
-                i += 1
-                clause = self.clauses[ci]
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation; returns a conflicting clause or None.  Each watch
+        list is compacted in place, keeping its order."""
+        lv, watch, trail = self.lv, self.watch, self.trail
+        level, reason, depth = self.level, self.reason, len(self.lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            ws = watch[neg]
+            kept = moved = 0
+            for clause in ws:
                 first = clause[0]
-                if self._lit_true(first):
-                    kept.append(ci)
+                if first == neg:
+                    first = clause[0] = clause[1]
+                    clause[1] = neg
+                if lv[first] == 1:
+                    ws[kept] = clause
+                    kept += 1
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if not self._lit_false(clause[k]):
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watch.setdefault(clause[1], []).append(ci)
-                        moved = True
+                size = len(clause)
+                k = 2
+                while k < size:  # a replacement watch: the first non-false literal
+                    lit = clause[k]
+                    if lv[lit] != -1:
+                        clause[1] = lit
+                        clause[k] = neg
+                        watch[lit].append(clause)
+                        moved += 1
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if self._lit_false(first):
-                    kept.extend(ws[i:])
-                    self.watch[neg] = kept
-                    return ci
-                self._assign(first, ci)
-            self.watch[neg] = kept
-        return -1
+                    k += 1
+                else:
+                    ws[kept] = clause
+                    kept += 1
+                    if lv[first] == -1:
+                        del ws[kept:kept + moved]
+                        self.qhead = qhead
+                        self.propagations += qhead - start
+                        return clause
+                    lv[first] = 1
+                    lv[-first] = -1
+                    level[first] = depth
+                    reason[first] = clause
+                    trail.append(first)
+            del ws[kept:]
+        self.qhead = qhead
+        self.propagations += qhead - start
+        return None
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns (learnt clause, backjump level).
-        learnt[0] is the asserting literal."""
+        learnt[0] is asserting; a false literal q is looked up at -q."""
+        level, trail = self.level, self.trail
         cur_level = len(self.lim)
-        seen = [False] * (self.nvars + 1)
+        seen = [False] * len(level)
         counter = 0
         others: list[int] = []
-        idx = len(self.trail) - 1
-        clause = self.clauses[confl]
-        p_var = 0
+        idx = len(trail) - 1
+        clause = confl
+        p_lit = 0
         while True:
             for q in clause:
-                var = q if q > 0 else -q
-                if var == p_var or seen[var]:
+                if q == p_lit or seen[-q]:
                     continue
-                lv = self.level[var]
-                if lv == 0:
+                lvl = level[-q]
+                if lvl == 0:
                     continue
-                seen[var] = True
-                if lv == cur_level:
+                seen[-q] = True
+                if lvl == cur_level:
                     counter += 1
                 else:
                     others.append(q)
-            while not seen[self.trail[idx] if self.trail[idx] > 0 else -self.trail[idx]]:
+            while not seen[trail[idx]]:
                 idx -= 1
-            p_lit = self.trail[idx]
-            p_var = p_lit if p_lit > 0 else -p_lit
-            seen[p_var] = False
+            p_lit = trail[idx]
+            seen[p_lit] = False
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            clause = self.clauses[self.reason[p_var]]
+            clause = self.reason[p_lit]
         learnt = [-p_lit] + others
         bt = 0
         if others:
-            bt = max(self.level[q if q > 0 else -q] for q in others)
+            bt = max(level[-q] for q in others)
             # move one max-level literal to the second watch position
             for k in range(1, len(learnt)):
-                var = learnt[k] if learnt[k] > 0 else -learnt[k]
-                if self.level[var] == bt:
+                if level[-learnt[k]] == bt:
                     learnt[1], learnt[k] = learnt[k], learnt[1]
                     break
         return learnt, bt
 
     def _backjump(self, target_level: int):
+        """Unassign every level above target_level (level and reason go stale)."""
         cut = self.lim[target_level]
-        for lit in reversed(self.trail[cut:]):
-            var = lit if lit > 0 else -lit
-            self.value[var] = 2
-            self.reason[var] = -1
+        lv = self.lv
+        for lit in self.trail[cut:]:
+            lv[lit] = lv[-lit] = 0
         del self.trail[cut:]
         del self.lim[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = cut
 
     def solve(self, budget: _Budget) -> bool:
         if not self.ok:
             return False
+        lv = self.lv
         for lit in self.units:
-            if self._lit_false(lit):
+            if lv[lit] == -1:
                 return False
-            if not self._lit_true(lit):
-                self._assign(lit, -1)
-        if self._propagate() != -1:
+            if lv[lit] == 0:
+                self._assign(lit, None)
+        if self._propagate() is not None:
             return False
         head = 1
         steps = 0
         while True:
             # decide: lowest unassigned variable, False first
-            while head <= self.nvars and self.value[head] != 2:
+            while head <= self.nvars and lv[head]:
                 head += 1
             if head > self.nvars:
                 return True
+            self.decisions += 1
             self.lim.append(len(self.trail))
-            self._assign(-head, -1)
+            self._assign(-head, None)
             while True:
                 steps += 1
                 if steps & 255 == 0:
                     budget.check()
                 confl = self._propagate()
-                if confl == -1:
+                if confl is None:
                     break
                 if not self.lim:
                     return False
+                self.conflicts += 1
                 learnt, bt = self._analyze(confl)
                 self._backjump(bt)
                 head = 1
-                if len(learnt) == 1:
-                    self._assign(learnt[0], -1)
-                else:
-                    ci = len(self.clauses)
-                    self.clauses.append(learnt)
-                    self.watch.setdefault(learnt[0], []).append(ci)
-                    self.watch.setdefault(learnt[1], []).append(ci)
-                    self._assign(learnt[0], ci)
+                self._assign(learnt[0], self._attach(learnt) if len(learnt) > 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +546,15 @@ class _Encoder:
         raise EngineError(f"encoder expects desugared formulas, found {type(f).__name__}")
 
     def decode(self, solver: CDCL) -> PreferenceModel:
-        rows = []
-        for i in range(self.n):
-            row = 1 << i
-            for j in range(self.n):
-                if i != j and solver.value[self.rel[(i, j)]] == 1:
-                    row |= 1 << j
-            rows.append(row)
+        lv = solver.lv
+        rows = tuple(sum(1 << j for j in range(self.n) if lv[self.rlit(i, j)] == 1)
+                     for i in range(self.n))
+
         def world_sets(vars_by_key: dict) -> dict:
-            return {key: sum(1 << w for w, var in enumerate(vars_) if solver.value[var] == 1)
+            return {key: sum(1 << w for w, var in enumerate(vars_) if lv[var] == 1)
                     for key, vars_ in vars_by_key.items()}
 
-        return PreferenceModel(self.n, tuple(rows), world_sets(self.atom_vars),
-                               world_sets(self.inc_vars))
+        return PreferenceModel(self.n, rows, world_sets(self.atom_vars), world_sets(self.inc_vars))
 
 
 def encode(q: Query, n: int) -> _Encoder:

@@ -62,7 +62,7 @@ class SuiteRow:
     name: str
     ok: bool
     detail: str
-    kind: str = ""  # verdict kind for query rows, "" for direct checks
+    kind: str = ""  # a query row's verdict kind; for other rows "", or "unknown" if a budget ran out
 
 
 def _query_row(name: str, q: Query, expect: str) -> SuiteRow:
@@ -387,7 +387,8 @@ def cases_suite(*, engine: str = "sat", bound: int = DEFAULT_BOUND, seed: int = 
     bad = [r for r in results if not r.passed]
     detail = (f"step {bad[0].name} failed:\n{render_verdict(bad[0].verdict)}" if bad
               else f"{len(results)} steps, each from its cited support")
-    return rows + [SuiteRow("pierson-replay", not bad, detail)]
+    kind = "unknown" if any(r.verdict.kind == "unknown" for r in results) else ""
+    return rows + [SuiteRow("pierson-replay", not bad, detail, kind)]
 
 
 # ---------------------------------------------------------------------------

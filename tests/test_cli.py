@@ -95,6 +95,15 @@ def test_replay_shipped_proof(capsys):
     assert sum(1 for line in lines if line.startswith("step ") and line.endswith(": pass")) == 8
 
 
+def test_replay_takes_no_bound(capsys):
+    # every step runs at its own (bound N); a --bound would be silently ignored
+    for bound in ("1", "99"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "pierson", "--bound", bound])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
+
 def test_replay_from_file_needs_kb(tmp_path, capsys):
     proof = tmp_path / "copy.proof"
     shutil.copyfile(case_proof_path("pierson"), proof)

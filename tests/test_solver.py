@@ -1,10 +1,13 @@
 """Bounded decision procedures: SAT engine, enumeration oracle, agreement."""
+import hashlib
+import random
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 import prefsat.syntax as sx
+from prefsat import kb as kbmod
 from prefsat import solver
 from prefsat.model import PreferenceModel, all_preorders, is_total, truth_at, validate_model
 from prefsat.solver import (
@@ -53,6 +56,117 @@ def find(axioms=(), facts=(), target=None, **kw):
         mode="find",
         **kw,
     )
+
+
+# ---------------------------------------------------------------------------
+# CDCL core
+
+
+def cdcl(nvars, clauses):
+    s = CDCL(nvars)
+    for c in clauses:
+        s.add_clause(c)
+    return s
+
+
+def brute_force_sat(nvars, clauses):
+    return any(all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in clauses)
+               for bits in product((False, True), repeat=nvars))
+
+
+def test_cdcl_matches_brute_force_on_random_cnfs():
+    rng = random.Random(6)
+    answers = set()
+    for _ in range(300):
+        nvars = rng.randint(1, 10)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, nvars)
+                    for _ in range(rng.randint(1, 4))]
+                   for _ in range(rng.randint(0, 5 * nvars))]
+        s = cdcl(nvars, clauses)
+        sat = s.solve(solver._Budget(None))
+        assert sat == brute_force_sat(nvars, clauses), clauses
+        answers.add(sat)
+        if sat:  # the model is total and satisfies every clause as given
+            assert all(s.lv[v] in (1, -1) and s.lv[-v] == -s.lv[v] for v in range(1, nvars + 1))
+            assert all(any(s.lv[lit] == 1 for lit in c) for c in clauses), clauses
+    assert answers == {True, False}
+
+
+def test_cdcl_refutes_the_pigeonhole_principle():
+    # 4 pigeons, 3 holes: var(i, j) says pigeon i sits in hole j
+    def var(i, j):
+        return 3 * i + j + 1
+
+    clauses = [[var(i, j) for j in range(3)] for i in range(4)]
+    clauses += [[-var(i, j), -var(k, j)] for j in range(3) for i, k in combinations(range(4), 2)]
+    s = cdcl(12, clauses)
+    assert not s.solve(solver._Budget(None))
+    assert s.conflicts > 0
+    # one pigeon fewer fits
+    assert cdcl(12, clauses[1:]).solve(solver._Budget(None)) is True
+
+
+def test_add_clause_normalises_its_input():
+    s = cdcl(3, [[1, 1, 2, 1], [3, -3], [-2, 3, -2], [2, 2]])
+    assert s.clauses == [[1, 2], [-2, 3]]  # duplicates dropped in order, tautology skipped
+    assert s.units == [2]
+    assert s.ok and s.solve(solver._Budget(None))
+    assert [s.lv[v] for v in (1, 2, 3)] == [-1, 1, 1]
+    empty = cdcl(2, [[1, 2], []])
+    assert not empty.ok and not empty.solve(solver._Budget(None))
+
+
+def test_budget_is_checked_every_256_search_steps():
+    class Counting:
+        checks = 0
+
+        def check(self):
+            self.checks += 1
+
+    # each pair [v, v + 1] costs one decision (v false) and propagates v + 1
+    s = cdcl(2000, [[v, v + 1] for v in range(1, 2000, 2)])
+    budget = Counting()
+    assert s.solve(budget)
+    assert (s.decisions, s.conflicts) == (1000, 0)
+    # a step is one propagation round after a decision or a learnt clause
+    assert budget.checks == (s.decisions + s.conflicts) // 256 == 3
+
+
+# The pierson ruling at bound 6, recorded before the literal-indexed kernel:
+# per world count, the learnt clauses appended to `clauses`, the unit learnts,
+# decisions and propagated trail literals; and the sha256 of the appended
+# learnt clauses, in order, as they stand when the solve returns.
+PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 109), 3: (1, 3, 4, 454), 4: (10, 4, 17, 1375),
+             5: (34, 5, 59, 4146), 6: (98, 6, 184, 12363)}
+PIERSON_6_SHA256 = "9aa79582b2df4aaf79c3be64534f68bbbb36ab7aba2d5fd9a620914cbf40a8ee"
+
+
+def test_pierson_search_trajectory_is_pinned(monkeypatch):
+    unit_learnts = []
+    analyze = CDCL._analyze
+
+    def counted(self, confl):
+        learnt, bt = analyze(self, confl)
+        unit_learnts.append(len(learnt) == 1)
+        return learnt, bt
+
+    monkeypatch.setattr(CDCL, "_analyze", counted)
+    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=6, engine="sat")
+    digest = hashlib.sha256()
+    seen = {}
+    for n in range(1, 7):
+        enc = solver.encode(q, n)
+        s = cdcl(enc.nvars, enc.clauses)
+        before = len(s.clauses)
+        unit_learnts.clear()
+        assert not s.solve(solver._Budget(None))
+        learnt = s.clauses[before:]
+        seen[n] = (len(learnt), sum(unit_learnts), s.decisions, s.propagations)
+        assert s.conflicts == len(learnt) + sum(unit_learnts)
+        for clause in learnt:
+            digest.update((" ".join(map(str, clause)) + "\n").encode())
+    assert seen == PIERSON_6
+    assert digest.hexdigest() == PIERSON_6_SHA256
 
 
 # ---------------------------------------------------------------------------

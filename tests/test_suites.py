@@ -1,8 +1,10 @@
 """Built-in verification suites: row plumbing, reporting, random workloads."""
 import pytest
 
+from prefsat import kb as kbmod
 from prefsat import suites
-from prefsat.solver import BudgetExceeded, EngineDisagreement, Query, check, oracle_in_domain
+from prefsat.solver import (BudgetExceeded, EngineDisagreement, Query, Unknown, check,
+                            oracle_in_domain)
 from prefsat.suites import SUITE_NAMES, random_queries, run_suite, suite_queries
 
 
@@ -40,6 +42,17 @@ def test_budget_exhausted_in_the_three_world_check_is_unknown(monkeypatch):
     rows = {line.split()[1]: line for line in text.splitlines() if line.startswith("FAIL")}
     assert set(rows) == {f"{case}-satisfiable" for case in ("pierson", "post", "conti")}
     assert all(line.endswith("  Unknown reason=budget-exhausted") for line in rows.values())
+
+
+def test_budget_exhausted_in_the_replay_is_unknown(monkeypatch):
+    monkeypatch.setattr(kbmod, "check", lambda q: Unknown("budget-exhausted"))
+    text, code = run_suite("cases")
+    assert code == 2
+    lines = text.splitlines()
+    failed = [line.split(maxsplit=2)[1:] for line in lines if line.startswith("FAIL")]
+    assert failed == [["pierson-replay", "step s1-wild-setting failed:"]]
+    assert "     Unknown reason=budget-exhausted" in lines
+    assert lines[-1] == "cases: 12/13 rows passed"
 
 
 def test_fault_injection_surfaces_as_disagreement(enum_fault):
