@@ -29,6 +29,7 @@ import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import neg
 
 from . import syntax as sx
 from .model import (
@@ -188,8 +189,9 @@ class CDCL:
     1 true, -1 false, 0 unassigned; `watch[lit]` holds the clauses whose first
     or second literal is lit; `level` and `reason` are set at the true literal.
     Learnt clauses of two or more literals are appended to `clauses`.  Counters:
-    `decisions`, `conflicts` (one learnt clause each, units included) and
-    `propagations` (trail literals whose watches were read).
+    `decisions`, `conflicts` (one learnt clause each, units included), `learnt`
+    (the learnt clauses appended to `clauses`), `propagations` (trail literals
+    whose watches were read) and `max_level` (the deepest decision level).
     """
 
     def __init__(self, nvars: int):
@@ -205,7 +207,20 @@ class CDCL:
         self.qhead = 0
         self.ok = True
         self.units: list[int] = []
-        self.decisions = self.conflicts = self.propagations = 0
+        self.decisions = self.conflicts = self.learnt = self.propagations = self.max_level = 0
+
+    def load(self, clauses: list[list[int]]):
+        """Add clauses that hold no repeated or complementary literal, as the
+        encoder emits them, in one pass.  They are not copied: the search
+        reorders their literals."""
+        attach, units = self._attach, self.units
+        for clause in clauses:
+            if len(clause) > 1:
+                attach(clause)
+            elif clause:
+                units.append(clause[0])
+            else:
+                self.ok = False
 
     def add_clause(self, lits):
         seen = set()
@@ -358,6 +373,8 @@ class CDCL:
                 return True
             self.decisions += 1
             self.lim.append(len(self.trail))
+            if len(self.lim) > self.max_level:
+                self.max_level = len(self.lim)
             self._assign(-head, None)
             while True:
                 steps += 1
@@ -372,7 +389,11 @@ class CDCL:
                 learnt, bt = self._analyze(confl)
                 self._backjump(bt)
                 head = 1
-                self._assign(learnt[0], self._attach(learnt) if len(learnt) > 1 else None)
+                reason = None
+                if len(learnt) > 1:
+                    self.learnt += 1
+                    reason = self._attach(learnt)
+                self._assign(learnt[0], reason)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +473,13 @@ class _Encoder:
         g = self._new()
         for l in out:
             self.clauses.append([-g, l])
-        self.clauses.append([g] + [-l for l in out])
+        # [g, -l...] without repeated literals, or no clause for a tautology
+        # such as (and P (not P)), as CDCL.load requires
+        back = [-l for l in out]
+        if len(set(map(abs, back))) == len(back):
+            self.clauses.append([g, *back])
+        elif set(back).isdisjoint(map(neg, back)):
+            self.clauses.append([g, *dict.fromkeys(back)])
         self._conj_memo[key] = g
         return g
 
@@ -612,8 +639,7 @@ def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel
     finally:
         _ENCODE_BUDGET.reset(token)
     solver = CDCL(enc.nvars)
-    for clause in enc.clauses:
-        solver.add_clause(clause)
+    solver.load(enc.clauses)
     budget.check()
     if not solver.solve(budget):
         return None

@@ -10,9 +10,117 @@ emits text that parses back to an equal AST.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field
+from operator import attrgetter
 
 from .ontology import CONTENDERS, PRINCIPLES, BasicValue, other
+
+# ---------------------------------------------------------------------------
+# immutable nodes
+
+_MISSING = object()
+# Fields are set with object.__setattr__, as a frozen dataclass sets them:
+# writing to __dict__ instead would give every node its own dict object,
+# about 64 bytes more per node on Python 3.11.
+_set = object.__setattr__
+
+
+class Node:
+    """Base of every syntax node: an immutable record whose fields are the
+    class's annotations, in order, and whose class attributes are defaults.
+    Nodes compare and hash by class and field values and print as
+    `Name(field=value, ...)`, as a frozen dataclass does, but the methods are
+    shared rather than generated for each class."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if fields:  # Formula, the abstract base of formulas, has none
+            cls._fields = fields
+            cls._values = attrgetter(*fields)  # a tuple, or a single field's value
+            cls.__init__ = _INIT_FOR_FIELD_COUNT[len(fields)]
+
+    def _bind(self, args: tuple, kwargs: dict):
+        """Set the fields from one positional value per field (_MISSING where
+        none was given), keywords and defaults."""
+        cls = type(self)
+        for name, value in zip(cls._fields, args):
+            if value is _MISSING:
+                if name in kwargs:
+                    value = kwargs.pop(name)
+                elif name in cls.__dict__:
+                    value = cls.__dict__[name]
+                else:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            elif name in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for {name!r}")
+            _set(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected argument {next(iter(kwargs))!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        values = self._values(self)
+        return hash(values if len(self._fields) > 1 else (values,))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The constructor of a node with one to four fields: all fields given
+# positionally are set directly; anything else goes through Node._bind.
+
+
+def _init1(self, a=_MISSING, /, **kwargs):
+    if kwargs or a is _MISSING:
+        return self._bind((a,), kwargs)
+    _set(self, self._fields[0], a)
+
+
+def _init2(self, a=_MISSING, b=_MISSING, /, **kwargs):
+    if kwargs or b is _MISSING:
+        return self._bind((a, b), kwargs)
+    f, g = self._fields
+    _set(self, f, a)
+    _set(self, g, b)
+
+
+def _init3(self, a=_MISSING, b=_MISSING, c=_MISSING, /, **kwargs):
+    if kwargs or c is _MISSING:
+        return self._bind((a, b, c), kwargs)
+    f, g, h = self._fields
+    _set(self, f, a)
+    _set(self, g, b)
+    _set(self, h, c)
+
+
+def _init4(self, a=_MISSING, b=_MISSING, c=_MISSING, d=_MISSING, /, **kwargs):
+    if kwargs or d is _MISSING:
+        return self._bind((a, b, c, d), kwargs)
+    f, g, h, i = self._fields
+    _set(self, f, a)
+    _set(self, g, b)
+    _set(self, h, c)
+    _set(self, i, d)
+
+
+_INIT_FOR_FIELD_COUNT = {1: _init1, 2: _init2, 3: _init3, 4: _init4}
+
 
 # ---------------------------------------------------------------------------
 # s-expression reader
@@ -26,16 +134,14 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SSym:
+class SSym(Node):
     """Bare symbol token, with the line it came from."""
 
     text: str
     line: int
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(Node):
     """Parenthesized form."""
 
     items: tuple
@@ -96,18 +202,15 @@ def read_forms(text: str) -> list:
 # terms
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Opponent:
+class Opponent(Node):
     """`(other t)`: the opposing contender of a contender-sorted term."""
 
     arg: "Term"
@@ -131,20 +234,18 @@ def resolve_term(t: Term, env: dict[str, Const]) -> Term:
 # ---------------------------------------------------------------------------
 # formula AST
 
-# Every node is a frozen dataclass, so formulas hash and compare structurally.
+# Every node is a Node, so formulas hash and compare structurally.
 
 
-class Formula:
+class Formula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
 class ValAtom(Formula):
     """Incidence atom: a basic value observed for one party at a world."""
 
@@ -152,79 +253,66 @@ class ValAtom(Formula):
     party: Term
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class DiaWeak(Formula):
     """Some weakly-better world (reflexive reachability) satisfies the body."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
 class BoxWeak(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
 class DiaStrict(Formula):
     """Some strictly-better world satisfies the body."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
 class BoxStrict(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
 class Somewhere(Formula):
     """Global existential modality `E`."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
 class Everywhere(Formula):
     """Global universal modality `A`."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
     var: str
     sort: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
     var: str
     sort: str
@@ -234,7 +322,6 @@ class Exists(Formula):
 LIFT_PATTERNS = ("ee", "ea", "ae", "aa")
 
 
-@dataclass(frozen=True)
 class SynPref(Formula):
     """Binary preference statement, one of the eight syntactic variants."""
 
@@ -244,7 +331,6 @@ class SynPref(Formula):
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class CpDiaWeak(Formula):
     """Weak-betterness diamond restricted to worlds agreeing on the guards."""
 
@@ -252,13 +338,11 @@ class CpDiaWeak(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
 class CpDiaStrict(Formula):
     guards: tuple[Formula, ...]
     sub: Formula
 
 
-@dataclass(frozen=True)
 class CpPrefAA(Formula):
     """All-all preference over the guard-respecting relation; world-independent."""
 
@@ -268,7 +352,6 @@ class CpPrefAA(Formula):
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class Cond(Formula):
     """Defeasible conditional: best antecedent worlds satisfy the consequent."""
 
@@ -276,7 +359,6 @@ class Cond(Formula):
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class PrincipleExt(Formula):
     """Worlds realizing both values a principle commits a party to."""
 
@@ -284,14 +366,12 @@ class PrincipleExt(Formula):
     party: Term
 
 
-@dataclass(frozen=True)
 class Agg(Formula):
     """Union-style aggregation of principle extensions."""
 
     parts: tuple[tuple[str, Term], ...]
 
 
-@dataclass(frozen=True)
 class VPref(Formula):
     """Value preference: the chosen all-exists lift over two aggregations."""
 
@@ -300,7 +380,6 @@ class VPref(Formula):
     rhs: Formula
 
 
-@dataclass(frozen=True)
 class Promotes(Formula):
     """Factual premises tie a decision to reaching a principle's worlds."""
 
@@ -310,7 +389,6 @@ class Promotes(Formula):
     party: Term
 
 
-@dataclass(frozen=True)
 class Conflict(Formula):
     """All four basic values observed for one party at once."""
 
@@ -349,7 +427,7 @@ _FIELD_KINDS = {
     "Term": "term", "tuple[Term, ...]": "terms", "tuple[tuple[str, Term], ...]": "pairs",
 }
 _LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
-    cls: tuple((fd.name, _FIELD_KINDS.get(fd.type)) for fd in fields(cls))
+    cls: tuple((name, _FIELD_KINDS.get(cls.__annotations__[name])) for name in cls._fields)
     for cls in (Atom, *KEYWORDS.values())
 }
 # Nodes without sub-formulas.

@@ -139,6 +139,9 @@ def test_budget_is_checked_every_256_search_steps():
 PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 109), 3: (1, 3, 4, 454), 4: (10, 4, 17, 1375),
              5: (34, 5, 59, 4146), 6: (98, 6, 184, 12363)}
 PIERSON_6_SHA256 = "9aa79582b2df4aaf79c3be64534f68bbbb36ab7aba2d5fd9a620914cbf40a8ee"
+# The deepest decision level per world count, recorded before `max_level`
+# existed by tracking the length of `lim`.
+PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 6, 5: 12, 6: 20}
 
 
 def test_pierson_search_trajectory_is_pinned(monkeypatch):
@@ -153,20 +156,44 @@ def test_pierson_search_trajectory_is_pinned(monkeypatch):
     monkeypatch.setattr(CDCL, "_analyze", counted)
     q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=6, engine="sat")
     digest = hashlib.sha256()
-    seen = {}
+    seen, max_level = {}, {}
     for n in range(1, 7):
         enc = solver.encode(q, n)
-        s = cdcl(enc.nvars, enc.clauses)
+        s = CDCL(enc.nvars)
+        s.load(enc.clauses)  # as solve_at loads them
         before = len(s.clauses)
         unit_learnts.clear()
         assert not s.solve(solver._Budget(None))
         learnt = s.clauses[before:]
         seen[n] = (len(learnt), sum(unit_learnts), s.decisions, s.propagations)
+        max_level[n] = s.max_level
+        assert s.learnt == len(s.clauses) - before
         assert s.conflicts == len(learnt) + sum(unit_learnts)
         for clause in learnt:
             digest.update((" ".join(map(str, clause)) + "\n").encode())
     assert seen == PIERSON_6
     assert digest.hexdigest() == PIERSON_6_SHA256
+    assert max_level == PIERSON_6_MAX_LEVEL
+
+
+@pytest.mark.parametrize("target", ["(and P P)", "(and P Q P)", "(and P (not P))",
+                                    "(and P Q (not P))"])
+def test_encoder_clauses_are_normal(target):
+    # A conjunction gate's [g, -l...] clause is the one that could repeat a
+    # literal or be a tautology; CDCL.load takes clauses as they are, so the
+    # encoder drops repeats and tautologies exactly as add_clause does.
+    sat = "(not P)" not in target
+    for mode, q in (("refute", refute(target, bound=2)), ("find", find(target=target, bound=2))):
+        for n in (1, 2):
+            enc = solver.encode(q, n)
+            assert all(len({abs(lit) for lit in c}) == len(c) for c in enc.clauses)
+            loaded = CDCL(enc.nvars)
+            loaded.load([list(c) for c in enc.clauses])
+            added = cdcl(enc.nvars, enc.clauses)
+            assert (loaded.clauses, loaded.units, loaded.ok) == (added.clauses, added.units,
+                                                                  added.ok)
+        kind = Countermodel if mode == "refute" else (Satisfiable if sat else NoModel)
+        assert isinstance(check(replace(q, engine="both")), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Reader, parser, printer and normalization passes."""
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 import prefsat.syntax as sx
@@ -327,3 +329,136 @@ def test_collect_symbols():
     atoms, incidence = sx.collect_symbols(f)
     assert atoms == {("Owns", ("p",)), ("Q", ())}
     assert incidence == {(v, "d") for v in BasicValue}
+
+
+# ---------------------------------------------------------------------------
+# node classes
+
+NP, NQ = sx.Atom("P"), sx.Atom("Q", (sx.Const("d"), sx.Var("x")))
+_P = "Atom(pred='P', args=())"
+_Q = "Atom(pred='Q', args=(Const(name='d'), Var(name='x')))"
+
+# One node of every class and its repr, as a frozen dataclass printed it.
+NODE_REPRS = [
+    (sx.SSym("a", 1), "SSym(text='a', line=1)"),
+    (sx.SList((sx.SSym("a", 1),), 2), "SList(items=(SSym(text='a', line=1),), line=2)"),
+    (sx.Const("d"), "Const(name='d')"),
+    (sx.Var("x"), "Var(name='x')"),
+    (sx.Opponent(sx.Var("x")), "Opponent(arg=Var(name='x'))"),
+    (NQ, _Q),
+    (sx.ValAtom(BasicValue.FREEDOM, sx.Const("p")),
+     "ValAtom(value=<BasicValue.FREEDOM: 'FREEDOM'>, party=Const(name='p'))"),
+    (sx.Not(NP), f"Not(sub={_P})"),
+    (sx.And((NP, NQ)), f"And(args=({_P}, {_Q}))"),
+    (sx.Or((NP, NQ)), f"Or(args=({_P}, {_Q}))"),
+    (sx.Implies(NP, NQ), f"Implies(lhs={_P}, rhs={_Q})"),
+    (sx.Iff(NP, NQ), f"Iff(lhs={_P}, rhs={_Q})"),
+    (sx.DiaWeak(NP), f"DiaWeak(sub={_P})"),
+    (sx.BoxWeak(NP), f"BoxWeak(sub={_P})"),
+    (sx.DiaStrict(NP), f"DiaStrict(sub={_P})"),
+    (sx.BoxStrict(NP), f"BoxStrict(sub={_P})"),
+    (sx.Somewhere(NP), f"Somewhere(sub={_P})"),
+    (sx.Everywhere(NP), f"Everywhere(sub={_P})"),
+    (sx.Forall("x", "contender", NP), f"Forall(var='x', sort='contender', body={_P})"),
+    (sx.Exists("x", "contender", NP), f"Exists(var='x', sort='contender', body={_P})"),
+    (sx.SynPref("ae", True, NP, NQ), f"SynPref(pattern='ae', strict=True, lhs={_P}, rhs={_Q})"),
+    (sx.CpDiaWeak((NP,), NQ), f"CpDiaWeak(guards=({_P},), sub={_Q})"),
+    (sx.CpDiaStrict((NP,), NQ), f"CpDiaStrict(guards=({_P},), sub={_Q})"),
+    (sx.CpPrefAA((NP,), False, NP, NQ),
+     f"CpPrefAA(guards=({_P},), strict=False, lhs={_P}, rhs={_Q})"),
+    (sx.Cond(NP, NQ), f"Cond(lhs={_P}, rhs={_Q})"),
+    (sx.PrincipleExt("RESP", sx.Const("p")), "PrincipleExt(principle='RESP', party=Const(name='p'))"),
+    (sx.Agg((("RESP", sx.Const("p")), ("STAB", sx.Opponent(sx.Var("x"))))),
+     "Agg(parts=(('RESP', Const(name='p')), ('STAB', Opponent(arg=Var(name='x')))))"),
+    (sx.VPref(True, sx.PrincipleExt("RESP", sx.Const("p")), sx.PrincipleExt("STAB", sx.Const("d"))),
+     "VPref(strict=True, lhs=PrincipleExt(principle='RESP', party=Const(name='p')), "
+     "rhs=PrincipleExt(principle='STAB', party=Const(name='d')))"),
+    (sx.Promotes(NP, NQ, "RESP", sx.Const("p")),
+     f"Promotes(premise={_P}, decision={_Q}, principle='RESP', party=Const(name='p'))"),
+    (sx.Conflict(sx.Const("p")), "Conflict(party=Const(name='p'))"),
+]
+
+
+def test_every_node_class_has_a_repr_case():
+    classes = {cls for cls in vars(sx).values()
+               if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields}
+    assert {type(node) for node, _ in NODE_REPRS} == classes
+    assert len(classes) == 30
+
+
+@pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
+def test_node_repr_and_structural_identity(node, text):
+    assert repr(node) == text
+    values = tuple(getattr(node, name) for name in node._fields)
+    twin = type(node)(*values)
+    assert twin == node and not (twin != node) and twin is not node
+    assert hash(twin) == hash(node) == hash(values)
+    assert type(node)(**dict(zip(node._fields, values))) == node
+
+
+def test_nodes_equal_only_within_one_class():
+    assert sx.And((NP, NQ)) != sx.Or((NP, NQ))
+    assert sx.DiaWeak(NP) != sx.BoxWeak(NP)
+    assert sx.Not(NP) != sx.Not(sx.Atom("P", (sx.Const("d"),)))
+    assert sx.Const("d") != sx.Var("d") and sx.Const("d") != "d"
+    assert len({sx.And((NP, NQ)), sx.Or((NP, NQ)), sx.And((NP, NQ))}) == 2
+
+
+def test_node_keywords_and_defaults():
+    assert sx.Atom("P") == sx.Atom(pred="P", args=()) == sx.Atom("P", ()) == sx.Atom(pred="P")
+    assert sx.Atom.args == ()
+    assert sx.Forall("x", sort="s", body=NP) == sx.Forall(var="x", sort="s", body=NP)
+    with pytest.raises(TypeError, match="missing"):
+        sx.Implies(NP)
+    with pytest.raises(TypeError, match="multiple"):
+        sx.Not(NP, sub=NP)
+    with pytest.raises(TypeError, match="unexpected"):
+        sx.Not(NP, body=NP)
+    with pytest.raises(TypeError, match="takes"):
+        sx.Not(NP, NP)
+
+
+def test_nodes_are_frozen():
+    f = sx.Implies(NP, NQ)
+    with pytest.raises(FrozenInstanceError):
+        f.lhs = NQ
+    with pytest.raises(FrozenInstanceError):
+        f.extra = 1
+    with pytest.raises(FrozenInstanceError):
+        del f.rhs
+    assert f == sx.Implies(NP, NQ)
+
+
+# The field layout every generic walk reads, as dataclasses.fields gave it.
+LAYOUT = {
+    sx.Atom: (('pred', None), ('args', 'terms')),
+    sx.Not: (('sub', 'formula'),),
+    sx.And: (('args', 'formulas'),),
+    sx.Or: (('args', 'formulas'),),
+    sx.Implies: (('lhs', 'formula'), ('rhs', 'formula')),
+    sx.Iff: (('lhs', 'formula'), ('rhs', 'formula')),
+    sx.BoxWeak: (('sub', 'formula'),),
+    sx.DiaWeak: (('sub', 'formula'),),
+    sx.BoxStrict: (('sub', 'formula'),),
+    sx.DiaStrict: (('sub', 'formula'),),
+    sx.Everywhere: (('sub', 'formula'),),
+    sx.Somewhere: (('sub', 'formula'),),
+    sx.Forall: (('var', None), ('sort', None), ('body', 'formula')),
+    sx.Exists: (('var', None), ('sort', None), ('body', 'formula')),
+    sx.SynPref: (('pattern', None), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
+    sx.CpDiaWeak: (('guards', 'formulas'), ('sub', 'formula')),
+    sx.CpDiaStrict: (('guards', 'formulas'), ('sub', 'formula')),
+    sx.CpPrefAA: (('guards', 'formulas'), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
+    sx.Cond: (('lhs', 'formula'), ('rhs', 'formula')),
+    sx.PrincipleExt: (('principle', None), ('party', 'term')),
+    sx.Agg: (('parts', 'pairs'),),
+    sx.VPref: (('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
+    sx.Promotes: (('premise', 'formula'), ('decision', 'formula'), ('principle', None), ('party', 'term')),
+    sx.Conflict: (('party', 'term'),),
+    sx.ValAtom: (('value', None), ('party', 'term')),
+}
+
+
+def test_field_layout():
+    assert sx._LAYOUT == LAYOUT
+    assert list(sx._LAYOUT) == list(LAYOUT)
