@@ -9,7 +9,7 @@ lets the test suite compare them instead of trusting one implementation.
 """
 from __future__ import annotations
 
-from .model import Extension, PreferenceModel, cp_rows, sx_iter_bits
+from .model import Extension, PreferenceModel, eval_formula, sx_iter_bits
 from . import syntax as sx
 
 
@@ -50,10 +50,12 @@ def cp_relation(m: PreferenceModel, guards: list[sx.Formula], strict: bool) -> l
     and two worlds are related only if additionally every guard has the same
     truth value at both.  An empty guard list returns the base relation.
     """
-    from .model import _eval_bits
-
-    guard_bits = [_eval_bits(m, g) for g in guards]
-    return cp_rows(m, guard_bits, strict)
+    rows = list(m.lt if strict else m.leq)
+    for g in guards:
+        bits = eval_formula(m, g).bits
+        for w in range(m.n):
+            rows[w] &= bits if bits >> w & 1 else ~bits & m.full_mask
+    return rows
 
 
 def cp_lift_aa(m: PreferenceModel, guards: list[sx.Formula], strict: bool,

@@ -3,13 +3,23 @@
 A model is a finite set of worlds 0..n-1, a reflexive transitive betterness
 relation (weak preference), a valuation for ground atoms, and an incidence
 map for value symbols.  The strict relation is never stored: it is derived as
-"weakly better but not weakly worse".  World sets are bit masks, one bit per
-world, which keeps evaluation to a handful of integer operations per node.
+"weakly better but not weakly worse".
+
+One evaluator serves both a single model and the enumeration oracle, which
+takes one preorder under all A assignments of world sets to a list of
+symbols at once.  An extension is one packed int: bit w*A + i says "holds at
+world w under assignment i", so world w owns the block of A bits that starts
+at bit w*A.  A model is the case A = 1.  Its extensions are world masks, one
+bit per world, and its valuation and incidence masks are its symbols'
+extensions as stored.  Every connective is one big-int operation.  A modal
+node takes each world distance d in turn.  It shifts its operand d blocks up,
+so that block w holds world w - d's block, and keeps the blocks w whose row
+holds w - d.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from .ontology import BasicValue, ValueSymbol
 from . import syntax as sx
@@ -100,8 +110,65 @@ def _normalize_valuation(valuation: dict) -> dict[AtomKey, int]:
     return out
 
 
+class _Frame:
+    """What the evaluator reads: `n` worlds, the weak rows `leq`, `width`
+    assignments (A) per world block, `block` (one world's block: every
+    assignment) and `full_mask` (every world under every assignment).
+    PreferenceModel has one assignment; SlicedModel is one preorder under
+    every assignment of its symbols."""
+
+    def _init_frame(self, width: int) -> None:
+        self.width = width
+        self.block = (1 << width) - 1
+        self.full_mask = (1 << self.n * width) - 1
+        self._offsets = range(0, self.n * width, width)  # where each world's block starts
+        self._cache: dict[int, tuple[object, int]] = {}  # eval_packed's, by node id
+        self._steps: dict[bool, list[tuple[int, int]]] = {}
+
+    @cached_property
+    def lt(self) -> tuple[int, ...]:
+        return strict_rows(self.leq)
+
+    def steps(self, strict: bool) -> list[tuple[int, int]]:
+        """Per world distance d = w - v, from 1 - n to n - 1: the shift d * A
+        that moves world v's block onto world w's, and the mask of the blocks
+        w at which v is weakly (or strictly) better than w.  Computed once."""
+        steps = self._steps.get(strict)
+        if steps is None:
+            n, width, leq = self.n, self.width, self.leq
+            marks = [0] * (2 * n - 1)
+            for w, row in enumerate(leq):
+                for v in range(n):
+                    if row >> v & 1 and not (strict and leq[v] >> w & 1):
+                        marks[w - v + n - 1] |= 1 << w * width
+            steps = self._steps[strict] = [(d * width, (mark << width) - mark)
+                                           for d, mark in zip(range(1 - n, n), marks)]
+        return steps
+
+    def any_world(self, ext: int) -> int:
+        """The assignments under which ext holds at some world."""
+        bits = 0
+        for offset in self._offsets:
+            bits |= ext >> offset
+        return bits & self.block
+
+    def every_world(self, ext: int) -> int:
+        """The assignments under which ext holds at every world."""
+        bits = self.block
+        for offset in self._offsets:
+            bits &= ext >> offset
+        return bits
+
+    def everywhere(self, bits: int) -> int:
+        """The extension that holds at every world under the assignments in bits."""
+        ext = 0
+        for offset in self._offsets:
+            ext |= bits << offset
+        return ext
+
+
 @dataclass
-class PreferenceModel:
+class PreferenceModel(_Frame):
     """Worlds, weak-betterness rows, atom valuation, value incidence."""
 
     n: int
@@ -114,19 +181,7 @@ class PreferenceModel:
             raise ModelError(f"world count must be in 1..{MAX_WORLDS}")
         self.leq = tuple(self.leq)
         self.valuation = _normalize_valuation(self.valuation)
-        self._full = (1 << self.n) - 1
-        self._lt: tuple[int, ...] | None = None
-        self._cache: dict[int, tuple[object, int]] = {}
-
-    @property
-    def full_mask(self) -> int:
-        return self._full
-
-    @property
-    def lt(self) -> tuple[int, ...]:
-        if self._lt is None:
-            self._lt = strict_rows(self.leq)
-        return self._lt
+        self._init_frame(1)
 
     def atom_bits(self, key: AtomKey) -> int:
         try:
@@ -222,24 +277,14 @@ def is_total_relation(leq: tuple[int, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation (the packed layout is in the module docstring)
 
 
-def _agree_rows(m: PreferenceModel, guard_bits: list[int]) -> list[int]:
-    """agree[w] = worlds giving every guard the same truth value as w."""
-    full = m.full_mask
-    rows = [full] * m.n
-    for g in guard_bits:
-        for w in range(m.n):
-            rows[w] &= g if (g >> w & 1) else ~g & full
-    return rows
-
-
-def cp_rows(m: PreferenceModel, guard_bits: list[int], strict: bool) -> list[int]:
-    """Rows of the guard-respecting betterness relation (weak or strict)."""
-    agree = _agree_rows(m, guard_bits)
-    base = m.lt if strict else m.leq
-    return [base[w] & agree[w] for w in range(m.n)]
+def _move(x: int, k: int) -> int:
+    """x shifted k bits up, or -k bits down."""
+    if k > 0:
+        return x << k
+    return x >> -k if k else x  # a shift by 0 would copy x
 
 
 def _ground_key(f: sx.Atom | sx.ValAtom) -> AtomKey | ValueSymbol:
@@ -257,128 +302,113 @@ def _ground_key(f: sx.Atom | sx.ValAtom) -> AtomKey | ValueSymbol:
     return (f.value, f.party.name)
 
 
-def _eval_bits(m: PreferenceModel, f: sx.Formula) -> int:
+def _diamond(steps, sub: int, guards: list[int]) -> int:
+    """Blocks w under the assignments where sub holds at a world that the
+    steps' rows relate to w and that agrees with w on every guard."""
+    ext = 0
+    for k, mask in steps:
+        if mask:
+            for g in guards:
+                mask &= ~(g ^ _move(g, k))
+            ext |= _move(sub, k) & mask
+    return ext
+
+
+def eval_packed(s: _Frame, f: sx.Formula) -> int:
+    """The packed extension of a grounded, desugared formula."""
     # Cache keyed by node identity; the node reference is kept alongside so
     # the id stays valid for the cache's lifetime.
     key = id(f)
-    hit = m._cache.get(key)
+    hit = s._cache.get(key)
     if hit is not None:
         return hit[1]
-    full = m.full_mask
-    n = m.n
+    full = s.full_mask
 
     if isinstance(f, sx.Atom):
-        bits = m.atom_bits(_ground_key(f))
+        ext = s.atom_bits(_ground_key(f))
     elif isinstance(f, sx.ValAtom):
-        bits = m.incidence_bits(_ground_key(f))
+        ext = s.incidence_bits(_ground_key(f))
     elif isinstance(f, sx.Not):
-        bits = ~_eval_bits(m, f.sub) & full
+        ext = full ^ eval_packed(s, f.sub)
     elif isinstance(f, sx.And):
-        bits = full
+        ext = full
         for a in f.args:
-            bits &= _eval_bits(m, a)
+            ext &= eval_packed(s, a)
     elif isinstance(f, sx.Or):
-        bits = 0
+        ext = 0
         for a in f.args:
-            bits |= _eval_bits(m, a)
+            ext |= eval_packed(s, a)
     elif isinstance(f, sx.Implies):
-        bits = (~_eval_bits(m, f.lhs) | _eval_bits(m, f.rhs)) & full
+        ext = (full ^ eval_packed(s, f.lhs)) | eval_packed(s, f.rhs)
     elif isinstance(f, sx.Iff):
-        bits = ~(_eval_bits(m, f.lhs) ^ _eval_bits(m, f.rhs)) & full
-    elif isinstance(f, sx.DiaWeak):
-        sub = _eval_bits(m, f.sub)
-        bits = 0
-        for w in range(n):
-            if m.leq[w] & sub:
-                bits |= 1 << w
-    elif isinstance(f, sx.BoxWeak):
-        sub = _eval_bits(m, f.sub)
-        bits = 0
-        for w in range(n):
-            if not (m.leq[w] & ~sub):
-                bits |= 1 << w
-    elif isinstance(f, sx.DiaStrict):
-        sub = _eval_bits(m, f.sub)
-        lt = m.lt
-        bits = 0
-        for w in range(n):
-            if lt[w] & sub:
-                bits |= 1 << w
-    elif isinstance(f, sx.BoxStrict):
-        sub = _eval_bits(m, f.sub)
-        lt = m.lt
-        bits = 0
-        for w in range(n):
-            if not (lt[w] & ~sub):
-                bits |= 1 << w
+        ext = full ^ eval_packed(s, f.lhs) ^ eval_packed(s, f.rhs)
+    elif isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict)):
+        steps = s.steps(isinstance(f, (sx.DiaStrict, sx.CpDiaStrict)))
+        guards = [eval_packed(s, g) for g in f.guards] \
+            if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else []
+        ext = _diamond(steps, eval_packed(s, f.sub), guards)
+    elif isinstance(f, (sx.BoxWeak, sx.BoxStrict)):
+        steps = s.steps(isinstance(f, sx.BoxStrict))
+        ext = full ^ _diamond(steps, full ^ eval_packed(s, f.sub), [])
     elif isinstance(f, sx.Somewhere):
-        bits = full if _eval_bits(m, f.sub) else 0
+        ext = s.everywhere(s.any_world(eval_packed(s, f.sub)))
     elif isinstance(f, sx.Everywhere):
-        bits = full if _eval_bits(m, f.sub) == full else 0
-    elif isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)):
-        guard_bits = [_eval_bits(m, g) for g in f.guards]
-        rows = cp_rows(m, guard_bits, isinstance(f, sx.CpDiaStrict))
-        sub = _eval_bits(m, f.sub)
-        bits = 0
-        for w in range(n):
-            if rows[w] & sub:
-                bits |= 1 << w
+        ext = s.everywhere(s.every_world(eval_packed(s, f.sub)))
     elif isinstance(f, sx.CpPrefAA):
-        guard_bits = [_eval_bits(m, g) for g in f.guards]
-        rows = cp_rows(m, guard_bits, f.strict)
-        lhs = _eval_bits(m, f.lhs)
-        rhs = _eval_bits(m, f.rhs)
-        ok = all(not (rhs & ~rows[s]) for s in sx_iter_bits(lhs))
-        bits = full if ok else 0
+        guards = [eval_packed(s, g) for g in f.guards]
+        lhs, rhs = eval_packed(s, f.lhs), eval_packed(s, f.rhs)
+        bad = 0  # lhs at w and rhs at v, but v not guard-respectingly better than w
+        for k, mask in s.steps(f.strict):
+            for g in guards:
+                mask &= ~(g ^ _move(g, k))
+            bad |= lhs & _move(rhs, k) & ~mask
+        ext = s.everywhere(s.block ^ s.any_world(bad))
     else:
         raise ModelError(f"evaluation expects desugared formulas, found {type(f).__name__}")
 
-    m._cache[key] = (f, bits)
-    return bits
+    s._cache[key] = (f, ext)
+    return ext
 
 
 def eval_formula(m: PreferenceModel, f: sx.Formula) -> Extension:
     """Worlds where the (grounded, desugared) formula holds."""
-    return Extension(_eval_bits(m, f), m.n)
+    return Extension(eval_packed(m, f), m.n)
 
 
 def truth_at(m: PreferenceModel, f: sx.Formula, world: int) -> bool:
     if not (0 <= world < m.n):
         raise ModelError(f"world {world} outside 0..{m.n - 1}")
-    return bool(_eval_bits(m, f) >> world & 1)
+    return bool(eval_packed(m, f) >> world & 1)
 
 
 def globally_true(m: PreferenceModel, f: sx.Formula) -> bool:
-    return _eval_bits(m, f) == m.full_mask
+    return eval_packed(m, f) == m.full_mask
 
 
 # ---------------------------------------------------------------------------
-# valuation-sliced evaluation (oracle support)
+# every assignment at once (oracle support)
 #
-# The oracle needs a formula's truth on one preorder under every assignment of
-# world sets to a fixed list of symbols.  Assignment i gives symbol k the
-# world set (i >> n*(count-1-k)) & (2^n - 1), which numbers assignments in
-# itertools.product(range(1 << n), repeat=count) order.  An extension is then
-# one int per world w whose bit i says "holds at w under assignment i", and
-# every connective is one big-int operation per world.
+# Assignment i gives symbol k the world set (i >> n*(count-1-k)) & (2^n - 1),
+# which numbers assignments in itertools.product(range(1 << n), repeat=count)
+# order; A = 2^(n*count).
 
 
 def valuation_slices(n: int, keys) -> dict:
-    """Each symbol's extension under every assignment: per world w, bit i is
+    """Each symbol's packed extension under every assignment: bit w*A + i is
     bit w of the world set that assignment i gives the symbol."""
-    size = 1 << (n * len(keys))
+    width = 1 << (n * len(keys))
     out = {}
     for k, key in enumerate(keys):
-        ext = []
+        ext = 0
         for w in range(n):
             # bit j of the index i: runs of 2^j clear bits, then 2^j set bits
             run = 1 << (n * (len(keys) - 1 - k) + w)
             bits, period = ((1 << run) - 1) << run, 2 * run
-            while period < size:
+            while period < width:
                 bits |= bits << period
                 period *= 2
-            ext.append(bits)
-        out[key] = tuple(ext)
+            ext |= bits << w * width
+        out[key] = ext
     return out
 
 
@@ -388,104 +418,21 @@ def valuation_at(n: int, keys, i: int) -> dict:
     return {key: i >> (n * (len(keys) - 1 - k)) & mask for k, key in enumerate(keys)}
 
 
-class SlicedModel:
+class SlicedModel(_Frame):
     """One preorder under every assignment of world sets to its symbols;
-    `symbols` maps each atom key and value symbol to its slices, as
-    valuation_slices builds them."""
+    `symbols` maps each atom key and value symbol to its packed extension,
+    as valuation_slices builds them."""
 
     def __init__(self, leq: tuple[int, ...], symbols: dict):
+        self.n = len(leq)
         self.leq = leq
         self.symbols = symbols
-        self.n = len(leq)
-        self.full = (1 << (1 << self.n * len(symbols))) - 1  # one bit per assignment
-        self.lt = strict_rows(leq)
-        self._cache: dict[int, tuple[object, tuple[int, ...]]] = {}
+        self._init_frame(1 << self.n * len(symbols))
 
+    def atom_bits(self, key) -> int:
+        return self.symbols[key]
 
-def _guard_split(guards: list[tuple[int, ...]], w: int, v: int) -> int:
-    """Assignments under which some guard differs between worlds w and v."""
-    bits = 0
-    for g in guards:
-        bits |= g[w] ^ g[v]
-    return bits
-
-
-def eval_sliced(s: SlicedModel, f: sx.Formula) -> tuple[int, ...]:
-    """Per world, the assignments under which the (grounded, desugared)
-    formula holds there: _eval_bits lifted to every assignment at once."""
-    key = id(f)
-    hit = s._cache.get(key)
-    if hit is not None:
-        return hit[1]
-    full = s.full
-    worlds = range(s.n)
-
-    if isinstance(f, (sx.Atom, sx.ValAtom)):
-        ext = s.symbols[_ground_key(f)]
-    elif isinstance(f, sx.Not):
-        ext = [full ^ x for x in eval_sliced(s, f.sub)]
-    elif isinstance(f, sx.And):
-        ext = [full] * s.n
-        for a in f.args:
-            ext = [x & y for x, y in zip(ext, eval_sliced(s, a))]
-    elif isinstance(f, sx.Or):
-        ext = [0] * s.n
-        for a in f.args:
-            ext = [x | y for x, y in zip(ext, eval_sliced(s, a))]
-    elif isinstance(f, sx.Implies):
-        ext = [(full ^ x) | y for x, y in zip(eval_sliced(s, f.lhs), eval_sliced(s, f.rhs))]
-    elif isinstance(f, sx.Iff):
-        ext = [full ^ x ^ y for x, y in zip(eval_sliced(s, f.lhs), eval_sliced(s, f.rhs))]
-    elif isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict)):
-        rows = s.lt if isinstance(f, (sx.DiaStrict, sx.CpDiaStrict)) else s.leq
-        guards = [eval_sliced(s, g) for g in f.guards] \
-            if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else []
-        sub = eval_sliced(s, f.sub)
-        ext = []
-        for w in worlds:
-            bits = 0
-            for v in sx_iter_bits(rows[w]):
-                bits |= sub[v] & ~_guard_split(guards, w, v)
-            ext.append(bits)
-    elif isinstance(f, (sx.BoxWeak, sx.BoxStrict)):
-        rows = s.lt if isinstance(f, sx.BoxStrict) else s.leq
-        sub = eval_sliced(s, f.sub)
-        ext = []
-        for w in worlds:
-            bits = full
-            for v in sx_iter_bits(rows[w]):
-                bits &= sub[v]
-            ext.append(bits)
-    elif isinstance(f, sx.Somewhere):
-        bits = 0
-        for x in eval_sliced(s, f.sub):
-            bits |= x
-        ext = [bits] * s.n
-    elif isinstance(f, sx.Everywhere):
-        bits = full
-        for x in eval_sliced(s, f.sub):
-            bits &= x
-        ext = [bits] * s.n
-    elif isinstance(f, sx.CpPrefAA):
-        rows = s.lt if f.strict else s.leq
-        guards = [eval_sliced(s, g) for g in f.guards]
-        lhs = eval_sliced(s, f.lhs)
-        rhs = eval_sliced(s, f.rhs)
-        bits = full
-        for a in worlds:
-            for b in worlds:
-                # lhs at a and rhs at b need b guard-respectingly better than a
-                bad = lhs[a] & rhs[b]
-                if rows[a] >> b & 1:
-                    bad &= _guard_split(guards, a, b)
-                bits &= ~bad
-        ext = [bits] * s.n
-    else:
-        raise ModelError(f"evaluation expects desugared formulas, found {type(f).__name__}")
-
-    ext = tuple(ext)
-    s._cache[key] = (f, ext)
-    return ext
+    incidence_bits = atom_bits
 
 
 # ---------------------------------------------------------------------------

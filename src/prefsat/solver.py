@@ -14,9 +14,11 @@ Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
 with the encoder: it walks every preorder and, per preorder, evaluates each
 subformula once for all assignments of world sets to the query's symbols
-together (model.eval_sliced, one bit per assignment), taking the first
-admitted assignment in enumeration order as its witness.  Witnesses from
-either engine are re-checked by direct evaluation before being reported.
+together (model.eval_packed, one bit per world and assignment), taking the
+first admitted assignment in enumeration order as its witness.  Witnesses
+from either engine are re-checked before being reported by the same
+evaluator on the one model, which shares no code with the encoder or the
+CDCL search.
 
 Everything is deterministic: variables are allocated in a documented order
 (relation variables, then atoms by name and world, then value symbols, then
@@ -25,6 +27,7 @@ trying False first.
 """
 from __future__ import annotations
 
+import math
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -37,8 +40,8 @@ from .model import (
     PreferenceModel,
     SlicedModel,
     all_preorders,
-    eval_formula,
-    eval_sliced,
+    eval_formula,  # unused here; bench/tracing.py wraps solver.eval_formula
+    eval_packed,
     globally_true,
     is_total_relation,
     render_text,
@@ -112,6 +115,8 @@ class Query:
             raise ValueError(f"bound must be in 1..{MAX_WORLDS}")
         if self.engine not in ("sat", "enum", "both"):
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.budget is not None and math.isnan(self.budget):
+            raise ValueError("budget must be a number of seconds, not nan")
 
     @cached_property
     def symbols(self) -> tuple[tuple, tuple]:
@@ -676,15 +681,15 @@ def oracle_in_domain(q: Query) -> bool:
 
 def _sliced_admitted(q: Query, s: SlicedModel) -> int:
     """Assignments (as bits) whose model admits the query's axioms and facts
-    and refutes (refute mode) or satisfies (find mode) its target."""
-    bits = s.full
+    and refutes (refute mode) or satisfies (find mode) its target; world 0
+    is the low block."""
+    bits = s.block
     for ax in q.axioms:
-        for ext in eval_sliced(s, ax):
-            bits &= ext
+        bits &= s.every_world(eval_packed(s, ax))
     for fact in q.facts:
-        bits &= eval_sliced(s, fact)[0]
+        bits &= eval_packed(s, fact)
     if q.target is not None:
-        ext = eval_sliced(s, q.target)[0]
+        ext = eval_packed(s, q.target)
         bits &= ~ext if q.mode == "refute" else ext
     return bits
 

@@ -23,14 +23,17 @@ from dataclasses import dataclass
 from . import kb as kbmod
 from . import syntax as sx
 from .lifts import best_worlds, cp_lift_aa, halpern_more_likely, sem_lift
-from .model import (
+from .model import (  # eval_formula, truth_at: unused here; bench/tracing.py wraps them
     Extension,
     PreferenceModel,
+    SlicedModel,
     all_preorders,
     eval_formula,
+    eval_packed,
     is_total,
     render_text,
     truth_at,
+    valuation_slices,
 )
 from .ontology import ALL_VALUE_SYMBOLS
 from .solver import (
@@ -138,14 +141,24 @@ def _query_rows(group: str, *, engine: str, bound: int, budget: float | None):
 # meta suite
 
 
+_PQ = (("P", ()), ("Q", ()))
+
+
 def _enum_models(max_n: int = 3):
-    """Every preorder up to max_n worlds with every valuation of P and Q."""
-    pk, qk = ("P", ()), ("Q", ())
+    """Every preorder up to max_n worlds with every valuation of P and Q, as
+    (model without a valuation, for the set-level lifts; SlicedModel of the
+    preorder; assignment i = pm << n | qm; P's worlds pm; Q's worlds qm).
+    Bit i of a packed extension of s is then world 0 under the valuation."""
     for n in range(1, max_n + 1):
+        slices = valuation_slices(n, _PQ)
         for rows in all_preorders(n):
-            for pm in range(1 << n):
-                for qm in range(1 << n):
-                    yield PreferenceModel(n, rows, {pk: pm, qk: qm}, {})
+            m, s = PreferenceModel(n, rows), SlicedModel(rows, slices)
+            for i in range(s.width):
+                yield m, s, i, Extension(i >> n, n), Extension(i & (1 << n) - 1, n)
+
+
+def _pq_text(m: PreferenceModel, a: Extension, b: Extension) -> str:
+    return render_text(PreferenceModel(m.n, m.leq, dict(zip(_PQ, (a.bits, b.bits))), {}))
 
 
 def _preorder_count_row() -> SuiteRow:
@@ -159,15 +172,14 @@ def _semsyn_agree_row(name: str, patterns, total_only: bool) -> SuiteRow:
     syn = {(pat, st): sx.desugar(sx.SynPref(pat, st, P, Q))
            for pat in patterns for st in (False, True)}
     checked = 0
-    for m in _enum_models():
+    for m, s, i, a, b in _enum_models():
         if total_only and not is_total(m):
             continue
-        a, b = eval_formula(m, P), eval_formula(m, Q)
         for (pat, st), f in syn.items():
-            if sem_lift(m, pat, st, a, b) != truth_at(m, f, 0):
+            if sem_lift(m, pat, st, a, b) != bool(eval_packed(s, f) >> i & 1):
                 which = f"{pat}-{'strict' if st else 'weak'}"
                 return SuiteRow(name, False,
-                                f"set/formula mismatch for {which}:\n{render_text(m)}")
+                                f"set/formula mismatch for {which}:\n{_pq_text(m, a, b)}")
             checked += 1
     scope = "total preorders" if total_only else "preorders"
     return SuiteRow(name, True, f"{checked} instances over all {scope} up to 3 worlds")
@@ -178,12 +190,12 @@ def _semsyn_witness_row() -> SuiteRow:
     syn = {(pat, st): sx.desugar(sx.SynPref(pat, st, P, Q))
            for pat in ("ea", "aa") for st in (False, True)}
     found: dict[tuple[str, bool], int] = {}
-    for m in _enum_models():
+    for m, s, i, a, b in _enum_models():
         if is_total(m):
             continue
-        a, b = eval_formula(m, P), eval_formula(m, Q)
         for key, f in syn.items():
-            if key not in found and sem_lift(m, key[0], key[1], a, b) != truth_at(m, f, 0):
+            if key not in found and \
+                    sem_lift(m, key[0], key[1], a, b) != bool(eval_packed(s, f) >> i & 1):
                 found[key] = m.n
         if len(found) == 4:
             break
@@ -197,37 +209,33 @@ def _semsyn_witness_row() -> SuiteRow:
 
 
 def _cp_collapse_row() -> SuiteRow:
-    P, Q = sx.Atom("P"), sx.Atom("Q")
+    P = sx.Atom("P")
     guarded = {st: (sx.CpDiaStrict((), P) if st else sx.CpDiaWeak((), P)) for st in (0, 1)}
     base = {0: sx.DiaWeak(P), 1: sx.DiaStrict(P)}
     checked = 0
-    for m in _enum_models():
-        a, b = eval_formula(m, P), eval_formula(m, Q)
+    for m, s, i, a, b in _enum_models():
         for st in (False, True):
             if cp_lift_aa(m, [], st, a, b) != sem_lift(m, "aa", st, a, b):
                 return SuiteRow("cp-empty-collapse", False,
-                                f"guarded all-all differs from plain:\n{render_text(m)}")
-            if eval_formula(m, guarded[st]) != eval_formula(m, base[st]):
+                                f"guarded all-all differs from plain:\n{_pq_text(m, a, b)}")
+            if s.any_world(eval_packed(s, guarded[st]) ^ eval_packed(s, base[st])) >> i & 1:
                 return SuiteRow("cp-empty-collapse", False,
-                                f"guarded diamond differs from plain:\n{render_text(m)}")
+                                f"guarded diamond differs from plain:\n{_pq_text(m, a, b)}")
             checked += 2
     return SuiteRow("cp-empty-collapse", True,
                     f"{checked} instances over all preorders up to 3 worlds")
 
 
 def _cond_triangle_row() -> SuiteRow:
-    P, Q = sx.Atom("P"), sx.Atom("Q")
-    cond = sx.desugar(sx.Cond(P, Q))
-    both = sx.And((P, Q))
-    only = sx.And((P, sx.Not(Q)))
+    cond = sx.desugar(sx.Cond(sx.Atom("P"), sx.Atom("Q")))
     checked = 0
-    for m in _enum_models():
-        c1 = truth_at(m, cond, 0)
-        c2 = best_worlds(m, eval_formula(m, P)) <= eval_formula(m, Q)
-        c3 = halpern_more_likely(m, eval_formula(m, only), eval_formula(m, both))
+    for m, s, i, a, b in _enum_models():
+        c1 = bool(eval_packed(s, cond) >> i & 1)
+        c2 = best_worlds(m, a) <= b
+        c3 = halpern_more_likely(m, a & ~b, a & b)
         if not (c1 == c2 == c3):
             return SuiteRow("conditional-triangle", False,
-                            f"readings split ({c1}/{c2}/{c3}):\n{render_text(m)}")
+                            f"readings split ({c1}/{c2}/{c3}):\n{_pq_text(m, a, b)}")
         checked += 1
     return SuiteRow("conditional-triangle", True,
                     f"{checked} models, all three readings agree")

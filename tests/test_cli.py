@@ -185,6 +185,17 @@ def test_zero_budget_is_exhausted_before_any_search(capsys):
     assert out == "goal ruling-for-d: Unknown reason=budget-exhausted\n"
 
 
+def test_nan_budget_is_a_usage_error(capsys):
+    # time.monotonic() >= nan is never true, so a NaN budget would never run out
+    code, out, err = run(capsys, "entail", "pierson", "--budget", "nan")
+    assert code == 2 and out == ""
+    assert err == "error: budget must be a number of seconds, not nan\n"
+    # a negative budget has already run out
+    code, out, _ = run(capsys, "entail", "pierson", "--budget", "-1")
+    assert code == 2
+    assert out == "goal ruling-for-d: Unknown reason=budget-exhausted\n"
+
+
 def test_kb_without_goals(tmp_path, capsys):
     kb = tmp_path / "empty.kb"
     kb.write_text("(atom Rain)\n(fact f1 Rain)\n")

@@ -1,9 +1,11 @@
-"""Finite models: validation, bitmask evaluation, rendering, enumeration."""
+"""Finite models: validation, packed evaluation, rendering, enumeration."""
+import random
 from itertools import product
 
 import pytest
 
 import prefsat.syntax as sx
+from prefsat import kb as kbmod
 from prefsat.model import (
     Extension,
     ModelError,
@@ -11,7 +13,7 @@ from prefsat.model import (
     SlicedModel,
     all_preorders,
     eval_formula,
-    eval_sliced,
+    eval_packed,
     from_edges,
     globally_true,
     is_total,
@@ -216,10 +218,80 @@ def test_every_enumerated_relation_validates():
 
 
 # ---------------------------------------------------------------------------
-# valuation-sliced evaluation
+# the per-model reference evaluator
+
+
+def reference_eval(m: PreferenceModel, f: sx.Formula, memo: dict) -> int:
+    """The worlds of m where the grounded, desugared formula f holds, one bit
+    per world.  It walks one model world by world and shares no code with
+    model.eval_packed.  memo caches by node id for one model."""
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    full, n = m.full_mask, m.n
+
+    def ev(g):
+        return reference_eval(m, g, memo)
+
+    def cp_rows(guards, strict):
+        # betterness rows restricted to the worlds agreeing with w on every guard
+        rows = list(m.lt if strict else m.leq)
+        for g in map(ev, guards):
+            for w in range(n):
+                rows[w] &= g if (g >> w & 1) else ~g & full
+        return rows
+
+    if isinstance(f, sx.Atom):
+        bits = m.valuation[(f.pred, tuple(a.name for a in f.args))]
+    elif isinstance(f, sx.ValAtom):
+        bits = m.incidence[(f.value, f.party.name)]
+    elif isinstance(f, sx.Not):
+        bits = ~ev(f.sub) & full
+    elif isinstance(f, sx.And):
+        bits = full
+        for a in f.args:
+            bits &= ev(a)
+    elif isinstance(f, sx.Or):
+        bits = 0
+        for a in f.args:
+            bits |= ev(a)
+    elif isinstance(f, sx.Implies):
+        bits = (~ev(f.lhs) | ev(f.rhs)) & full
+    elif isinstance(f, sx.Iff):
+        bits = ~(ev(f.lhs) ^ ev(f.rhs)) & full
+    elif isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict)):
+        guards = f.guards if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else ()
+        rows = cp_rows(guards, isinstance(f, (sx.DiaStrict, sx.CpDiaStrict)))
+        sub = ev(f.sub)
+        bits = 0
+        for w in range(n):
+            if rows[w] & sub:
+                bits |= 1 << w
+    elif isinstance(f, (sx.BoxWeak, sx.BoxStrict)):
+        rows = cp_rows((), isinstance(f, sx.BoxStrict))
+        sub = ev(f.sub)
+        bits = 0
+        for w in range(n):
+            if not (rows[w] & ~sub):
+                bits |= 1 << w
+    elif isinstance(f, sx.Somewhere):
+        bits = full if ev(f.sub) else 0
+    elif isinstance(f, sx.Everywhere):
+        bits = full if ev(f.sub) == full else 0
+    elif isinstance(f, sx.CpPrefAA):
+        rows = cp_rows(f.guards, f.strict)
+        lhs, rhs = ev(f.lhs), ev(f.rhs)
+        ok = all(not (rhs & ~rows[s]) for s in range(n) if lhs >> s & 1)
+        bits = full if ok else 0
+    else:
+        raise TypeError(f"reference expects desugared formulas, found {type(f).__name__}")
+    memo[id(f)] = (f, bits)
+    return bits
 
 
 def test_sliced_evaluation_matches_per_model_evaluation():
+    """The packed evaluator against the reference at every A: each model on
+    its own (A = 1), and each preorder under all 2^(3n) assignments."""
     P, Q = sx.Atom("P"), sx.Atom("Q")
     value, party = ALL_VALUE_SYMBOLS[0]
     V = sx.ValAtom(value, sx.Const(party))
@@ -244,12 +316,48 @@ def test_sliced_evaluation_matches_per_model_evaluation():
         slices = valuation_slices(n, keys)
         for rows in all_preorders(n):
             s = SlicedModel(rows, slices)
-            exts = [eval_sliced(s, f) for f in formulas]
+            assert s.width == count
+            exts = [eval_packed(s, f) for f in formulas]
             for i, sets in enumerate(assignments):
                 m = PreferenceModel(n, rows, {k: sets[k] for k in keys[:2]},
                                     {keys[2]: sets[keys[2]]})
+                memo = {}
                 for f, ext in zip(formulas, exts):
-                    got = sum((ext[w] >> i & 1) << w for w in range(n))
-                    assert got == eval_formula(m, f).bits, (rows, sets, sx.format_formula(f))
+                    want = reference_eval(m, f, memo)
+                    got = sum((ext >> (w * count + i) & 1) << w for w in range(n))
+                    assert got == want, (rows, sets, sx.format_formula(f))
+                    assert eval_formula(m, f).bits == want, (rows, sets, sx.format_formula(f))
                 checked += 1
     assert checked == 1 * 8 + 4 * 64 + 29 * 512
+
+
+def _kb_formulas(kb):
+    return [*kb.elaborated_axioms(), *kb.elaborated_facts(),
+            *(kb.elaborated(name, goal) for name, goal in kb.goals.items())]
+
+
+def test_evaluation_matches_the_reference_at_witness_sizes():
+    """Every axiom, fact and goal of the shipped KBs (29-32 symbols) on
+    seeded random models of 4 to 7 worlds, the sizes SAT witnesses reach."""
+    rng = random.Random(8)
+    checked = 0
+    for case in ("pierson", "post", "conti"):
+        formulas = _kb_formulas(kbmod.case_kb(case))
+        atoms, values = set(), set()
+        for f in formulas:
+            a, v = sx.collect_symbols(f)
+            atoms |= a
+            values |= v
+        for n in (4, 5, 6, 7):
+            for density in (0.1, 0.25, 0.5):
+                pairs = [(a, b) for a in range(n) for b in range(n)
+                         if a != b and rng.random() < density]
+                m = from_edges(n, pairs, {k: rng.randrange(1 << n) for k in sorted(atoms)},
+                               {k: rng.randrange(1 << n) for k in sorted(values, key=str)})
+                memo = {}
+                for f in formulas:
+                    assert eval_formula(m, f).bits == reference_eval(m, f, memo), \
+                        (case, render_text(m), sx.format_formula(f))
+                    checked += 1
+        assert len(atoms) + len(values) >= 29
+    assert checked == 12 * (25 + 27 + 21)

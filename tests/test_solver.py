@@ -9,7 +9,7 @@ import pytest
 import prefsat.syntax as sx
 from prefsat import kb as kbmod
 from prefsat import solver
-from prefsat.model import PreferenceModel, all_preorders, is_total, truth_at, validate_model
+from prefsat.model import PreferenceModel, all_preorders, is_total, validate_model
 from prefsat.solver import (
     BoundedValid,
     BudgetExceeded,
@@ -30,6 +30,7 @@ from prefsat.solver import (
     verdicts_agree,
 )
 from prefsat.suites import random_queries, suite_queries
+from test_model import reference_eval
 
 SIG = sx.base_signature("P", "Q", "R", "S")
 
@@ -331,8 +332,8 @@ def test_oracle_agrees_on_hand_picked_queries():
 
 
 def reference_oracle(q):
-    """The per-model enumeration the sliced oracle replaced: one model per
-    preorder and assignment, in the same order, evaluated one at a time."""
+    """Per-model enumeration: one model per preorder and assignment, in the
+    oracle's order, each evaluated on its own by the reference evaluator."""
     atom_keys, inc_keys = q.symbols
     for n in range(1, q.bound + 1):
         for rows in all_preorders(n):
@@ -341,9 +342,12 @@ def reference_oracle(q):
             for sets in product(range(1 << n), repeat=len(atom_keys) + len(inc_keys)):
                 m = PreferenceModel(n, rows, dict(zip(atom_keys, sets)),
                                     dict(zip(inc_keys, sets[len(atom_keys):])))
-                if not solver._model_admits(q, m):
+                memo = {}
+                if not all(reference_eval(m, ax, memo) == m.full_mask for ax in q.axioms):
                     continue
-                holds = truth_at(m, q.target, 0) if q.target is not None else True
+                if not all(reference_eval(m, fact, memo) & 1 for fact in q.facts):
+                    continue
+                holds = reference_eval(m, q.target, memo) & 1 if q.target is not None else True
                 if q.mode == "refute" and not holds:
                     return Countermodel(m, q.bound)
                 if q.mode == "find" and holds:
