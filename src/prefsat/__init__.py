@@ -16,7 +16,6 @@ from .model import (
     PreferenceModel,
     all_preorders,
     eval_formula,
-    from_edges,
     globally_true,
     is_total,
     render_dot,
@@ -41,7 +40,6 @@ from .solver import (
     oracle_in_domain,
     render_verdict,
     solve_at,
-    verdicts_agree,
 )
 from .syntax import ParseError, Signature, base_signature, desugar, elaborate
 from .kb import (
@@ -49,8 +47,6 @@ from .kb import (
     KnowledgeBase,
     case_kb,
     case_proof_path,
-    conflict_audit,
-    default_general_knowledge,
     goal_query,
     load_kb,
     load_proof,
@@ -87,13 +83,10 @@ __all__ = [
     "case_kb",
     "case_proof_path",
     "check",
-    "conflict_audit",
-    "default_general_knowledge",
     "desugar",
     "elaborate",
     "enum_oracle",
     "eval_formula",
-    "from_edges",
     "globally_true",
     "goal_query",
     "is_total",
@@ -111,5 +104,4 @@ __all__ = [
     "suite_queries",
     "truth_at",
     "validate_model",
-    "verdicts_agree",
 ]

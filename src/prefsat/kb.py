@@ -49,7 +49,6 @@ class KnowledgeBase:
     facts: dict[str, sx.Formula] = field(default_factory=dict)
     goals: dict[str, sx.Formula] = field(default_factory=dict)
     options: dict[str, int | bool] = field(default_factory=dict)  # typed at load
-    imports: tuple[str, ...] = ()
     # entry name -> (formula, its elaboration); the formula is compared on
     # every lookup, so replaced or deleted entries are never served stale
     _elaborated: dict[str, tuple[sx.Formula, sx.Formula]] = field(
@@ -89,7 +88,6 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
         raise ConfigError(f"cannot read KB file {path}: {e}") from None
 
     kb = KnowledgeBase(name=path.stem, sig=sx.Signature())
-    imports: list[str] = []
     for form in sx.read_forms(text):
         if not isinstance(form, sx.SList) or not form.items:
             raise sx.ParseError("expected a (...) form at top level", getattr(form, "line", None))
@@ -98,11 +96,8 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
         if head == "import":
             if len(items) != 2:
                 raise sx.ParseError("import takes one name", form.line)
-            dep_name = _sym_text(items[1], "KB")
-            dep_path = path.parent / f"{dep_name}.kb"
-            dep = load_kb(dep_path, loading | {path})
-            _merge_into(kb, dep, form.line)
-            imports.append(dep_name)
+            dep_path = path.parent / f"{_sym_text(items[1], 'KB')}.kb"
+            _merge_into(kb, load_kb(dep_path, loading | {path}), form.line)
         elif head == "sort":
             if len(items) < 3:
                 raise sx.ParseError("sort takes a name and at least one constant", form.line)
@@ -130,7 +125,6 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
             kb.options[key] = _option_value(key, value, form.line)
         else:
             raise sx.ParseError(f"unknown top-level form {head!r}", form.line)
-    kb.imports = tuple(imports)
     return kb
 
 
@@ -167,13 +161,8 @@ def _merge_into(kb: KnowledgeBase, dep: KnowledgeBase, line: int | None):
         kb.options.setdefault(key, value)
 
 
-def default_general_knowledge() -> KnowledgeBase:
-    """The shipped two-party animal-dispute KB (no case specifics)."""
-    return load_kb(_CASES_DIR / "general.kb")
-
-
 def case_kb(name: str) -> KnowledgeBase:
-    """One of the shipped cases: pierson, post, conti."""
+    """A shipped KB: the cases pierson, post and conti, or general."""
     path = _CASES_DIR / f"{name}.kb"
     if not path.exists():
         raise ConfigError(f"no shipped case named {name!r}")
@@ -227,11 +216,6 @@ def audit_queries(kb: KnowledgeBase, **overrides) -> dict[str, Query]:
             for party in CONTENDERS}
 
 
-def conflict_audit(kb: KnowledgeBase, **overrides) -> dict[str, Verdict]:
-    """Run the audit queries; a countermodel is the healthy answer."""
-    return {party: check(q) for party, q in audit_queries(kb, **overrides).items()}
-
-
 # ---------------------------------------------------------------------------
 # proof scripts
 
@@ -262,7 +246,8 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
     steps: list[ProofStep] = []
     names: list[str] = []
     for form in sx.read_forms(text):
-        if not isinstance(form, sx.SList) or _sym_text(form.items[0], "form") != "step":
+        if (not isinstance(form, sx.SList) or not form.items
+                or _sym_text(form.items[0], "form") != "step"):
             raise sx.ParseError("proof files contain only (step ...) forms",
                                 getattr(form, "line", None))
         if len(form.items) < 3:

@@ -59,55 +59,12 @@ class Extension:
     def __invert__(self):
         return Extension(~self.bits & ((1 << self.width) - 1), self.width)
 
-    def __contains__(self, world: int) -> bool:
-        return 0 <= world < self.width and bool(self.bits >> world & 1)
-
     def __le__(self, o) -> bool:
         self._check(o)
         return self.bits & ~o.bits == 0
 
-    def __iter__(self):
-        for w in range(self.width):
-            if self.bits >> w & 1:
-                yield w
-
-    def __len__(self) -> int:
-        return bin(self.bits).count("1")
-
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
-    def is_full(self) -> bool:
-        return self.bits == (1 << self.width) - 1
-
-    @staticmethod
-    def empty(width: int) -> "Extension":
-        return Extension(0, width)
-
-    @staticmethod
-    def full(width: int) -> "Extension":
-        return Extension((1 << width) - 1, width)
-
-    @staticmethod
-    def of(worlds, width: int) -> "Extension":
-        bits = 0
-        for w in worlds:
-            if not (0 <= w < width):
-                raise ModelError(f"world {w} outside 0..{width - 1}")
-            bits |= 1 << w
-        return Extension(bits, width)
-
 
 AtomKey = tuple[str, tuple[str, ...]]
-
-
-def _normalize_valuation(valuation: dict) -> dict[AtomKey, int]:
-    out: dict[AtomKey, int] = {}
-    for key, bits in valuation.items():
-        if isinstance(key, str):
-            key = (key, ())
-        out[key] = bits
-    return out
 
 
 class _Frame:
@@ -180,7 +137,6 @@ class PreferenceModel(_Frame):
         if not (1 <= self.n <= MAX_WORLDS):
             raise ModelError(f"world count must be in 1..{MAX_WORLDS}")
         self.leq = tuple(self.leq)
-        self.valuation = _normalize_valuation(self.valuation)
         self._init_frame(1)
 
     def atom_bits(self, key: AtomKey) -> int:
@@ -215,25 +171,6 @@ def sx_iter_bits(mask: int):
             yield w
         mask >>= 1
         w += 1
-
-
-def from_edges(n, pairs, valuation=None, incidence=None) -> PreferenceModel:
-    """Build a model from weak-betterness pairs; reflexive-transitive closure
-    is applied, so tests can state only the generating edges."""
-    rows = [1 << w for w in range(n)]
-    for a, b in pairs:
-        rows[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
-        for w in range(n):
-            acc = rows[w]
-            for v in sx_iter_bits(rows[w]):
-                acc |= rows[v]
-            if acc != rows[w]:
-                rows[w] = acc
-                changed = True
-    return PreferenceModel(n, tuple(rows), valuation or {}, incidence or {})
 
 
 def validate_model(m: PreferenceModel, total: bool = False) -> None:

@@ -51,14 +51,3 @@ PRINCIPLES: dict[str, tuple[BasicValue, BasicValue]] = {
     "FAIR": (BasicValue.EQUALITY, BasicValue.FREEDOM),
     "EQUI": (BasicValue.EQUALITY, BasicValue.SECURITY),
 }
-
-
-def principle_symbols(principle: str, party: str) -> frozenset[ValueSymbol]:
-    """The two value symbols a principle commits a party to."""
-    try:
-        v1, v2 = PRINCIPLES[principle]
-    except KeyError:
-        raise ValueError(f"unknown principle: {principle!r}") from None
-    if party not in CONTENDERS:
-        raise ValueError(f"not a contender: {party!r}")
-    return frozenset(((v1, party), (v2, party)))

@@ -215,8 +215,9 @@ class CDCL:
         self.decisions = self.conflicts = self.learnt = self.propagations = self.max_level = 0
 
     def load(self, clauses: list[list[int]]):
-        """Add clauses that hold no repeated or complementary literal, as the
-        encoder emits them, in one pass.  They are not copied: the search
+        """Add clauses; this is the only way to give the solver clauses.  Each
+        must hold no repeated or complementary literal, as the encoder emits
+        them.  They are attached in one pass and not copied: the search
         reorders their literals."""
         attach, units = self._attach, self.units
         for clause in clauses:
@@ -226,22 +227,6 @@ class CDCL:
                 units.append(clause[0])
             else:
                 self.ok = False
-
-    def add_clause(self, lits):
-        seen = set()
-        out = []
-        for l in lits:
-            if -l in seen:
-                return  # tautology
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-        if not out:
-            self.ok = False
-        elif len(out) == 1:
-            self.units.append(out[0])
-        else:
-            self._attach(out)
 
     def _attach(self, clause: list[int]) -> list[int]:
         self.clauses.append(clause)
@@ -730,11 +715,6 @@ def enum_oracle(q: Query) -> Verdict:
     return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
 
 
-def verdicts_agree(v1: Verdict, v2: Verdict) -> bool:
-    """Same verdict kind; witnesses may differ (each is re-validated)."""
-    return v1.kind == v2.kind
-
-
 def check(q: Query) -> Verdict:
     """Answer a query with the engine(s) it names.
 
@@ -753,7 +733,7 @@ def check(q: Query) -> Verdict:
         return v_sat
     if isinstance(v_sat, Unknown) or isinstance(v_enum, Unknown):
         return v_sat if isinstance(v_sat, Unknown) else v_enum
-    if not verdicts_agree(v_sat, v_enum):
+    if v_sat.kind != v_enum.kind:
         target = sx.format_formula(q.target) if q.target is not None else "-"
         raise EngineDisagreement(
             f"sat says {v_sat.kind}, enum says {v_enum.kind}\n"

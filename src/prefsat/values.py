@@ -6,16 +6,15 @@ the worlds realizing all of them, `up` maps world sets to their shared
 attributes; the two form an antitone Galois connection, and the usual concept
 lattice operations follow.  Aggregation of value sets comes in two forms
 (intersect-then-down and down-then-union) and the second is always contained
-in the first.  Value preference is the all-exists lift over aggregated
-extensions.
+in the first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lifts import sem_lift
+from .lifts import sem_lift  # unused here; bench/tracing.py wraps values.sem_lift
 from .model import Extension, PreferenceModel
-from .ontology import BasicValue, ValueSymbol, principle_symbols
+from .ontology import ValueSymbol
 
 
 def down(m: PreferenceModel, symbols) -> Extension:
@@ -50,21 +49,9 @@ def is_concept(m: PreferenceModel, extent: Extension, intent) -> bool:
     return down(m, intent) == extent and up(m, extent) == intent
 
 
-def make_concept(m: PreferenceModel, extent: Extension, intent) -> Concept:
-    intent = frozenset(intent)
-    if not is_concept(m, extent, intent):
-        raise ValueError("not a Galois-closed (extent, intent) pair")
-    return Concept(extent, intent)
-
-
 def concept_from_intent(m: PreferenceModel, symbols) -> Concept:
     extent = down(m, frozenset(symbols))
     return Concept(extent, up(m, extent))
-
-
-def concept_from_extent(m: PreferenceModel, worlds: Extension) -> Concept:
-    intent = up(m, worlds)
-    return Concept(down(m, intent), intent)
 
 
 def concept_meet(m: PreferenceModel, c1: Concept, c2: Concept) -> Concept:
@@ -94,29 +81,3 @@ def aggregate2(m: PreferenceModel, syms1, syms2) -> Extension:
     """Either-package aggregation: union of the two realizations.
     Always contained in aggregate1 (fewer shared demands admit more worlds)."""
     return down(m, syms1) | down(m, syms2)
-
-
-def principle_extension(m: PreferenceModel, principle: str, party: str) -> Extension:
-    return down(m, principle_symbols(principle, party))
-
-
-def aggregate_principles(m: PreferenceModel, parts) -> Extension:
-    """The extension the value layer assigns to a list of (principle, party)
-    pairs: union of the individual principle extensions."""
-    bits = 0
-    for principle, party in parts:
-        bits |= principle_extension(m, principle, party).bits
-    return Extension(bits, m.n)
-
-
-def vpref_holds(m: PreferenceModel, strict: bool, lhs_parts, rhs_parts) -> bool:
-    """Value preference between two aggregations: every world realizing the
-    left package sees a (strictly) better world realizing the right one."""
-    a = aggregate_principles(m, lhs_parts)
-    b = aggregate_principles(m, rhs_parts)
-    return sem_lift(m, "ae", strict, a, b)
-
-
-def conflict_extension(m: PreferenceModel, party: str) -> Extension:
-    """Worlds where all four basic values are observed for the party."""
-    return down(m, [(v, party) for v in BasicValue])

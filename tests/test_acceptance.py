@@ -13,9 +13,9 @@ from dataclasses import replace
 import prefsat.syntax as sx
 from prefsat.cli import main as cli_main
 from prefsat.kb import (
+    audit_queries,
     case_kb,
     case_proof_path,
-    conflict_audit,
     goal_query,
     load_proof,
     replay,
@@ -43,7 +43,6 @@ from prefsat.solver import (
     oracle_in_domain,
     render_verdict,
     solve_at,
-    verdicts_agree,
 )
 from prefsat.suites import random_queries, suite_queries
 from prefsat.values import aggregate1, aggregate2, down, up
@@ -74,7 +73,7 @@ def models_2atoms(max_n=3):
         for rows in all_preorders(n):
             for pbits in range(1 << n):
                 for qbits in range(1 << n):
-                    yield PreferenceModel(n, rows, {"P": pbits, "Q": qbits})
+                    yield PreferenceModel(n, rows, {("P", ()): pbits, ("Q", ()): qbits})
 
 
 def test_01_modal_core():
@@ -198,7 +197,8 @@ def test_07_case_rulings():
         assert isinstance(sat, Satisfiable), case
         # the axioms and facts also admit a richer, non-degenerate model
         assert solve_at(replace(sq, engine="sat"), 3) is not None, case
-        for party, audit in conflict_audit(kb).items():
+        for party, q in audit_queries(kb).items():
+            audit = check(q)
             assert isinstance(audit, Countermodel), (case, party)
             assert "values=[" in render_verdict(audit)
 
@@ -236,7 +236,7 @@ def test_09_engine_cross_check(request):
             continue
         v_sat = check_sat_engine(small)
         v_enum = enum_oracle(small)
-        assert verdicts_agree(v_sat, v_enum), (
+        assert v_sat.kind == v_enum.kind, (
             name, render_verdict(v_sat), render_verdict(v_enum))
         exhausted += 1
     assert exhausted >= 30

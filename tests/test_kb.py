@@ -10,8 +10,6 @@ from prefsat.kb import (
     audit_queries,
     case_kb,
     case_proof_path,
-    conflict_audit,
-    default_general_knowledge,
     goal_query,
     load_kb,
     load_proof,
@@ -86,7 +84,6 @@ def test_imports_merge_and_stay_unique(tmp_path):
         (option bound 5)
         """)
     kb = load_kb(child)
-    assert kb.imports == ("base",)
     assert set(kb.axioms) == {"a1"} and set(kb.facts) == {"f1"}
     assert kb.options["bound"] == 5  # the importing file wins
 
@@ -130,7 +127,7 @@ def test_shipped_cases_load_and_rule():
         ("conti", "ruling-for-p", "p"),
     ]:
         kb = case_kb(name)
-        assert kb.imports == ("general",)
+        assert set(case_kb("general").axioms) <= set(kb.axioms)
         assert list(kb.goals) == [goal]
         v = check(goal_query(kb, goal))
         assert isinstance(v, BoundedValid), (name, v.kind)
@@ -143,7 +140,7 @@ def test_unknown_case_rejected():
 
 
 def test_general_knowledge_alone_decides_nothing():
-    kb = default_general_knowledge()
+    kb = case_kb("general")
     assert not kb.goals and not kb.facts
     # without case facts the ruling direction is open
     probe = sx.elaborate(sx.parse_formula("(boxlt (For d))", kb.sig), kb.sig)
@@ -165,8 +162,8 @@ def test_conflict_audit_is_clean_on_shipped_cases():
         kb = case_kb(name)
         queries = audit_queries(kb)
         assert set(queries) == {"p", "d"}
-        for party, verdict in conflict_audit(kb).items():
-            assert isinstance(verdict, Countermodel), (name, party)
+        for party, q in queries.items():
+            assert isinstance(check(q), Countermodel), (name, party)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +202,15 @@ def test_load_proof_rejects_bad_references(tmp_path):
         load_proof(write(tmp_path, "junk.proof", "(lemma a appAnimal)"), kb.sig)
     with pytest.raises(sx.ParseError, match="integer"):
         load_proof(write(tmp_path, "badb.proof", "(step a appAnimal (bound x))"), kb.sig)
+
+
+def test_empty_proof_form_is_a_parse_error(tmp_path, capsys):
+    kb = case_kb("pierson")
+    empty = write(tmp_path, "p.proof", "()\n")
+    with pytest.raises(sx.ParseError, match="line 1: proof files contain only"):
+        load_proof(empty, kb.sig)
+    assert main(["replay", str(empty), "--kb", "pierson"]) == 2
+    assert "proof files contain only (step ...) forms" in capsys.readouterr().err
 
 
 def test_replay_full_ruling_passes():

@@ -12,14 +12,15 @@ from prefsat.lifts import (
     halpern_more_likely,
     sem_lift,
 )
-from prefsat.model import Extension, PreferenceModel, all_preorders, from_edges, sx_iter_bits
+from prefsat.model import Extension, PreferenceModel, all_preorders, sx_iter_bits
+from test_model import from_edges
 
 
 def naive_lift(m, pattern, strict, a, b):
     """Quantifier definitions spelled out world by world."""
     rows = m.lt if strict else m.leq
     rel = lambda s, t: bool(rows[s] >> t & 1)
-    av, bv = list(a), list(b)
+    av, bv = list(sx_iter_bits(a.bits)), list(sx_iter_bits(b.bits))
     if pattern == "ee":
         return any(rel(s, t) for s in av for t in bv)
     if pattern == "ae":
@@ -54,7 +55,7 @@ def test_sem_lift_matches_naive_definitions_exhaustively():
 
 def test_lift_edge_cases_on_empty_sets():
     m = from_edges(2, [(0, 1)])
-    e, f = Extension.empty(2), Extension.full(2)
+    e, f = Extension(0, 2), Extension(0b11, 2)
     for strict in (False, True):
         # universal-on-the-left patterns are vacuously true from the empty set
         assert sem_lift(m, "ae", strict, e, f)
@@ -70,13 +71,13 @@ def test_lift_edge_cases_on_empty_sets():
 def test_lift_rejects_bad_patterns_and_widths():
     m = from_edges(2, [])
     with pytest.raises(ValueError, match="pattern"):
-        sem_lift(m, "zz", False, Extension.full(2), Extension.full(2))
+        sem_lift(m, "zz", False, Extension(0b11, 2), Extension(0b11, 2))
     with pytest.raises(ValueError, match="width"):
-        sem_lift(m, "ee", False, Extension.full(3), Extension.full(2))
+        sem_lift(m, "ee", False, Extension(0b111, 3), Extension(0b11, 2))
 
 
 def test_cp_relation_with_and_without_guards():
-    m = from_edges(3, [(0, 1), (1, 2)], valuation={"P": 0b100})
+    m = from_edges(3, [(0, 1), (1, 2)], valuation={("P", ()): 0b100})
     assert cp_relation(m, [], False) == list(m.leq)
     assert cp_relation(m, [], True) == list(m.lt)
     guarded = cp_relation(m, [sx.Atom("P")], False)
@@ -84,7 +85,7 @@ def test_cp_relation_with_and_without_guards():
 
 
 def test_cp_lift_aa_guard_sensitivity():
-    m = from_edges(3, [(0, 1), (1, 2)], valuation={"P": 0b100, "Q": 0b011})
+    m = from_edges(3, [(0, 1), (1, 2)], valuation={("P", ()): 0b100, ("Q", ()): 0b011})
     P = Extension(0b100, 3)
     Q = Extension(0b011, 3)
     assert cp_lift_aa(m, [], False, Q, P)
@@ -106,18 +107,18 @@ def test_cp_lift_aa_guard_sensitivity():
 
 def test_best_worlds():
     m = from_edges(3, [(0, 1), (1, 2)])
-    assert best_worlds(m, Extension.full(3)).bits == 0b100
+    assert best_worlds(m, Extension(0b111, 3)).bits == 0b100
     assert best_worlds(m, Extension(0b011, 3)).bits == 0b010
-    assert best_worlds(m, Extension.empty(3)).is_empty()
+    assert best_worlds(m, Extension(0, 3)).bits == 0
     tie = from_edges(2, [(0, 1), (1, 0)])
-    assert best_worlds(tie, Extension.full(2)).bits == 0b11
+    assert best_worlds(tie, Extension(0b11, 2)).bits == 0b11
 
 
 def test_best_worlds_can_be_empty_without_totality():
     # two incomparable worlds are both maximal; a strict 2-cycle is impossible
     # in a preorder, so emptiness needs the degenerate empty input
     m = from_edges(2, [])
-    assert best_worlds(m, Extension.full(2)).bits == 0b11
+    assert best_worlds(m, Extension(0b11, 2)).bits == 0b11
 
 
 def test_halpern_comparison_hand_cases():
@@ -125,7 +126,7 @@ def test_halpern_comparison_hand_cases():
     lo, hi = Extension(0b001, 3), Extension(0b100, 3)
     assert halpern_more_likely(m, lo, hi)
     assert not halpern_more_likely(m, hi, lo)
-    assert halpern_more_likely(m, Extension.empty(3), lo)  # vacuous
+    assert halpern_more_likely(m, Extension(0, 3), lo)  # vacuous
     # a witness dominated back by the source set does not count
     tie = from_edges(2, [(0, 1), (1, 0)])
     assert not halpern_more_likely(tie, Extension(0b01, 2), Extension(0b10, 2))

@@ -4,25 +4,69 @@ import random
 import pytest
 
 import prefsat.syntax as sx
+from prefsat.lifts import sem_lift
 from prefsat.model import Extension, PreferenceModel, all_preorders, eval_formula, globally_true
-from prefsat.ontology import ALL_VALUE_SYMBOLS, PRINCIPLES, BasicValue, other, principle_symbols
+from prefsat.ontology import (
+    ALL_VALUE_SYMBOLS,
+    CONTENDERS,
+    PRINCIPLES,
+    BasicValue,
+    ValueSymbol,
+    other,
+)
 from prefsat.values import (
     Concept,
     aggregate1,
     aggregate2,
-    aggregate_principles,
-    concept_from_extent,
     concept_from_intent,
     concept_join,
     concept_meet,
-    conflict_extension,
     down,
     is_concept,
-    make_concept,
-    principle_extension,
     up,
-    vpref_holds,
 )
+
+# ---------------------------------------------------------------------------
+# set-level reference implementations of the value layer's formulas; the
+# program desugars ext, agg, vpref and conflict into the modal core instead
+
+
+def principle_symbols(principle: str, party: str) -> frozenset[ValueSymbol]:
+    """The two value symbols a principle commits a party to."""
+    try:
+        v1, v2 = PRINCIPLES[principle]
+    except KeyError:
+        raise ValueError(f"unknown principle: {principle!r}") from None
+    if party not in CONTENDERS:
+        raise ValueError(f"not a contender: {party!r}")
+    return frozenset(((v1, party), (v2, party)))
+
+
+def principle_extension(m: PreferenceModel, principle: str, party: str) -> Extension:
+    return down(m, principle_symbols(principle, party))
+
+
+def aggregate_principles(m: PreferenceModel, parts) -> Extension:
+    """The extension the value layer assigns to a list of (principle, party)
+    pairs: union of the individual principle extensions."""
+    bits = 0
+    for principle, party in parts:
+        bits |= principle_extension(m, principle, party).bits
+    return Extension(bits, m.n)
+
+
+def vpref_holds(m: PreferenceModel, strict: bool, lhs_parts, rhs_parts) -> bool:
+    """Value preference between two aggregations: every world realizing the
+    left package sees a (strictly) better world realizing the right one."""
+    a = aggregate_principles(m, lhs_parts)
+    b = aggregate_principles(m, rhs_parts)
+    return sem_lift(m, "ae", strict, a, b)
+
+
+def conflict_extension(m: PreferenceModel, party: str) -> Extension:
+    """Worlds where all four basic values are observed for the party."""
+    return down(m, [(v, party) for v in BasicValue])
+
 
 F, U, S, E = BasicValue.FREEDOM, BasicValue.UTILITY, BasicValue.SECURITY, BasicValue.EQUALITY
 
@@ -70,10 +114,10 @@ def test_down_and_up_hand_case():
     m = ctx(3, {(F, "p"): 0b011, (U, "p"): 0b110, (S, "d"): 0b111})
     assert down(m, [(F, "p")]).bits == 0b011
     assert down(m, [(F, "p"), (U, "p")]).bits == 0b010
-    assert down(m, []).is_full()
+    assert down(m, []).bits == m.full_mask
     assert up(m, Extension(0b010, 3)) == {(F, "p"), (U, "p"), (S, "d")}
-    assert up(m, Extension.empty(3)) == set(ALL_VALUE_SYMBOLS)
-    assert up(m, Extension.full(3)) == {(S, "d")}
+    assert up(m, Extension(0, 3)) == set(ALL_VALUE_SYMBOLS)
+    assert up(m, Extension(0b111, 3)) == {(S, "d")}
 
 
 def test_galois_adjunction_randomized():
@@ -112,18 +156,17 @@ def test_concept_construction_and_rejection():
     c = concept_from_intent(m, [(F, "p")])
     assert c.extent.bits == 0b01 and c.intent == {(F, "p"), (U, "p")}
     assert is_concept(m, c.extent, c.intent)
-    assert make_concept(m, c.extent, c.intent) == c
-    with pytest.raises(ValueError, match="closed"):
-        make_concept(m, Extension(0b01, 2), frozenset({(F, "p")}))
-    d = concept_from_extent(m, Extension(0b10, 2))
-    assert is_concept(m, d.extent, d.intent)
+    assert not is_concept(m, Extension(0b01, 2), frozenset({(F, "p")}))
+    intent = up(m, Extension(0b10, 2))
+    d = Concept(down(m, intent), intent)
+    assert d.extent.bits == 0b11 and is_concept(m, d.extent, d.intent)
 
 
 def test_meet_join_are_lattice_operations():
     rng = random.Random(13)
     for _ in range(150):
         m = random_ctx(rng, rng.randint(1, 4))
-        c1 = concept_from_extent(m, Extension(rng.randrange(1 << m.n), m.n))
+        c1 = concept_from_intent(m, up(m, Extension(rng.randrange(1 << m.n), m.n)))
         c2 = concept_from_intent(m, [s for s in ALL_VALUE_SYMBOLS if rng.random() < 0.3])
         lo = concept_meet(m, c1, c2)
         hi = concept_join(m, c1, c2)
@@ -175,14 +218,14 @@ def test_principle_and_conflict_extensions():
     assert principle_extension(m, "WILL", "p").bits == 0b01
     assert principle_extension(m, "RESP", "p").bits == 0b01
     assert conflict_extension(m, "p").bits == 0b01
-    assert conflict_extension(m, "d").is_empty()
+    assert conflict_extension(m, "d").bits == 0
     assert aggregate_principles(m, [("WILL", "p"), ("RELI", "p")]).bits == 0b01
 
 
 def test_conflict_needs_all_four_values():
     for missing in BasicValue:
         m = ctx(1, {(v, "p"): 1 for v in BasicValue if v is not missing})
-        assert conflict_extension(m, "p").is_empty()
+        assert conflict_extension(m, "p").bits == 0
 
 
 # ---------------------------------------------------------------------------
