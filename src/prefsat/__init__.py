@@ -11,7 +11,6 @@ with two independent engines that can cross-check each other.
 
 from .model import (
     MAX_WORLDS,
-    Extension,
     ModelError,
     PreferenceModel,
     all_preorders,
@@ -65,7 +64,6 @@ __all__ = [
     "DEFAULT_BOUND",
     "EngineDisagreement",
     "EngineError",
-    "Extension",
     "KnowledgeBase",
     "MAX_WORLDS",
     "ModelError",

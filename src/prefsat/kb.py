@@ -43,32 +43,17 @@ class ConfigError(Exception):
 
 @dataclass
 class KnowledgeBase:
+    """Named entries, each stored grounded and desugared, and options."""
+
     name: str
     sig: sx.Signature
     axioms: dict[str, sx.Formula] = field(default_factory=dict)
     facts: dict[str, sx.Formula] = field(default_factory=dict)
     goals: dict[str, sx.Formula] = field(default_factory=dict)
     options: dict[str, int | bool] = field(default_factory=dict)  # typed at load
-    # entry name -> (formula, its elaboration); the formula is compared on
-    # every lookup, so replaced or deleted entries are never served stale
-    _elaborated: dict[str, tuple[sx.Formula, sx.Formula]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def entry_names(self) -> set[str]:
         return set(self.axioms) | set(self.facts) | set(self.goals)
-
-    def elaborated(self, name: str, formula: sx.Formula) -> sx.Formula:
-        """The entry's formula, grounded and desugared once per KB."""
-        hit = self._elaborated.get(name)
-        if hit is None or hit[0] is not formula:
-            hit = self._elaborated[name] = (formula, sx.elaborate(formula, self.sig))
-        return hit[1]
-
-    def elaborated_axioms(self) -> tuple[sx.Formula, ...]:
-        return tuple(self.elaborated(n, f) for n, f in self.axioms.items())
-
-    def elaborated_facts(self) -> tuple[sx.Formula, ...]:
-        return tuple(self.elaborated(n, f) for n, f in self.facts.items())
 
 
 def _sym_text(node, what: str) -> str:
@@ -116,7 +101,9 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
             name = _sym_text(items[1], head)
             if name in kb.entry_names():
                 raise sx.ParseError(f"duplicate entry name {name!r}", form.line)
-            formula = sx._parse_formula(items[2], kb.sig, {})
+            # elaborated now: a formula names only sorts declared before it,
+            # and no sort is ever redeclared
+            formula = sx.elaborate(sx._parse_formula(items[2], kb.sig, {}), kb.sig)
             getattr(kb, head + "s")[name] = formula
         elif head == "option":
             if len(items) != 3:
@@ -187,7 +174,7 @@ def _kb_query(kb: KnowledgeBase, target: sx.Formula | None, mode: str,
         opts["bound"] = bound
     opts.update({k: v for k, v in overrides.items() if v is not None})
     if axioms is None:
-        axioms = kb.elaborated_axioms()
+        axioms = tuple(kb.axioms.values())
     return Query(axioms=axioms, facts=facts, target=target, mode=mode, **opts)
 
 
@@ -197,20 +184,19 @@ def goal_query(kb: KnowledgeBase, goal_name: str, with_facts: bool = True,
     facts at world 0, the goal's negation at world 0."""
     if goal_name not in kb.goals:
         raise ConfigError(f"no goal named {goal_name!r} in {kb.name}")
-    target = kb.elaborated(goal_name, kb.goals[goal_name])
-    facts = kb.elaborated_facts() if with_facts else ()
-    return _kb_query(kb, target, "refute", facts, overrides)
+    facts = tuple(kb.facts.values()) if with_facts else ()
+    return _kb_query(kb, kb.goals[goal_name], "refute", facts, overrides)
 
 
 def sat_query(kb: KnowledgeBase, **overrides) -> Query:
     """Model-finding query: axioms globally, facts at world 0."""
-    return _kb_query(kb, None, "find", kb.elaborated_facts(), overrides)
+    return _kb_query(kb, None, "find", tuple(kb.facts.values()), overrides)
 
 
 def audit_queries(kb: KnowledgeBase, **overrides) -> dict[str, Query]:
     """Per-party refutation query: does the KB force a value conflict at the
     designated world?"""
-    facts = kb.elaborated_facts()
+    facts = tuple(kb.facts.values())
     return {party: _kb_query(kb, sx.desugar(sx.Conflict(sx.Const(party))), "refute",
                              facts, overrides)
             for party in CONTENDERS}
@@ -298,9 +284,9 @@ def _step_query(step: ProofStep, kb: KnowledgeBase, established: dict[str, sx.Fo
     unavailable: list[str] = []
     for ref in step.uses:
         if ref in kb.axioms:
-            axioms.append(kb.elaborated(ref, kb.axioms[ref]))
+            axioms.append(kb.axioms[ref])
         elif ref in kb.facts:
-            at_w0.append(kb.elaborated(ref, kb.facts[ref]))
+            at_w0.append(kb.facts[ref])
         elif ref in established:
             at_w0.append(established[ref])
         elif ref in failed:

@@ -9,16 +9,17 @@ lets the test suite compare them instead of trusting one implementation.
 """
 from __future__ import annotations
 
-from .model import Extension, PreferenceModel, eval_formula, sx_iter_bits
+from .model import PreferenceModel, eval_formula, sx_iter_bits
 from . import syntax as sx
 
 
-def _check_args(m: PreferenceModel, a: Extension, b: Extension) -> None:
-    if a.width != m.n or b.width != m.n:
-        raise ValueError(f"extension width does not match model ({m.n} worlds)")
+def check_masks(m: PreferenceModel, *masks: int) -> None:
+    """Every world set is an int mask over the model's worlds."""
+    if any(x < 0 or x >> m.n for x in masks):
+        raise ValueError(f"world mask outside the model's {m.n} worlds")
 
 
-def sem_lift(m: PreferenceModel, pattern: str, strict: bool, a: Extension, b: Extension) -> bool:
+def sem_lift(m: PreferenceModel, pattern: str, strict: bool, a: int, b: int) -> bool:
     """Compare world sets a and b under one of the four quantifier patterns.
 
     ee: some a-world sits below some b-world;
@@ -26,18 +27,18 @@ def sem_lift(m: PreferenceModel, pattern: str, strict: bool, a: Extension, b: Ex
     ae: every a-world sits below some b-world;
     aa: every a-world sits below every b-world.
     """
-    _check_args(m, a, b)
+    check_masks(m, a, b)
     rows = m.lt if strict else m.leq
     if pattern == "ee":
-        return any(rows[s] & b.bits for s in sx_iter_bits(a.bits))
+        return any(rows[s] & b for s in sx_iter_bits(a))
     if pattern == "ae":
-        return all(rows[s] & b.bits for s in sx_iter_bits(a.bits))
+        return all(rows[s] & b for s in sx_iter_bits(a))
     if pattern == "aa":
-        return all(not (b.bits & ~rows[s]) for s in sx_iter_bits(a.bits))
+        return all(not (b & ~rows[s]) for s in sx_iter_bits(a))
     if pattern == "ea":
         # some target world reachable from all of a
-        for t in sx_iter_bits(b.bits):
-            if all(rows[s] >> t & 1 for s in sx_iter_bits(a.bits)):
+        for t in sx_iter_bits(b):
+            if all(rows[s] >> t & 1 for s in sx_iter_bits(a)):
                 return True
         return False
     raise ValueError(f"unknown lift pattern {pattern!r}")
@@ -52,44 +53,43 @@ def cp_relation(m: PreferenceModel, guards: list[sx.Formula], strict: bool) -> l
     """
     rows = list(m.lt if strict else m.leq)
     for g in guards:
-        bits = eval_formula(m, g).bits
+        bits = eval_formula(m, g)
         for w in range(m.n):
             rows[w] &= bits if bits >> w & 1 else ~bits & m.full_mask
     return rows
 
 
 def cp_lift_aa(m: PreferenceModel, guards: list[sx.Formula], strict: bool,
-               a: Extension, b: Extension) -> bool:
+               a: int, b: int) -> bool:
     """All-all comparison over the guard-respecting relation."""
-    _check_args(m, a, b)
+    check_masks(m, a, b)
     rows = cp_relation(m, guards, strict)
-    return all(not (b.bits & ~rows[s]) for s in sx_iter_bits(a.bits))
+    return all(not (b & ~rows[s]) for s in sx_iter_bits(a))
 
 
-def best_worlds(m: PreferenceModel, a: Extension) -> Extension:
+def best_worlds(m: PreferenceModel, a: int) -> int:
     """Members of a with no strictly better world inside a."""
-    if a.width != m.n:
-        raise ValueError(f"extension width does not match model ({m.n} worlds)")
+    check_masks(m, a)
     lt = m.lt
     bits = 0
-    for w in sx_iter_bits(a.bits):
-        if not (lt[w] & a.bits):
+    for w in sx_iter_bits(a):
+        if not (lt[w] & a):
             bits |= 1 << w
-    return Extension(bits, m.n)
+    return bits
 
 
-def halpern_more_likely(m: PreferenceModel, a: Extension, b: Extension) -> bool:
+def halpern_more_likely(m: PreferenceModel, a: int, b: int) -> bool:
     """Every a-world has a strictly better b-world that no a-world beats.
 
     This is the likelihood reading of "b over a": each world of the dominated
     set a is improved by some undominated witness in b.
     """
-    _check_args(m, a, b)
+    check_masks(m, a, b)
     lt = m.lt
-    for s in sx_iter_bits(a.bits):
+    for s in sx_iter_bits(a):
         found = False
-        for v in sx_iter_bits(lt[s] & b.bits):
-            if not (lt[v] & a.bits):
+        for v in sx_iter_bits(lt[s] & b):
+            if not (lt[v] & a):
                 found = True
                 break
         if not found:

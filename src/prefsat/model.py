@@ -31,39 +31,6 @@ class ModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Extension:
-    """A set of worlds in a model of fixed size.  Operations check widths."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if not (0 < self.width <= MAX_WORLDS):
-            raise ModelError(f"width must be in 1..{MAX_WORLDS}")
-        if self.bits < 0 or self.bits >> self.width:
-            raise ModelError("bits outside width")
-
-    def _check(self, o: "Extension") -> None:
-        if self.width != o.width:
-            raise ModelError(f"width mismatch: {self.width} vs {o.width}")
-
-    def __and__(self, o):
-        self._check(o)
-        return Extension(self.bits & o.bits, self.width)
-
-    def __or__(self, o):
-        self._check(o)
-        return Extension(self.bits | o.bits, self.width)
-
-    def __invert__(self):
-        return Extension(~self.bits & ((1 << self.width) - 1), self.width)
-
-    def __le__(self, o) -> bool:
-        self._check(o)
-        return self.bits & ~o.bits == 0
-
-
 AtomKey = tuple[str, tuple[str, ...]]
 
 
@@ -307,9 +274,9 @@ def eval_packed(s: _Frame, f: sx.Formula) -> int:
     return ext
 
 
-def eval_formula(m: PreferenceModel, f: sx.Formula) -> Extension:
-    """Worlds where the (grounded, desugared) formula holds."""
-    return Extension(eval_packed(m, f), m.n)
+def eval_formula(m: PreferenceModel, f: sx.Formula) -> int:
+    """The world mask where the (grounded, desugared) formula holds."""
+    return eval_packed(m, f)
 
 
 def truth_at(m: PreferenceModel, f: sx.Formula, world: int) -> bool:

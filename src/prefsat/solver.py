@@ -440,22 +440,25 @@ class _Encoder:
     def rlit(self, i: int, j: int) -> int:
         return self.vtrue if i == j else self.rel[(i, j)]
 
-    def stlit(self, i: int, j: int) -> int:
-        # strict betterness: weakly better and not weakly worse
-        return self.conj((self.rlit(i, j), -self.rlit(j, i)))
+    def edge(self, w: int, v: int, strict: bool, guards) -> list[int]:
+        """Literals that together say v is weakly (strictly: weakly and not
+        conversely) better than w and agrees with w on every guard."""
+        lits = [self.conj((self.rlit(w, v), -self.rlit(v, w))) if strict else self.rlit(w, v)]
+        for g in guards:
+            lits.append(self.iff(self.t(g, w), self.t(g, v)))
+        return lits
 
     def conj(self, lits) -> int:
-        out = []
+        """A gate for the conjunction, its literals without repeats; a
+        complementary pair is false, so each clause satisfies CDCL.load."""
+        out: dict[int, None] = {}
         for l in lits:
-            if l == self.vtrue:
-                continue
-            if l == -self.vtrue:
+            if l == -self.vtrue or -l in out:
                 return -self.vtrue
-            out.append(l)
-        if not out:
-            return self.vtrue
-        if len(out) == 1:
-            return out[0]
+            if l != self.vtrue:
+                out[l] = None
+        if len(out) < 2:
+            return next(iter(out), self.vtrue)
         key = tuple(sorted(out))
         hit = self._conj_memo.get(key)
         if hit is not None:
@@ -463,13 +466,7 @@ class _Encoder:
         g = self._new()
         for l in out:
             self.clauses.append([-g, l])
-        # [g, -l...] without repeated literals, or no clause for a tautology
-        # such as (and P (not P)), as CDCL.load requires
-        back = [-l for l in out]
-        if len(set(map(abs, back))) == len(back):
-            self.clauses.append([g, *back])
-        elif set(back).isdisjoint(map(neg, back)):
-            self.clauses.append([g, *dict.fromkeys(back)])
+        self.clauses.append([g, *map(neg, out)])
         self._conj_memo[key] = g
         return g
 
@@ -531,33 +528,28 @@ class _Encoder:
             return self.disj([-self.t(f.lhs, w), self.t(f.rhs, w)])
         if isinstance(f, sx.Iff):
             return self.iff(self.t(f.lhs, w), self.t(f.rhs, w))
-        if isinstance(f, sx.DiaWeak):
-            return self.disj([self.conj((self.rlit(w, v), self.t(f.sub, v))) for v in range(n)])
-        if isinstance(f, sx.BoxWeak):
-            return self.conj([self.disj((-self.rlit(w, v), self.t(f.sub, v))) for v in range(n)])
-        if isinstance(f, sx.DiaStrict):
-            return self.disj([self.conj((self.stlit(w, v), self.t(f.sub, v))) for v in range(n)])
-        if isinstance(f, sx.BoxStrict):
-            return self.conj([self.disj((-self.stlit(w, v), self.t(f.sub, v))) for v in range(n)])
+        if isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict,
+                          sx.BoxWeak, sx.BoxStrict)):
+            # one rule, as in model._diamond: a box is the negated diamond of
+            # its negated body
+            sign = -1 if isinstance(f, (sx.BoxWeak, sx.BoxStrict)) else 1
+            strict = isinstance(f, (sx.DiaStrict, sx.CpDiaStrict, sx.BoxStrict))
+            guards = f.guards if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else ()
+            opts = []
+            for v in range(n):
+                lits = self.edge(w, v, strict, guards)
+                lits.append(sign * self.t(f.sub, v))
+                opts.append(self.conj(lits))
+            return sign * self.disj(opts)
         if isinstance(f, sx.Somewhere):
             return self.disj([self.t(f.sub, v) for v in range(n)])
         if isinstance(f, sx.Everywhere):
             return self.conj([self.t(f.sub, v) for v in range(n)])
-        if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)):
-            strict = isinstance(f, sx.CpDiaStrict)
-            opts = []
-            for v in range(n):
-                base = self.stlit(w, v) if strict else self.rlit(w, v)
-                eqs = [self.iff(self.t(g, w), self.t(g, v)) for g in f.guards]
-                opts.append(self.conj([base] + eqs + [self.t(f.sub, v)]))
-            return self.disj(opts)
         if isinstance(f, sx.CpPrefAA):
             parts = []
             for s in range(n):
                 for u in range(n):
-                    base = self.stlit(s, u) if f.strict else self.rlit(s, u)
-                    eqs = [self.iff(self.t(g, s), self.t(g, u)) for g in f.guards]
-                    guard = self.conj([base] + eqs)
+                    guard = self.conj(self.edge(s, u, f.strict, f.guards))  # first: variable order
                     parts.append(self.disj((-self.t(f.lhs, s), -self.t(f.rhs, u), guard)))
             return self.conj(parts)
         raise EngineError(f"encoder expects desugared formulas, found {type(f).__name__}")

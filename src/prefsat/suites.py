@@ -24,7 +24,6 @@ from . import kb as kbmod
 from . import syntax as sx
 from .lifts import best_worlds, cp_lift_aa, halpern_more_likely, sem_lift
 from .model import (  # eval_formula, truth_at: unused here; bench/tracing.py wraps them
-    Extension,
     PreferenceModel,
     SlicedModel,
     all_preorders,
@@ -154,11 +153,11 @@ def _enum_models(max_n: int = 3):
         for rows in all_preorders(n):
             m, s = PreferenceModel(n, rows), SlicedModel(rows, slices)
             for i in range(s.width):
-                yield m, s, i, Extension(i >> n, n), Extension(i & (1 << n) - 1, n)
+                yield m, s, i, i >> n, i & (1 << n) - 1
 
 
-def _pq_text(m: PreferenceModel, a: Extension, b: Extension) -> str:
-    return render_text(PreferenceModel(m.n, m.leq, dict(zip(_PQ, (a.bits, b.bits))), {}))
+def _pq_text(m: PreferenceModel, a: int, b: int) -> str:
+    return render_text(PreferenceModel(m.n, m.leq, dict(zip(_PQ, (a, b))), {}))
 
 
 def _preorder_count_row() -> SuiteRow:
@@ -231,7 +230,7 @@ def _cond_triangle_row() -> SuiteRow:
     checked = 0
     for m, s, i, a, b in _enum_models():
         c1 = bool(eval_packed(s, cond) >> i & 1)
-        c2 = best_worlds(m, a) <= b
+        c2 = not best_worlds(m, a) & ~b
         c3 = halpern_more_likely(m, a & ~b, a & b)
         if not (c1 == c2 == c3):
             return SuiteRow("conditional-triangle", False,
@@ -269,15 +268,15 @@ def _galois_rows(seed: int) -> list[SuiteRow]:
     value symbols, random incidence) and samples a few set pairs per context.
     """
 
-    def rand_ext(rng: random.Random, m: PreferenceModel) -> Extension:
-        return Extension(rng.randrange(1 << m.n), m.n)
+    def rand_ext(rng: random.Random, m: PreferenceModel) -> int:
+        return rng.randrange(1 << m.n)
 
     def rand_syms(rng: random.Random) -> frozenset:
         return frozenset(s for s in ALL_VALUE_SYMBOLS if rng.randrange(2))
 
     def adjunction(rng, m):
         a, b = rand_ext(rng, m), rand_syms(rng)
-        return (b <= up(m, a)) == (a <= down(m, b))
+        return (b <= up(m, a)) == (not a & ~down(m, b))
 
     def closure(rng, m):
         d1 = down(m, rand_syms(rng))
@@ -285,10 +284,10 @@ def _galois_rows(seed: int) -> list[SuiteRow]:
 
     def antitone(rng, m):
         a2 = rand_ext(rng, m)
-        a1 = Extension(a2.bits & rng.randrange(1 << m.n), m.n)
+        a1 = a2 & rng.randrange(1 << m.n)
         b2 = rand_syms(rng)
         b1 = b2 & rand_syms(rng)
-        return up(m, a2) <= up(m, a1) and down(m, b2) <= down(m, b1)
+        return up(m, a2) <= up(m, a1) and not down(m, b2) & ~down(m, b1)
 
     def meet_join(rng, m):
         c1 = concept_from_intent(m, rand_syms(rng))
@@ -297,12 +296,12 @@ def _galois_rows(seed: int) -> list[SuiteRow]:
         join = concept_join(m, c1, c2)
         return (is_concept(m, meet.extent, meet.intent)
                 and is_concept(m, join.extent, join.intent)
-                and meet.extent == Extension(c1.extent.bits & c2.extent.bits, m.n)
+                and meet.extent == c1.extent & c2.extent
                 and join.intent == (c1.intent & c2.intent))
 
     def aggregation(rng, m):
         s1, s2 = rand_syms(rng), rand_syms(rng)
-        return aggregate2(m, s1, s2) <= aggregate1(m, s1, s2)
+        return not aggregate2(m, s1, s2) & ~aggregate1(m, s1, s2)
 
     # (row, stream tag, samples per context, instances per sample, law, failure)
     laws = (

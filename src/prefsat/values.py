@@ -12,26 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lifts import sem_lift  # unused here; bench/tracing.py wraps values.sem_lift
-from .model import Extension, PreferenceModel
+from .lifts import check_masks, sem_lift  # sem_lift: unused here; bench/tracing.py wraps it
+from .model import PreferenceModel
 from .ontology import ValueSymbol
 
 
-def down(m: PreferenceModel, symbols) -> Extension:
+def down(m: PreferenceModel, symbols) -> int:
     """Worlds at which every given value symbol is observed."""
     bits = m.full_mask
     for sym in symbols:
         bits &= m.incidence_bits(sym)
-    return Extension(bits, m.n)
+    return bits
 
 
-def up(m: PreferenceModel, worlds: Extension) -> frozenset[ValueSymbol]:
+def up(m: PreferenceModel, worlds: int) -> frozenset[ValueSymbol]:
     """Value symbols observed at every given world (over the model's symbols)."""
-    if worlds.width != m.n:
-        raise ValueError(f"extension width does not match model ({m.n} worlds)")
+    check_masks(m, worlds)
     out = []
     for sym, bits in m.incidence.items():
-        if not (worlds.bits & ~bits):
+        if not (worlds & ~bits):
             out.append(sym)
     return frozenset(out)
 
@@ -40,11 +39,11 @@ def up(m: PreferenceModel, worlds: Extension) -> frozenset[ValueSymbol]:
 class Concept:
     """A Galois-closed pair: extent = down(intent), intent = up(extent)."""
 
-    extent: Extension
+    extent: int  # world mask
     intent: frozenset[ValueSymbol]
 
 
-def is_concept(m: PreferenceModel, extent: Extension, intent) -> bool:
+def is_concept(m: PreferenceModel, extent: int, intent) -> bool:
     intent = frozenset(intent)
     return down(m, intent) == extent and up(m, extent) == intent
 
@@ -72,12 +71,12 @@ def concept_join(m: PreferenceModel, c1: Concept, c2: Concept) -> Concept:
     return Concept(down(m, intent), intent)
 
 
-def aggregate1(m: PreferenceModel, syms1, syms2) -> Extension:
+def aggregate1(m: PreferenceModel, syms1, syms2) -> int:
     """Shared-commitment aggregation: worlds realizing the common symbols."""
     return down(m, frozenset(syms1) & frozenset(syms2))
 
 
-def aggregate2(m: PreferenceModel, syms1, syms2) -> Extension:
+def aggregate2(m: PreferenceModel, syms1, syms2) -> int:
     """Either-package aggregation: union of the two realizations.
     Always contained in aggregate1 (fewer shared demands admit more worlds)."""
     return down(m, syms1) | down(m, syms2)

@@ -96,6 +96,30 @@ def test_imports_merge_and_stay_unique(tmp_path):
         load_kb(tmp_path / "self.kb")
 
 
+def test_entries_are_stored_grounded_and_desugared(tmp_path):
+    # an imported entry is elaborated in its own file's signature; the
+    # importing file only adds sorts, so that is the same formula
+    write(tmp_path, "base.kb", """\
+        (sort thing a b)
+        (atom Has contender thing)
+        (axiom own (forall x thing (implies (Has p x) (dialt (Has d x)))))
+        """)
+    top = write(tmp_path, "top.kb", """\
+        (import base)
+        (sort place here there)
+        (atom At place)
+        (fact f1 (exists y place (At y)))
+        (goal g1 (prefsyn ae strict (Has p a) (At here)))
+        """)
+    kb = load_kb(top)
+    entries = {**kb.axioms, **kb.facts, **kb.goals}
+    for name, text in [("own", "(forall x thing (implies (Has p x) (dialt (Has d x))))"),
+                       ("f1", "(exists y place (At y))"),
+                       ("g1", "(prefsyn ae strict (Has p a) (At here))")]:
+        assert entries[name] == sx.elaborate(sx.parse_formula(text, kb.sig), kb.sig), name
+    assert goal_query(kb, "g1").target is kb.goals["g1"]
+
+
 def test_goal_query_and_overrides(tmp_path):
     p = write(tmp_path, "demo.kb", """\
         (atom Rain)
@@ -146,7 +170,7 @@ def test_general_knowledge_alone_decides_nothing():
     probe = sx.elaborate(sx.parse_formula("(boxlt (For d))", kb.sig), kb.sig)
     from prefsat.solver import Query
 
-    v = check(Query(axioms=kb.elaborated_axioms(), target=probe, mode="refute"))
+    v = check(Query(axioms=tuple(kb.axioms.values()), target=probe, mode="refute"))
     assert isinstance(v, Countermodel)
 
 

@@ -192,7 +192,7 @@ def test_pierson_search_trajectory_is_pinned(monkeypatch):
 def test_encoder_clauses_are_normal(target):
     # A conjunction gate's [g, -l...] clause is the one that could repeat a
     # literal or be a tautology; CDCL.load takes clauses as they are, so the
-    # encoder drops repeats and tautologies exactly as the cdcl() helper does.
+    # encoder drops repeated literals and reads a complementary pair as false.
     sat = "(not P)" not in target
     for mode, q in (("refute", refute(target, bound=2)), ("find", find(target=target, bound=2))):
         for n in (1, 2):
@@ -205,6 +205,20 @@ def test_encoder_clauses_are_normal(target):
                                                                   added.ok)
         kind = Countermodel if mode == "refute" else (Satisfiable if sat else NoModel)
         assert isinstance(check(replace(q, engine="both")), kind)
+
+
+def test_conj_drops_repeats_and_reads_a_complementary_pair_as_false():
+    enc = solver._Encoder(1, [("P", ()), ("Q", ())], [], False)
+    p, q = enc.atom_vars[("P", ())][0], enc.atom_vars[("Q", ())][0]
+    g = enc.conj([p, q])
+    assert enc.clauses[-3:] == [[-g, p], [-g, q], [g, -p, -q]]
+    size = (enc.nvars, len(enc.clauses))
+    assert enc.conj([q, p, q, enc.vtrue]) == g
+    assert enc.conj([p, enc.vtrue, p]) == p
+    assert enc.conj([enc.vtrue]) == enc.vtrue
+    assert enc.conj([p, q, -p]) == -enc.vtrue
+    assert enc.disj([q, -q]) == enc.vtrue
+    assert (enc.nvars, len(enc.clauses)) == size  # no gate and no clause for any of them
 
 
 def propagate_gates(clauses, fixed):

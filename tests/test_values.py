@@ -5,7 +5,7 @@ import pytest
 
 import prefsat.syntax as sx
 from prefsat.lifts import sem_lift
-from prefsat.model import Extension, PreferenceModel, all_preorders, eval_formula, globally_true
+from prefsat.model import PreferenceModel, all_preorders, eval_formula, globally_true
 from prefsat.ontology import (
     ALL_VALUE_SYMBOLS,
     CONTENDERS,
@@ -42,17 +42,17 @@ def principle_symbols(principle: str, party: str) -> frozenset[ValueSymbol]:
     return frozenset(((v1, party), (v2, party)))
 
 
-def principle_extension(m: PreferenceModel, principle: str, party: str) -> Extension:
+def principle_extension(m: PreferenceModel, principle: str, party: str) -> int:
     return down(m, principle_symbols(principle, party))
 
 
-def aggregate_principles(m: PreferenceModel, parts) -> Extension:
+def aggregate_principles(m: PreferenceModel, parts) -> int:
     """The extension the value layer assigns to a list of (principle, party)
     pairs: union of the individual principle extensions."""
     bits = 0
     for principle, party in parts:
-        bits |= principle_extension(m, principle, party).bits
-    return Extension(bits, m.n)
+        bits |= principle_extension(m, principle, party)
+    return bits
 
 
 def vpref_holds(m: PreferenceModel, strict: bool, lhs_parts, rhs_parts) -> bool:
@@ -63,7 +63,7 @@ def vpref_holds(m: PreferenceModel, strict: bool, lhs_parts, rhs_parts) -> bool:
     return sem_lift(m, "ae", strict, a, b)
 
 
-def conflict_extension(m: PreferenceModel, party: str) -> Extension:
+def conflict_extension(m: PreferenceModel, party: str) -> int:
     """Worlds where all four basic values are observed for the party."""
     return down(m, [(v, party) for v in BasicValue])
 
@@ -112,39 +112,39 @@ def test_principle_symbols():
 
 def test_down_and_up_hand_case():
     m = ctx(3, {(F, "p"): 0b011, (U, "p"): 0b110, (S, "d"): 0b111})
-    assert down(m, [(F, "p")]).bits == 0b011
-    assert down(m, [(F, "p"), (U, "p")]).bits == 0b010
-    assert down(m, []).bits == m.full_mask
-    assert up(m, Extension(0b010, 3)) == {(F, "p"), (U, "p"), (S, "d")}
-    assert up(m, Extension(0, 3)) == set(ALL_VALUE_SYMBOLS)
-    assert up(m, Extension(0b111, 3)) == {(S, "d")}
+    assert down(m, [(F, "p")]) == 0b011
+    assert down(m, [(F, "p"), (U, "p")]) == 0b010
+    assert down(m, []) == m.full_mask
+    assert up(m, 0b010) == {(F, "p"), (U, "p"), (S, "d")}
+    assert up(m, 0) == set(ALL_VALUE_SYMBOLS)
+    assert up(m, 0b111) == {(S, "d")}
 
 
 def test_galois_adjunction_randomized():
     rng = random.Random(11)
     for _ in range(300):
         m = random_ctx(rng, rng.randint(1, 4))
-        a = Extension(rng.randrange(1 << m.n), m.n)
+        a = rng.randrange(1 << m.n)
         b = frozenset(s for s in ALL_VALUE_SYMBOLS if rng.random() < 0.4)
         # A <= down(B)  iff  B <= up(A)
-        assert (a <= down(m, b)) == (b <= up(m, a))
+        assert (not a & ~down(m, b)) == (b <= up(m, a))
 
 
 def test_closure_operators_randomized():
     rng = random.Random(12)
     for _ in range(200):
         m = random_ctx(rng, rng.randint(1, 4))
-        a = Extension(rng.randrange(1 << m.n), m.n)
+        a = rng.randrange(1 << m.n)
         b = frozenset(s for s in ALL_VALUE_SYMBOLS if rng.random() < 0.4)
         ca = down(m, up(m, a))
         cb = up(m, down(m, b))
-        assert a <= ca and b <= cb  # extensive
+        assert not a & ~ca and b <= cb  # extensive
         assert down(m, up(m, ca)) == ca  # idempotent
         assert up(m, down(m, cb)) == cb
         # antitone in both directions: shrinking one side grows the other
-        a2 = a & Extension(rng.randrange(1 << m.n), m.n)
+        a2 = a & rng.randrange(1 << m.n)
         assert up(m, a) <= up(m, a2)
-        assert down(m, b | {rng.choice(ALL_VALUE_SYMBOLS)}) <= down(m, b)
+        assert not down(m, b | {rng.choice(ALL_VALUE_SYMBOLS)}) & ~down(m, b)
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +154,26 @@ def test_closure_operators_randomized():
 def test_concept_construction_and_rejection():
     m = ctx(2, {(F, "p"): 0b01, (U, "p"): 0b11})
     c = concept_from_intent(m, [(F, "p")])
-    assert c.extent.bits == 0b01 and c.intent == {(F, "p"), (U, "p")}
+    assert c.extent == 0b01 and c.intent == {(F, "p"), (U, "p")}
     assert is_concept(m, c.extent, c.intent)
-    assert not is_concept(m, Extension(0b01, 2), frozenset({(F, "p")}))
-    intent = up(m, Extension(0b10, 2))
+    assert not is_concept(m, 0b01, frozenset({(F, "p")}))
+    intent = up(m, 0b10)
     d = Concept(down(m, intent), intent)
-    assert d.extent.bits == 0b11 and is_concept(m, d.extent, d.intent)
+    assert d.extent == 0b11 and is_concept(m, d.extent, d.intent)
 
 
 def test_meet_join_are_lattice_operations():
     rng = random.Random(13)
     for _ in range(150):
         m = random_ctx(rng, rng.randint(1, 4))
-        c1 = concept_from_intent(m, up(m, Extension(rng.randrange(1 << m.n), m.n)))
+        c1 = concept_from_intent(m, up(m, rng.randrange(1 << m.n)))
         c2 = concept_from_intent(m, [s for s in ALL_VALUE_SYMBOLS if rng.random() < 0.3])
         lo = concept_meet(m, c1, c2)
         hi = concept_join(m, c1, c2)
         for c in (lo, hi):
             assert is_concept(m, c.extent, c.intent)
-        assert lo.extent <= c1.extent and lo.extent <= c2.extent
-        assert c1.extent <= hi.extent and c2.extent <= hi.extent
+        assert not lo.extent & ~c1.extent and not lo.extent & ~c2.extent
+        assert not c1.extent & ~hi.extent and not c2.extent & ~hi.extent
         assert c1.intent & c2.intent == hi.intent
         # meet/join with itself is itself
         assert concept_meet(m, c1, c1) == c1
@@ -183,7 +183,7 @@ def test_meet_join_are_lattice_operations():
 def test_meet_join_reject_non_concepts():
     m = ctx(2, {(F, "p"): 0b01})
     good = concept_from_intent(m, [(F, "p")])
-    bad = Concept(Extension(0b11, 2), frozenset({(F, "p")}))
+    bad = Concept(0b11, frozenset({(F, "p")}))
     with pytest.raises(ValueError, match="closed"):
         concept_meet(m, good, bad)
     with pytest.raises(ValueError, match="closed"):
@@ -200,7 +200,7 @@ def test_aggregate2_contained_in_aggregate1():
         m = random_ctx(rng, rng.randint(1, 4))
         s1 = frozenset(s for s in ALL_VALUE_SYMBOLS if rng.random() < 0.4)
         s2 = frozenset(s for s in ALL_VALUE_SYMBOLS if rng.random() < 0.4)
-        assert aggregate2(m, s1, s2) <= aggregate1(m, s1, s2)
+        assert not aggregate2(m, s1, s2) & ~aggregate1(m, s1, s2)
 
 
 def test_aggregate_containment_can_be_strict():
@@ -209,23 +209,23 @@ def test_aggregate_containment_can_be_strict():
     m = ctx(3, {(F, "p"): 0b001, (U, "p"): 0b111, (S, "p"): 0b010})
     s1 = principle_symbols("WILL", "p")  # FREEDOM, UTILITY
     s2 = principle_symbols("STAB", "p")  # SECURITY, UTILITY
-    assert aggregate1(m, s1, s2).bits == 0b111  # shared demand: UTILITY only
-    assert aggregate2(m, s1, s2).bits == 0b011
+    assert aggregate1(m, s1, s2) == 0b111  # shared demand: UTILITY only
+    assert aggregate2(m, s1, s2) == 0b011
 
 
 def test_principle_and_conflict_extensions():
     m = ctx(2, {(F, "p"): 0b11, (U, "p"): 0b01, (S, "p"): 0b01, (E, "p"): 0b01})
-    assert principle_extension(m, "WILL", "p").bits == 0b01
-    assert principle_extension(m, "RESP", "p").bits == 0b01
-    assert conflict_extension(m, "p").bits == 0b01
-    assert conflict_extension(m, "d").bits == 0
-    assert aggregate_principles(m, [("WILL", "p"), ("RELI", "p")]).bits == 0b01
+    assert principle_extension(m, "WILL", "p") == 0b01
+    assert principle_extension(m, "RESP", "p") == 0b01
+    assert conflict_extension(m, "p") == 0b01
+    assert conflict_extension(m, "d") == 0
+    assert aggregate_principles(m, [("WILL", "p"), ("RELI", "p")]) == 0b01
 
 
 def test_conflict_needs_all_four_values():
     for missing in BasicValue:
         m = ctx(1, {(v, "p"): 1 for v in BasicValue if v is not missing})
-        assert conflict_extension(m, "p").bits == 0
+        assert conflict_extension(m, "p") == 0
 
 
 # ---------------------------------------------------------------------------
