@@ -3,12 +3,14 @@
 A query asserts a set of axioms at every world, a set of facts at the
 designated world 0, and asks either to refute a target there (bounded
 validity / entailment) or to find a model of everything (satisfiability).
-The search iterates over exact world counts 1..bound; each count becomes one
+The search solves exact world counts up to the bound, each count one
 propositional instance: relation variables for every ordered world pair,
 variables for each ground atom and value symbol per world, and definition
 gates for each subformula per world.  Reflexivity is compiled away, the
 strict relation is defined from the weak one, and transitivity (plus
-optionally totality) is asserted as clauses.
+optionally totality) is asserted as clauses.  Which counts it solves, and in
+what order, is check_sat_engine's cloning-lemma search; the verdict and
+witness are those of the least count with a model.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
@@ -631,16 +633,40 @@ def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel
 
 
 def check_sat_engine(q: Query) -> Verdict:
+    """The verdict at the least world count with a model, found by exponential
+    search (Bentley & Yao, IPL 1976).
+
+    Cloning lemma: give a model one more world that copies a world w, weakly
+    better and weakly worse than w, related to every other world as w is and
+    with w's valuation.  Every formula keeps its truth at the old worlds and
+    holds at the copy as at w, so a model on n worlds gives one on n + 1.
+    Having a model is thus monotone in n.  The search probes n = 1, 2, 4, ...
+    and then the bound; no model at the bound means none at any count.  When
+    probe p has a model, it bisects between the last probe without one and p
+    (least 3 at bound 4: 1, 2, 4, 3; least 6 at bound 7: 1, 2, 4, 7, 5, 6).
+    The witness is solve_at's model at the least count, the one a scan of
+    every count from 1 would return.  The budget is checked before each probe.
+    """
     budget = _Budget(q.budget)
+
+    def probe(n: int) -> PreferenceModel | None:
+        budget.check()
+        return solve_at(q, n, budget)
+
     try:
-        for n in range(1, q.bound + 1):
-            budget.check()
-            m = solve_at(q, n, budget)
-            if m is not None:
-                if q.mode == "refute":
-                    return Countermodel(m, q.bound)
-                return Satisfiable(m)
-        return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
+        lo, n = 0, 1  # no model at lo worlds (0: vacuously); n is probed next
+        while (m := probe(n)) is None:
+            if n == q.bound:
+                return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
+            lo, n = n, min(2 * n, q.bound)
+        while n - lo > 1:  # model m at n worlds, none at lo
+            mid = (lo + n) // 2
+            found = probe(mid)
+            if found is None:
+                lo = mid
+            else:
+                n, m = mid, found
+        return Countermodel(m, q.bound) if q.mode == "refute" else Satisfiable(m)
     except BudgetExceeded:
         return Unknown("budget-exhausted")
 

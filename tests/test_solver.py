@@ -340,6 +340,149 @@ def test_transitivity_is_built_in():
 
 
 # ---------------------------------------------------------------------------
+# search over world counts
+
+
+def linear_scan(q):
+    """Reference for check_sat_engine: solve every world count from 1 to the
+    bound in turn and answer at the first with a model."""
+    budget = solver._Budget(q.budget)
+    try:
+        for n in range(1, q.bound + 1):
+            budget.check()
+            m = solver.solve_at(q, n, budget)
+            if m is not None:
+                return Countermodel(m, q.bound) if q.mode == "refute" else Satisfiable(m)
+        return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
+    except BudgetExceeded:
+        return Unknown("budget-exhausted")
+
+
+def clone_world(m, w):
+    """m with one more world that copies world w: weakly better and weakly
+    worse than w, related to every other world as w is, w's valuation."""
+    n = m.n
+
+    def copy_w(mask):
+        return mask | (mask >> w & 1) << n
+
+    return PreferenceModel(n + 1, (*map(copy_w, m.leq), copy_w(m.leq[w])),
+                           {k: copy_w(b) for k, b in m.valuation.items()},
+                           {k: copy_w(b) for k, b in m.incidence.items()})
+
+
+def test_cloning_a_world_keeps_a_witness():
+    """The lemma the search over world counts rests on: a model on n worlds
+    gives one on n + 1, so having a model is monotone in n."""
+    queries = [replace(q, bound=min(q.bound, 3), engine="sat") for _, q in suite_queries()]
+    queries += random_queries(11, 300, bound=3)
+    clones = 0
+    for q in queries:
+        v = check_sat_engine(q)
+        if isinstance(v, (Countermodel, Satisfiable)):
+            for w in range(v.model.n):
+                solver._validate_witness(q, clone_world(v.model, w))
+                clones += 1
+    assert clones > 300
+
+
+def worlds(v):
+    """The world count of a verdict's model, None for a verdict without one."""
+    return getattr(getattr(v, "model", None), "n", None)
+
+
+def case_queries(bound):
+    """Each shipped case's goals from axioms plus facts and from axioms alone,
+    its satisfiability query and its two audits."""
+    for case in ("pierson", "post", "conti"):
+        kb = kbmod.case_kb(case)
+        for goal in sorted(kb.goals):
+            yield kbmod.goal_query(kb, goal, bound=bound, engine="sat")
+            yield kbmod.goal_query(kb, goal, with_facts=False, bound=bound, engine="sat")
+        yield kbmod.sat_query(kb, bound=bound, engine="sat")
+        yield from kbmod.audit_queries(kb, bound=bound, engine="sat").values()
+
+
+def chain(depth):
+    """A fact whose least model is a strict chain of depth + 1 worlds."""
+    text = "P"
+    for _ in range(depth):
+        text = f"(dialt {text})"
+    return find(facts=[text], bound=7)
+
+
+def test_search_gives_what_the_linear_scan_gave(monkeypatch):
+    queries = [replace(q, bound=b, engine="sat")
+               for b in range(1, 7) for _, q in suite_queries()]
+    rand = random_queries(11, 40, bound=4)
+    queries += [replace(q, bound=b, total=t) for q in rand for b in (4, 5) for t in (False, True)]
+    queries += case_queries(7)
+    # least counts below, at and above each bound, and a query with no model
+    queries += [replace(q, bound=b) for b in range(1, 8)
+                for q in (*map(chain, range(7)), find(axioms=["P"], facts=["(not P)"]))]
+    # Each count of each query is solved once, for both sides and every bound
+    # (solve_at does not read the bound): the s3 proof step alone takes
+    # seconds at 6 worlds.
+    solved = {}
+    real = solver.solve_at
+
+    def solve_once(q, n, budget=None):
+        key = (replace(q, bound=1), n)
+        if key not in solved:
+            solved[key] = real(q, n, budget)
+        return solved[key]
+
+    monkeypatch.setattr(solver, "solve_at", solve_once)
+    kinds = set()
+    for q in queries:
+        v = check_sat_engine(q)
+        assert render_verdict(v) == render_verdict(linear_scan(q)), q
+        kinds.add((v.kind, worlds(v), q.bound))
+    # no model at the bound, and least counts of 1 to 7 at bound 7
+    assert {("bounded-valid", None, 7), ("no-model", None, 7)} <= kinds
+    assert {("countermodel", n, 7) for n in (1, 2)} <= kinds
+    assert {("satisfiable", m, 7) for m in range(1, 8)} <= kinds
+
+
+@pytest.mark.parametrize("query, probes, least", [
+    (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7),
+     [1, 2, 4, 7], None),
+    (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", with_facts=False,
+                              bound=7), [1, 2], 2),
+    (lambda: chain(2), [1, 2, 4, 3], 3),
+    (lambda: chain(5), [1, 2, 4, 7, 5, 6], 6),
+    (lambda: find(target="(and P (not P))", bound=7), [1, 2, 4, 7], None),
+], ids=["pierson-ruling", "pierson-axioms-only", "least-3", "least-6", "contradiction"])
+def test_probe_order_is_pinned(monkeypatch, query, probes, least):
+    seen = []
+    real = solver.solve_at
+
+    def recording(q, n, budget=None):
+        seen.append(n)
+        return real(q, n, budget)
+
+    monkeypatch.setattr(solver, "solve_at", recording)
+    v = check_sat_engine(query())
+    assert seen == probes
+    assert worlds(v) == least
+
+
+def test_budget_running_out_in_the_four_world_probe(monkeypatch):
+    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
+    seen = []
+    real = solver.solve_at
+
+    def expiring(q, n, budget=None):
+        seen.append(n)
+        return real(q, n, solver._Budget(0.0) if n == 4 else budget)
+
+    monkeypatch.setattr(solver, "solve_at", expiring)
+    v = check_sat_engine(q)
+    assert seen == [1, 2, 4]
+    assert render_verdict(v) == "Unknown reason=budget-exhausted"
+
+
+# ---------------------------------------------------------------------------
 # find mode
 
 
