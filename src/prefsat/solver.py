@@ -25,7 +25,22 @@ CDCL search.
 Everything is deterministic: variables are allocated in a documented order
 (relation variables, then atoms by name and world, then value symbols, then
 gates) and the solver branches on the lowest-numbered unassigned variable,
-trying False first.
+trying False first.  With a static order, False first, no restarts and only
+implied learnt clauses, the witness is the least model in that order, the
+first relation variable the most significant; this was checked against brute
+force up to 3 worlds, not proved.
+
+From LEMMA_MIN_WORLDS worlds up, the encoding ends with a maximal-world
+lemma: every world is maximal or has a strictly better maximal world.  It
+holds in every finite preorder, so the models over the primary variables do
+not change.  The solver probes the lemma's literals before its search (failed
+literals, Lynce & Marques-Silva, SAT 2003): each "v is strictly better than w
+and maximal" is decided at level 1, and a conflict is learnt as in the
+search.  Each case ruling is refuted by this argument, in n - 1 probe
+conflicts at n worlds; the static search alone needed 268 for pierson at 7
+worlds, about 2.6 times more per added world.  A probe's learnt clause is
+implied by the clauses, and the search then starts from level 0 in the
+static order, so witnesses are still the least model.
 """
 from __future__ import annotations
 
@@ -61,6 +76,13 @@ DEFAULT_BOUND = 4
 # 2^(n * symbols) bits per world, so peak memory doubles with every doubling.
 ORACLE_MAX_WORLDS = 3
 ORACLE_MAX_WORK = 1 << 23
+
+# The least world count whose encoding gets the maximal-world lemma.  Below
+# it the canonical search refutes each case ruling in at most 4 conflicts,
+# and the lemma's gates and probes only cost time: applied from 2 worlds, they
+# slowed the oracle cross-check's queries (bound 3 or less) by 7 %.  From 4,
+# every encoding at 3 worlds or fewer is the one without the lemma.
+LEMMA_MIN_WORLDS = 4
 
 
 class EngineError(Exception):
@@ -191,14 +213,24 @@ class CDCL:
     lowest-numbered unassigned variable, False first; no randomization, no
     restarts, so identical clause sets always produce identical models.
 
+    Before that search, `solve` probes the literals given to `load` in turn:
+    each unassigned one is decided True at level 1 and propagated.  A conflict
+    is analysed, learnt and back-jumped as in the search, so a probe makes at
+    most one; a conflict at level 0 means UNSAT.  The solver is back at level
+    0 before each probe and before the search, and every learnt clause is
+    implied by the loaded ones, so the search returns the model it returns
+    without probes: the least one in variable order.  The budget is checked
+    before each probe and every 256 search steps.
+
     `lv`, `watch`, `level` and `reason` have 2 * nvars + 1 entries indexed by
     literal; -v reads from the end (Python's negative indexing).  `lv[lit]` is
     1 true, -1 false, 0 unassigned; `watch[lit]` holds the clauses whose first
     or second literal is lit; `level` and `reason` are set at the true literal.
     Learnt clauses of two or more literals are appended to `clauses`.  Counters:
-    `decisions`, `conflicts` (one learnt clause each, units included), `learnt`
-    (the learnt clauses appended to `clauses`), `propagations` (trail literals
-    whose watches were read) and `max_level` (the deepest decision level).
+    `decisions` (of the search, not the probes), `conflicts` (one learnt clause
+    each, units included), `learnt` (the learnt clauses appended to
+    `clauses`), `propagations` (trail literals whose watches were read) and
+    `max_level` (the deepest decision level).
     """
 
     def __init__(self, nvars: int):
@@ -214,13 +246,16 @@ class CDCL:
         self.qhead = 0
         self.ok = True
         self.units: list[int] = []
+        self.probes: list[int] = []
         self.decisions = self.conflicts = self.learnt = self.propagations = self.max_level = 0
 
-    def load(self, clauses: list[list[int]]):
+    def load(self, clauses: list[list[int]], probes=()):
         """Add clauses; this is the only way to give the solver clauses.  Each
         must hold no repeated or complementary literal, as the encoder emits
         them.  They are attached in one pass and not copied: the search
-        reorders their literals."""
+        reorders their literals.  `probes` are literals that solve decides
+        True, one at a time, before its search."""
+        self.probes.extend(probes)
         attach, units = self._attach, self.units
         for clause in clauses:
             if len(clause) > 1:
@@ -344,6 +379,24 @@ class CDCL:
         del self.lim[target_level:]
         self.qhead = cut
 
+    def _decide(self, lit: int):
+        self.lim.append(len(self.trail))
+        if len(self.lim) > self.max_level:
+            self.max_level = len(self.lim)
+        self._assign(lit, None)
+
+    def _learn(self, confl: list[int]):
+        """Analyse a conflict above level 0, back-jump and assert the learnt
+        clause's first literal."""
+        self.conflicts += 1
+        learnt, bt = self._analyze(confl)
+        self._backjump(bt)
+        reason = None
+        if len(learnt) > 1:
+            self.learnt += 1
+            reason = self._attach(learnt)
+        self._assign(learnt[0], reason)
+
     def solve(self, budget: _Budget) -> bool:
         if not self.ok:
             return False
@@ -355,6 +408,18 @@ class CDCL:
                 self._assign(lit, None)
         if self._propagate() is not None:
             return False
+        for lit in self.probes:  # at level 0 before and after each probe
+            budget.check()
+            if lv[lit]:
+                continue
+            self._decide(lit)
+            confl = self._propagate()
+            if confl is None:
+                self._backjump(0)
+                continue
+            self._learn(confl)
+            if self._propagate() is not None:
+                return False
         head = 1
         steps = 0
         while True:
@@ -364,10 +429,7 @@ class CDCL:
             if head > self.nvars:
                 return True
             self.decisions += 1
-            self.lim.append(len(self.trail))
-            if len(self.lim) > self.max_level:
-                self.max_level = len(self.lim)
-            self._assign(-head, None)
+            self._decide(-head)
             while True:
                 steps += 1
                 if steps & 255 == 0:
@@ -377,15 +439,8 @@ class CDCL:
                     break
                 if not self.lim:
                     return False
-                self.conflicts += 1
-                learnt, bt = self._analyze(confl)
-                self._backjump(bt)
+                self._learn(confl)
                 head = 1
-                reason = None
-                if len(learnt) > 1:
-                    self.learnt += 1
-                    reason = self._attach(learnt)
-                self._assign(learnt[0], reason)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +453,8 @@ class _Encoder:
     Variable layout: relation variables for ordered pairs (i,j), i != j, in
     lexicographic order; then one variable per ground atom (sorted by name
     and argument tuple) per world; then one per value symbol (sorted) per
-    world; then definition gates in creation order.
+    world; then definition gates in creation order, the maximal-world lemma's
+    last.
     """
 
     def __init__(self, n: int, atom_keys, inc_keys, total: bool):
@@ -418,6 +474,7 @@ class _Encoder:
             self.inc_vars[key] = [self._new() for _ in range(n)]
         self.vtrue = self._new()
         self.clauses.append([self.vtrue])
+        self.probes: list[int] = []
         self._conj_memo: dict[tuple[int, ...], int] = {}
         self._iff_memo: dict[tuple[int, int], int] = {}
         self._t_memo: dict[tuple[int, int], int] = {}
@@ -556,6 +613,26 @@ class _Encoder:
             return self.conj(parts)
         raise EngineError(f"encoder expects desugared formulas, found {type(f).__name__}")
 
+    def maximal_world_lemma(self):
+        """Clauses saying every world is maximal or has a strictly better
+        maximal world.  encode calls it last, so its new gates are numbered
+        after every formula gate.  s(w,v) is the strict edge (shared with the
+        modalities' through the conj memo), m(w) = no s(w,v) and
+        c(w,v) = s(w,v) and m(v).  For each w the clause is
+        [m(w), c(w,v) for v != w]: following strictly better worlds from w
+        ends, by finiteness and transitivity, at a maximal world strictly
+        above w.  Every preorder satisfies it, so the models over the primary
+        variables stay the same.  The c(w,v), in w-then-v order, are the
+        solver's probe literals."""
+        n = self.n
+        strict = [[self.edge(w, v, True, ())[0] if v != w else 0 for v in range(n)]
+                  for w in range(n)]
+        maximal = [self.conj([-s for s in row if s]) for row in strict]
+        for w in range(n):
+            tops = [self.conj((strict[w][v], maximal[v])) for v in range(n) if v != w]
+            self.clauses.append([maximal[w], *tops])
+            self.probes += tops
+
     def decode(self, solver: CDCL) -> PreferenceModel:
         lv = solver.lv
         rows = tuple(sum(1 << j for j in range(self.n) if lv[self.rlit(i, j)] == 1)
@@ -584,6 +661,8 @@ def encode(q: Query, n: int) -> _Encoder:
         budget.check()
         lit = enc.t(q.target, 0)
         enc.clauses.append([-lit] if q.mode == "refute" else [lit])
+    if n >= LEMMA_MIN_WORLDS:
+        enc.maximal_world_lemma()
     return enc
 
 
@@ -623,7 +702,7 @@ def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel
     finally:
         _ENCODE_BUDGET.reset(token)
     solver = CDCL(enc.nvars)
-    solver.load(enc.clauses)
+    solver.load(enc.clauses, enc.probes)
     budget.check()
     if not solver.solve(budget):
         return None

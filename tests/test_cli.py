@@ -185,6 +185,13 @@ def test_zero_budget_is_exhausted_before_any_search(capsys):
     assert out == "goal ruling-for-d: Unknown reason=budget-exhausted\n"
 
 
+def test_a_ruling_at_sixteen_worlds_fits_a_ten_second_budget(capsys):
+    # probed at 1, 2, 4, 8 and 16 worlds; each refutation from 4 worlds up
+    # ends while the maximal-world lemma is probed
+    code, out, _ = run(capsys, "entail", "pierson", "--bound", "16", "--budget", "10")
+    assert (code, out) == (0, "goal ruling-for-d: BoundedValid bound=16\n")
+
+
 def test_nan_budget_is_a_usage_error(capsys):
     # time.monotonic() >= nan is never true, so a NaN budget would never run out
     code, out, err = run(capsys, "entail", "pierson", "--budget", "nan")

@@ -143,16 +143,19 @@ def test_budget_is_checked_every_256_search_steps():
     assert budget.checks == (s.decisions + s.conflicts) // 256 == 3
 
 
-# The pierson ruling at bound 6, recorded before the literal-indexed kernel:
-# per world count, the learnt clauses appended to `clauses`, the unit learnts,
-# decisions and propagated trail literals; and the sha256 of the appended
-# learnt clauses, in order, as they stand when the solve returns.
-PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 109), 3: (1, 3, 4, 454), 4: (10, 4, 17, 1375),
-             5: (34, 5, 59, 4146), 6: (98, 6, 184, 12363)}
-PIERSON_6_SHA256 = "9aa79582b2df4aaf79c3be64534f68bbbb36ab7aba2d5fd9a620914cbf40a8ee"
+# The pierson ruling at bound 6, recorded with the maximal-world lemma probed
+# from 4 worlds: per world count, the learnt clauses appended to `clauses`,
+# the unit learnts, decisions and propagated trail literals; and the sha256 of
+# the appended learnt clauses, in order, as they stand when the solve returns,
+# followed per count by its unit learnts.  The counts below 4 worlds are those
+# recorded before the literal-indexed kernel; at 4 to 6 worlds each ruling is
+# refuted by n - 1 unit learnts while probing, without a search decision.
+PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 109), 3: (1, 3, 4, 454), 4: (0, 3, 0, 507),
+             5: (0, 4, 0, 739), 6: (0, 5, 0, 1017)}
+PIERSON_6_SHA256 = "9718ed34910558c630c8227785566314d2f793fc8bcf1bedecf5fb1ee9240f2f"
 # The deepest decision level per world count, recorded before `max_level`
-# existed by tracking the length of `lim`.
-PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 6, 5: 12, 6: 20}
+# existed by tracking the length of `lim`; a probe is decided at level 1.
+PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 1, 5: 1, 6: 1}
 
 
 def test_pierson_search_trajectory_is_pinned(monkeypatch):
@@ -161,7 +164,8 @@ def test_pierson_search_trajectory_is_pinned(monkeypatch):
 
     def counted(self, confl):
         learnt, bt = analyze(self, confl)
-        unit_learnts.append(len(learnt) == 1)
+        if len(learnt) == 1:
+            unit_learnts.append(learnt[0])
         return learnt, bt
 
     monkeypatch.setattr(CDCL, "_analyze", counted)
@@ -171,20 +175,37 @@ def test_pierson_search_trajectory_is_pinned(monkeypatch):
     for n in range(1, 7):
         enc = solver.encode(q, n)
         s = CDCL(enc.nvars)
-        s.load(enc.clauses)  # as solve_at loads them
+        s.load(enc.clauses, enc.probes)  # as solve_at loads them
         before = len(s.clauses)
         unit_learnts.clear()
         assert not s.solve(solver._Budget(None))
         learnt = s.clauses[before:]
-        seen[n] = (len(learnt), sum(unit_learnts), s.decisions, s.propagations)
+        seen[n] = (len(learnt), len(unit_learnts), s.decisions, s.propagations)
         max_level[n] = s.max_level
         assert s.learnt == len(s.clauses) - before
-        assert s.conflicts == len(learnt) + sum(unit_learnts)
+        assert s.conflicts == len(learnt) + len(unit_learnts)
         for clause in learnt:
             digest.update((" ".join(map(str, clause)) + "\n").encode())
+        digest.update(("units " + " ".join(map(str, unit_learnts)) + "\n").encode())
     assert seen == PIERSON_6
     assert digest.hexdigest() == PIERSON_6_SHA256
     assert max_level == PIERSON_6_MAX_LEVEL
+
+
+def test_rulings_are_refuted_while_probing():
+    """Each case ruling at 4 to 9 worlds: one conflict per probe until n - 1
+    worlds are known not to be maximal, then a conflict at level 0; the
+    canonical search makes no decision."""
+    for case, goal in (("pierson", "ruling-for-d"), ("post", "ruling-for-p"),
+                       ("conti", "ruling-for-p")):
+        q = kbmod.goal_query(kbmod.case_kb(case), goal, bound=9, engine="sat")
+        for n in range(4, 10):
+            enc = solver.encode(q, n)
+            assert len(enc.probes) == n * (n - 1)
+            s = CDCL(enc.nvars)
+            s.load(enc.clauses, enc.probes)
+            assert not s.solve(solver._Budget(None))
+            assert (s.conflicts, s.decisions) == (n - 1, 0), (case, n)
 
 
 @pytest.mark.parametrize("target", ["(and P P)", "(and P Q P)", "(and P (not P))",
@@ -283,6 +304,88 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
                         (case, n, w, render_text(m), sx.format_formula(f))
                     checked += 1
     assert checked > 40_000
+
+
+def test_maximal_world_lemma_holds_in_every_preorder():
+    """On each of the 355 preorders on 4 worlds, with a seeded valuation, the
+    gates derived from their definitions satisfy every lemma clause, and m(w)
+    is true exactly when no world is strictly better than w."""
+    n = 4
+    enc = solver.encode(refute("(dialt P)", facts=["(boxlt (or P Q))"], bound=n), n)
+    # world w's clause is [m(w), then its probes c(w,v)]
+    lemma = [next(c for c in enc.clauses if c[1:] == enc.probes[w * (n - 1):(w + 1) * (n - 1)])
+             for w in range(n)]
+    definitions = [c for c in enc.clauses if len(c) > 1 and c not in lemma]
+    rng = random.Random(12)
+    preorders = all_preorders(n)
+    assert len(preorders) == 355
+    for rows in preorders:
+        fixed = {enc.vtrue: True}
+        fixed.update({var: bool(rows[i] >> j & 1) for (i, j), var in enc.rel.items()})
+        fixed.update({var: rng.random() < 0.5 for vars_ in enc.atom_vars.values()
+                      for var in vars_})
+        val = propagate_gates(definitions, fixed)
+        assert len(val) == enc.nvars, (rows, "a gate is left undetermined")
+        for clause in lemma:
+            assert any(val[abs(lit)] == (lit > 0) for lit in clause), (rows, clause)
+        for w in range(n):
+            strictly_better = any(rows[w] >> v & 1 and not rows[v] >> w & 1 for v in range(n))
+            assert val[lemma[w][0]] == (not strictly_better), (rows, w)
+
+
+def lemma_off(monkeypatch):
+    """Encode every world count without the maximal-world lemma."""
+    monkeypatch.setattr(solver, "LEMMA_MIN_WORLDS", solver.MAX_WORLDS + 1)
+
+
+def test_encodings_below_four_worlds_are_untouched(monkeypatch):
+    queries = [q for _, q in suite_queries()] + random_queries(11, 300)
+    for n in (1, 2, 3):
+        encodings = [solver.encode(q, n) for q in queries]
+        assert not any(enc.probes for enc in encodings)
+        with monkeypatch.context() as mp:
+            lemma_off(mp)
+            for q, enc in zip(queries, encodings):
+                off = solver.encode(q, n)
+                assert (enc.nvars, enc.clauses) == (off.nvars, off.clauses), (n, q)
+
+
+@pytest.fixture(scope="module")
+def solved_as_shipped():
+    """solve_at's answers, keyed by (query at bound 1, world count), shared by
+    the tests that solve the suite queries at up to 6 worlds: the s3 proof
+    step alone takes seconds there."""
+    return {}
+
+
+def solve_each_count_once(mp, solved):
+    """Route solve_at through `solved`, so that each count of each query is
+    solved once for every bound (solve_at does not read the bound)."""
+    real = solver.solve_at
+
+    def solve_once(q, n, budget=None):
+        key = (replace(q, bound=1), n)
+        if key not in solved:
+            solved[key] = real(q, n, budget)
+        return solved[key]
+
+    mp.setattr(solver, "solve_at", solve_once)
+
+
+def test_the_lemma_changes_no_verdict_and_no_witness(monkeypatch, solved_as_shipped):
+    queries = [replace(q, bound=b, engine="sat", total=t)
+               for q in [q for _, q in suite_queries()] + random_queries(11, 300)
+               for b in (4, 5, 6) for t in (False, True)]
+    queries += case_queries(7)
+    with monkeypatch.context() as mp:
+        solve_each_count_once(mp, solved_as_shipped)
+        with_lemma = [render_verdict(check_sat_engine(q)) for q in queries]
+    with monkeypatch.context() as mp:
+        lemma_off(mp)
+        solve_each_count_once(mp, {})
+        without_lemma = [render_verdict(check_sat_engine(q)) for q in queries]
+    assert with_lemma == without_lemma
+    assert sum(n >= solver.LEMMA_MIN_WORLDS for _, n in solved_as_shipped) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +514,7 @@ def chain(depth):
     return find(facts=[text], bound=7)
 
 
-def test_search_gives_what_the_linear_scan_gave(monkeypatch):
+def test_search_gives_what_the_linear_scan_gave(monkeypatch, solved_as_shipped):
     queries = [replace(q, bound=b, engine="sat")
                for b in range(1, 7) for _, q in suite_queries()]
     rand = random_queries(11, 40, bound=4)
@@ -420,19 +523,8 @@ def test_search_gives_what_the_linear_scan_gave(monkeypatch):
     # least counts below, at and above each bound, and a query with no model
     queries += [replace(q, bound=b) for b in range(1, 8)
                 for q in (*map(chain, range(7)), find(axioms=["P"], facts=["(not P)"]))]
-    # Each count of each query is solved once, for both sides and every bound
-    # (solve_at does not read the bound): the s3 proof step alone takes
-    # seconds at 6 worlds.
-    solved = {}
-    real = solver.solve_at
-
-    def solve_once(q, n, budget=None):
-        key = (replace(q, bound=1), n)
-        if key not in solved:
-            solved[key] = real(q, n, budget)
-        return solved[key]
-
-    monkeypatch.setattr(solver, "solve_at", solve_once)
+    # each count of each query is solved once, for both sides and every bound
+    solve_each_count_once(monkeypatch, solved_as_shipped)
     kinds = set()
     for q in queries:
         v = check_sat_engine(q)
@@ -643,18 +735,19 @@ def test_exhausted_budget_reports_unknown():
     assert isinstance(both, Unknown)
 
 
+class StopAt:
+    """A budget that raises on its k-th check and on every later one."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def check(self):
+        self.k -= 1
+        if self.k <= 0:
+            raise BudgetExceeded()
+
+
 def test_budget_is_checked_inside_one_world_count(monkeypatch):
-    class StopAt:
-        """Raises on its k-th check and on every later one."""
-
-        def __init__(self, k):
-            self.k = k
-
-        def check(self):
-            self.k -= 1
-            if self.k <= 0:
-                raise BudgetExceeded()
-
     def unreachable(self, budget):
         raise AssertionError("CDCL.solve reached")
 
@@ -668,6 +761,24 @@ def test_budget_is_checked_inside_one_world_count(monkeypatch):
         solve_at(q, 2, StopAt(6))
     # the budget does not outlive its solve_at call
     assert solver.encode(q, 2).nvars > 0
+
+
+def test_budget_is_checked_before_each_probe(monkeypatch):
+    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
+    stopped = []
+    real = CDCL.solve
+
+    def solve(self, budget):
+        if len(self.probes) == 7 * 6:  # the 7-world probe of the world counts
+            stopped.append(self)
+            budget = StopAt(4)
+        return real(self, budget)
+
+    monkeypatch.setattr(CDCL, "solve", solve)
+    assert render_verdict(check_sat_engine(q)) == "Unknown reason=budget-exhausted"
+    # three probes refuted, the fourth check raised, the search never began
+    [s] = stopped
+    assert (s.conflicts, s.decisions) == (3, 0)
 
 
 # ---------------------------------------------------------------------------
