@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import syntax as sx
+from .model import MAX_WORLDS
 from .ontology import CONTENDERS
 from .solver import (
     DEFAULT_BOUND,
@@ -118,12 +119,20 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
 _TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _bound_value(text: str, what: str, line: int | None) -> int:
+    """A world count as written in a KB or proof file, checked at its line."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise sx.ParseError(f"{what} takes an integer", line) from None
+    if not 1 <= bound <= MAX_WORLDS:
+        raise sx.ParseError(f"{what} must be in 1..{MAX_WORLDS}, not {bound}", line)
+    return bound
+
+
 def _option_value(key: str, value: str, line: int | None) -> int | bool:
     if key == "bound":
-        try:
-            return int(value)
-        except ValueError:
-            raise sx.ParseError("option bound takes an integer", line) from None
+        return _bound_value(value, "option bound", line)
     if key == "total":
         if value not in _TRUTH:
             raise sx.ParseError("option total takes true|yes|1 or false|no|0", line)
@@ -242,24 +251,24 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
         if name in names:
             raise sx.ParseError(f"unresolved reference: duplicate step name {name!r}", form.line)
         formula = sx._parse_formula(form.items[2], sig, {})
-        uses: tuple[str, ...] = ()
-        bound = DEFAULT_BOUND
+        clauses: dict[str, object] = {}
         for extra in form.items[3:]:
             if not isinstance(extra, sx.SList) or not extra.items:
                 raise sx.ParseError("expected (uses ...) or (bound N)", form.line)
             key = _sym_text(extra.items[0], "clause")
+            if key in clauses:
+                raise sx.ParseError(f"step {name!r} has more than one ({key} ...) clause",
+                                    extra.line)
             if key == "uses":
-                uses = tuple(_sym_text(x, "reference") for x in extra.items[1:])
+                clauses[key] = tuple(_sym_text(x, "reference") for x in extra.items[1:])
             elif key == "bound":
                 if len(extra.items) != 2 or not isinstance(extra.items[1], sx.SSym):
                     raise sx.ParseError("bound takes one integer", extra.line)
-                try:
-                    bound = int(extra.items[1].text)
-                except ValueError:
-                    raise sx.ParseError("bound takes one integer", extra.line) from None
+                clauses[key] = _bound_value(extra.items[1].text, "bound", extra.line)
             else:
                 raise sx.ParseError(f"unknown step clause {key!r}", extra.line)
-        steps.append(ProofStep(name, formula, uses, bound))
+        steps.append(ProofStep(name, formula, clauses.get("uses", ()),
+                               clauses.get("bound", DEFAULT_BOUND)))
         names.append(name)
     # structural check: a step may cite only earlier steps, never itself or later ones
     for i, step in enumerate(steps):

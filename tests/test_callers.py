@@ -1,12 +1,15 @@
 """Everything defined at module level in `src/prefsat` has a use in the program.
 
 A reference is a name, an attribute, an import alias or a string constant
-anywhere in `src/prefsat` (outside `__init__.py`, whose re-exports are not
-uses) or in `bench/`.  String constants count because `bench/tracing.py`
-names the functions it wraps as strings.  Code that only tests call belongs
-next to those tests.
+anywhere in `src/prefsat` or in `bench/`.  String constants count because
+`bench/tracing.py` names the functions it wraps as strings.  Code that only
+tests call belongs next to those tests.  The package's `__init__.py` is its
+docstring alone: a re-export would be a reference that no caller uses.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,8 +31,7 @@ def _definitions() -> dict[str, str]:
 
 
 def _references() -> set[str]:
-    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    paths += (ROOT / "bench").glob("*.py")
+    paths = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]
     refs = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -53,3 +55,21 @@ def test_every_module_level_definition_has_a_reference():
 
 def test_allowed_names_still_exist():
     assert ALLOWED <= set(_definitions())
+
+
+def test_package_init_is_its_docstring_alone():
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr), "prefsat/__init__.py re-exports"
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # bench/cli_child.py imports prefsat.cli and then reads these modules
+    # from sys.modules to install its tracer; the package init loads none
+    wanted = ["syntax", "model", "solver", "kb", "suites", "lifts", "values", "cli"]
+    code = ("import sys, prefsat.cli; "
+            f"print(*[m for m in {wanted!r} if f'prefsat.{{m}}' not in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "\n", f"not loaded by import prefsat.cli: {out.stdout.split()}"

@@ -203,6 +203,13 @@ def test_nan_budget_is_a_usage_error(capsys):
     assert out == "goal ruling-for-d: Unknown reason=budget-exhausted\n"
 
 
+def test_out_of_range_kb_bound_is_a_parse_error_even_when_overridden(tmp_path, capsys):
+    kb = tmp_path / "b.kb"
+    kb.write_text("(atom Rain)\n(goal g1 Rain)\n(option bound 0)\n")
+    code, out, err = run(capsys, "check", str(kb), "--bound", "2")
+    assert (code, out, err) == (2, "", "error: line 3: option bound must be in 1..62, not 0\n")
+
+
 def test_kb_without_goals(tmp_path, capsys):
     kb = tmp_path / "empty.kb"
     kb.write_text("(atom Rain)\n(fact f1 Rain)\n")

@@ -67,7 +67,10 @@ def test_load_kb_rejects_malformed_documents(tmp_path):
     ("(option totl true)", "unknown option 'totl'"),
     ("(option total maybe)", "option total takes"),
     ("(option bound x)", "option bound takes an integer"),
-], ids=["unknown-key", "bad-total", "bad-bound"])
+    ("(option bound 0)", "option bound must be in 1..62, not 0"),
+    ("(option bound -3)", "option bound must be in 1..62, not -3"),
+    ("(option bound 99)", "option bound must be in 1..62, not 99"),
+], ids=["unknown-key", "bad-total", "bad-bound", "bound-0", "bound-negative", "bound-99"])
 def test_load_kb_rejects_bad_options(tmp_path, capsys, option, message):
     p = write(tmp_path, "opt.kb", f"(atom Rain)\n(goal g1 Rain)\n{option}\n")
     with pytest.raises(sx.ParseError, match=f"line 3: {message}"):
@@ -226,6 +229,22 @@ def test_load_proof_rejects_bad_references(tmp_path):
         load_proof(write(tmp_path, "junk.proof", "(lemma a appAnimal)"), kb.sig)
     with pytest.raises(sx.ParseError, match="integer"):
         load_proof(write(tmp_path, "badb.proof", "(step a appAnimal (bound x))"), kb.sig)
+
+
+@pytest.mark.parametrize("clauses, message", [
+    ("(bound 0)", "line 3: bound must be in 1..62, not 0"),
+    ("(bound 70)", "line 3: bound must be in 1..62, not 70"),
+    ("(uses b) (uses a)", "line 3: step 's1' has more than one .uses .... clause"),
+    ("(bound 4) (bound 2)", "line 3: step 's1' has more than one .bound .... clause"),
+], ids=["bound-0", "bound-70", "repeated-uses", "repeated-bound"])
+def test_load_proof_rejects_bad_step_clauses(tmp_path, capsys, clauses, message):
+    # each clause is checked at its own line, before any query is built
+    kb = case_kb("pierson")
+    p = write(tmp_path, "p.proof", f"(step s0 appAnimal)\n(step s1 appAnimal\n  {clauses})\n")
+    with pytest.raises(sx.ParseError, match=message):
+        load_proof(p, kb.sig)
+    assert main(["replay", str(p), "--kb", "pierson"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3: ")
 
 
 def test_empty_proof_form_is_a_parse_error(tmp_path, capsys):
