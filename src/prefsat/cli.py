@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    # replay takes no --bound: every step runs at its own (bound N) or the KB's
+    # replay takes no --bound: every step runs at its own (bound N), 4 without one
     bounded = argparse.ArgumentParser(add_help=False)
     bounded.add_argument("--bound", type=int, default=None, metavar="N",
                          help="largest world count to search (default 4)")

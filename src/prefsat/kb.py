@@ -7,7 +7,7 @@ the importing file; merged names must stay unique.  Axioms hold at every
 world, facts and goals at the designated world 0.  The options are
 (option bound N), the largest world count searched, and (option total
 true|false), which restricts every query on the KB, proof steps included, to
-total betterness relations.
+total betterness relations.  A file gives each option at most once.
 
 A proof script is a sequence of (step NAME FORMULA (uses NAME+) (bound N))
 forms.  Replay checks each step as a bounded entailment from exactly the
@@ -21,6 +21,7 @@ never usable as support.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,6 +75,7 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
         raise ConfigError(f"cannot read KB file {path}: {e}") from None
 
     kb = KnowledgeBase(name=path.stem, sig=sx.Signature())
+    own_options: set[str] = set()  # set by this file, not by an import
     for form in sx.read_forms(text):
         if not isinstance(form, sx.SList) or not form.items:
             raise sx.ParseError("expected a (...) form at top level", getattr(form, "line", None))
@@ -102,14 +104,17 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
             name = _sym_text(items[1], head)
             if name in kb.entry_names():
                 raise sx.ParseError(f"duplicate entry name {name!r}", form.line)
-            # elaborated now: a formula names only sorts declared before it,
-            # and no sort is ever redeclared
+            # parsed now: a quantifier expands over the constants declared
+            # before it, and no sort is ever redeclared
             formula = sx.elaborate(sx._parse_formula(items[2], kb.sig, {}), kb.sig)
             getattr(kb, head + "s")[name] = formula
         elif head == "option":
             if len(items) != 3:
                 raise sx.ParseError("option takes a key and a value", form.line)
             key, value = _sym_text(items[1], "option"), _sym_text(items[2], "value")
+            if key in own_options:
+                raise sx.ParseError(f"more than one (option {key} ...) form", form.line)
+            own_options.add(key)
             kb.options[key] = _option_value(key, value, form.line)
         else:
             raise sx.ParseError(f"unknown top-level form {head!r}", form.line)
@@ -120,11 +125,12 @@ _TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 
 
 def _bound_value(text: str, what: str, line: int | None) -> int:
-    """A world count as written in a KB or proof file, checked at its line."""
-    try:
-        bound = int(text)
-    except ValueError:
-        raise sx.ParseError(f"{what} takes an integer", line) from None
+    """A world count as written in a KB or proof file, checked at its line.
+    It is ASCII decimal digits after an optional `-`: int() alone would also
+    take `1_0`, `+3` and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise sx.ParseError(f"{what} takes an integer", line)
+    bound = int(text)
     if not 1 <= bound <= MAX_WORLDS:
         raise sx.ParseError(f"{what} must be in 1..{MAX_WORLDS}, not {bound}", line)
     return bound

@@ -192,17 +192,16 @@ def _move(x: int, k: int) -> int:
 
 
 def _ground_key(f: sx.Atom | sx.ValAtom) -> AtomKey | ValueSymbol:
-    """The valuation key of a grounded atom, or the incidence key of a
-    grounded value atom."""
+    """The valuation key of an atom, or the incidence key of a value atom."""
     if isinstance(f, sx.Atom):
         args = []
         for a in f.args:
             if not isinstance(a, sx.Const):
-                raise ModelError("evaluation needs grounded formulas")
+                raise ModelError(f"evaluation needs constant arguments, not {a!r}")
             args.append(a.name)
         return (f.pred, tuple(args))
     if not isinstance(f.party, sx.Const):
-        raise ModelError("evaluation needs grounded formulas")
+        raise ModelError(f"evaluation needs a constant party, not {f.party!r}")
     return (f.value, f.party.name)
 
 

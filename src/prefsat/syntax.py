@@ -1,12 +1,14 @@
 """Surface syntax and core formula representation.
 
 Formulas are written as s-expressions.  The parser checks names, arities and
-sorts against a Signature and produces immutable AST nodes.  Two later passes
-normalize a parsed formula for evaluation: `ground` expands quantifiers over
-finite sorts and resolves `other`, `desugar` rewrites every derived operator
-(syntactic preference variants, the conditional, and the value-layer forms)
-into the modal core.  Printing is the inverse of parsing: `format_formula`
-emits text that parses back to an equal AST.
+sorts against a Signature and produces immutable, ground AST nodes: it
+expands `(forall x SORT F)` and `(exists x SORT F)` as it reads them, into
+the conjunction or disjunction of F over the sort's constants, and folds
+`(other t)` to a constant.  One later pass, `desugar`, rewrites every derived
+operator (syntactic preference variants, the conditional, and the
+value-layer forms) into the modal core for evaluation.  Printing is the
+inverse of parsing: `format_formula` emits text that parses back to an equal
+AST, so a quantified text prints as its expansion.
 """
 from __future__ import annotations
 
@@ -206,31 +208,6 @@ class Const(Node):
     name: str
 
 
-class Var(Node):
-    name: str
-
-
-class Opponent(Node):
-    """`(other t)`: the opposing contender of a contender-sorted term."""
-
-    arg: "Term"
-
-
-Term = Const | Var | Opponent
-
-
-def resolve_term(t: Term, env: dict[str, Const]) -> Term:
-    """Substitute variables from env and fold `other` over constants."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, Opponent):
-        inner = resolve_term(t.arg, env)
-        if isinstance(inner, Const):
-            return Const(other(inner.name))
-        return Opponent(inner)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # formula AST
 
@@ -243,14 +220,14 @@ class Formula(Node):
 
 class Atom(Formula):
     pred: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Const, ...] = ()
 
 
 class ValAtom(Formula):
     """Incidence atom: a basic value observed for one party at a world."""
 
     value: BasicValue
-    party: Term
+    party: Const
 
 
 class Not(Formula):
@@ -307,18 +284,6 @@ class Everywhere(Formula):
     sub: Formula
 
 
-class Forall(Formula):
-    var: str
-    sort: str
-    body: Formula
-
-
-class Exists(Formula):
-    var: str
-    sort: str
-    body: Formula
-
-
 LIFT_PATTERNS = ("ee", "ea", "ae", "aa")
 
 
@@ -363,13 +328,13 @@ class PrincipleExt(Formula):
     """Worlds realizing both values a principle commits a party to."""
 
     principle: str
-    party: Term
+    party: Const
 
 
 class Agg(Formula):
     """Union-style aggregation of principle extensions."""
 
-    parts: tuple[tuple[str, Term], ...]
+    parts: tuple[tuple[str, Const], ...]
 
 
 class VPref(Formula):
@@ -386,13 +351,13 @@ class Promotes(Formula):
     premise: Formula
     decision: Formula
     principle: str
-    party: Term
+    party: Const
 
 
 class Conflict(Formula):
     """All four basic values observed for one party at once."""
 
-    party: Term
+    party: Const
 
 
 def make_and(args: list[Formula]) -> Formula:
@@ -411,8 +376,7 @@ def make_or(args: list[Formula]) -> Formula:
 KEYWORDS: dict[str, type] = {
     "not": Not, "and": And, "or": Or, "implies": Implies, "iff": Iff,
     "boxleq": BoxWeak, "dialeq": DiaWeak, "boxlt": BoxStrict, "dialt": DiaStrict,
-    "A": Everywhere, "E": Somewhere,
-    "forall": Forall, "exists": Exists, "prefsyn": SynPref,
+    "A": Everywhere, "E": Somewhere, "prefsyn": SynPref,
     "cp-dialeq": CpDiaWeak, "cp-dialt": CpDiaStrict, "cp-pref-aa": CpPrefAA, "cond": Cond,
     "ext": PrincipleExt, "agg": Agg, "vpref": VPref, "promotes": Promotes,
     "conflict": Conflict, "val": ValAtom,
@@ -420,11 +384,11 @@ KEYWORDS: dict[str, type] = {
 _KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
 
 # Field layout of every node class, read once from the field annotations: each
-# field is a sub-formula, a tuple of them, a term, a tuple of terms, a tuple of
-# (principle, term) pairs, or (None) plain data.
+# field is a sub-formula, a tuple of them, a term (a constant), a tuple of
+# terms, a tuple of (principle, term) pairs, or (None) plain data.
 _FIELD_KINDS = {
     "Formula": "formula", "tuple[Formula, ...]": "formulas",
-    "Term": "term", "tuple[Term, ...]": "terms", "tuple[tuple[str, Term], ...]": "pairs",
+    "Const": "term", "tuple[Const, ...]": "terms", "tuple[tuple[str, Const], ...]": "pairs",
 }
 _LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
     cls: tuple((name, _FIELD_KINDS.get(cls.__annotations__[name])) for name in cls._fields)
@@ -442,12 +406,11 @@ def _layout(f: Formula) -> tuple[tuple[str, str | None], ...]:
         raise TypeError(f"not a formula node: {type(f).__name__}") from None
 
 
-def _rebuild(f: Formula, on_formula, on_term=None) -> Formula:
-    """The node f with every sub-formula mapped by on_formula and, when given,
-    every term by on_term; other fields are kept.  Without on_term a node
-    with no sub-formulas is returned as is."""
+def _rebuild(f: Formula, on_formula) -> Formula:
+    """The node f with every sub-formula mapped by on_formula; other fields
+    are kept.  A node with no sub-formulas is returned as is."""
     layout = _layout(f)
-    if on_term is None and type(f) in _LEAVES:
+    if type(f) in _LEAVES:
         return f
     values = []
     for name, kind in layout:
@@ -456,13 +419,6 @@ def _rebuild(f: Formula, on_formula, on_term=None) -> Formula:
             value = on_formula(value)
         elif kind == "formulas":
             value = tuple(map(on_formula, value))
-        elif on_term is not None:
-            if kind == "term":
-                value = on_term(value)
-            elif kind == "terms":
-                value = tuple(map(on_term, value))
-            elif kind == "pairs":
-                value = tuple((p, on_term(t)) for p, t in value)
         values.append(value)
     return type(f)(*values)
 
@@ -480,7 +436,8 @@ def children(f: Formula):
 # signature
 
 
-RESERVED_HEADS = frozenset(KEYWORDS) | {"other"}
+# The quantifiers have no node class: the parser expands them.
+RESERVED_HEADS = frozenset(KEYWORDS) | {"other", "forall", "exists"}
 
 
 @dataclass
@@ -537,12 +494,16 @@ def _head(node) -> str | None:
     return None
 
 
-def _parse_term(node, sig: Signature, env: dict[str, str]) -> tuple[Term, str]:
-    """Parse a term; returns (term, sort name)."""
+# A parse environment maps each bound variable to its current constant and sort.
+Env = dict[str, tuple[Const, str]]
+
+
+def _parse_term(node, sig: Signature, env: Env) -> tuple[Const, str]:
+    """Parse a term to a constant; returns (constant, sort name)."""
     if isinstance(node, SSym):
         name = node.text
         if name in env:
-            return Var(name), env[name]
+            return env[name]
         sort = sig.const_sort(name)
         if sort is not None:
             return Const(name), sort
@@ -553,20 +514,18 @@ def _parse_term(node, sig: Signature, env: dict[str, str]) -> tuple[Term, str]:
         inner, sort = _parse_term(node.items[1], sig, env)
         if sort != "contender":
             raise ParseError("other applies to contender terms only", node.line)
-        if isinstance(inner, Const):
-            return Const(other(inner.name)), "contender"
-        return Opponent(inner), "contender"
+        return Const(other(inner.name)), "contender"
     raise ParseError("expected a term", getattr(node, "line", None))
 
 
-def _parse_party(node, sig: Signature, env: dict[str, str]) -> Term:
+def _parse_party(node, sig: Signature, env: Env) -> Const:
     term, sort = _parse_term(node, sig, env)
     if sort != "contender":
         raise ParseError("expected a contender", getattr(node, "line", None))
     return term
 
 
-def _parse_principle_pair(node, sig, env) -> tuple[str, Term]:
+def _parse_principle_pair(node, sig, env) -> tuple[str, Const]:
     if not isinstance(node, SList) or len(node.items) != 2:
         raise ParseError("expected (PRINCIPLE party)", getattr(node, "line", None))
     principle = _parse_choice(node.items[0], PRINCIPLES, "unknown principle")
@@ -586,7 +545,7 @@ def _want(node, count: int, what: str):
         raise ParseError(f"{what} takes {count} argument(s)", node.line)
 
 
-def _parse_formula(node, sig: Signature, env: dict[str, str]) -> Formula:
+def _parse_formula(node, sig: Signature, env: Env) -> Formula:
     if isinstance(node, SSym):
         name = node.text
         if name in env:
@@ -610,7 +569,7 @@ def _parse_formula(node, sig: Signature, env: dict[str, str]) -> Formula:
         if len(items) < 3:
             raise ParseError(f"{op} takes at least 2 arguments", node.line)
         return cls(tuple(_parse_formula(x, sig, env) for x in items[1:]))
-    if cls in (Forall, Exists):
+    if op in ("forall", "exists"):
         _want(node, 3, op)
         var_node, sort_node, body_node = items[1], items[2], items[3]
         if not isinstance(var_node, SSym) or not isinstance(sort_node, SSym):
@@ -622,8 +581,9 @@ def _parse_formula(node, sig: Signature, env: dict[str, str]) -> Formula:
             raise ParseError(f"variable {var!r} already bound", node.line)
         if sig.const_sort(var) is not None or var in sig.atoms:
             raise ParseError(f"variable {var!r} shadows a declared name", node.line)
-        body = _parse_formula(body_node, sig, {**env, var: sort})
-        return cls(var, sort, body)
+        parts = [_parse_formula(body_node, sig, {**env, var: (Const(c), sort)})
+                 for c in sig.sorts[sort]]
+        return make_and(parts) if op == "forall" else make_or(parts)
     if cls is Agg:
         if len(items) < 2:
             raise ParseError("agg takes at least one (PRINCIPLE party) pair", node.line)
@@ -696,19 +656,13 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 # printing
 
 
-def _format_term(t: Term) -> str:
-    if isinstance(t, Const) or isinstance(t, Var):
-        return t.name
-    return f"(other {_format_term(t.arg)})"
-
-
 def format_formula(f: Formula) -> str:
     if isinstance(f, Atom):
         if not f.args:
             return f.pred
-        return "(" + " ".join([f.pred] + [_format_term(a) for a in f.args]) + ")"
+        return "(" + " ".join([f.pred] + [a.name for a in f.args]) + ")"
     if isinstance(f, Promotes):
-        pair = f"({f.principle} {_format_term(f.party)})"
+        pair = f"({f.principle} {f.party.name})"
         return f"(promotes {format_formula(f.premise)} {format_formula(f.decision)} {pair})"
     layout = _layout(f)
     parts = [_KEYWORD_OF[type(f)]]
@@ -721,9 +675,9 @@ def format_formula(f: Formula) -> str:
             subs = " ".join(map(format_formula, value))
             parts.append(subs if len(layout) == 1 else f"({subs})")
         elif kind == "term":
-            parts.append(_format_term(value))
+            parts.append(value.name)
         elif kind == "pairs":
-            parts += [f"({p} {_format_term(x)})" for p, x in value]
+            parts += [f"({p} {x.name})" for p, x in value]
         elif isinstance(value, bool):
             parts.append("strict" if value else "weak")
         elif isinstance(value, BasicValue):
@@ -731,31 +685,6 @@ def format_formula(f: Formula) -> str:
         else:
             parts.append(value)
     return "(" + " ".join(parts) + ")"
-
-
-# ---------------------------------------------------------------------------
-# grounding: expand quantifiers over finite sorts, resolve variables
-
-
-def _subst(f: Formula, env: dict[str, Const]) -> Formula:
-    return _rebuild(f, lambda g: _subst(g, env), lambda t: resolve_term(t, env))
-
-
-def ground(f: Formula, sig: Signature) -> Formula:
-    """Expand forall/exists into conjunctions/disjunctions over sort constants."""
-    if isinstance(f, (Forall, Exists)):
-        consts = sig.sorts.get(f.sort)
-        if not consts:
-            raise ParseError(f"cannot ground over empty or unknown sort {f.sort!r}")
-        expanded = [ground(_subst(f.body, {f.var: Const(c)}), sig) for c in consts]
-        return make_and(expanded) if isinstance(f, Forall) else make_or(expanded)
-    return _rebuild(f, lambda g: ground(g, sig))
-
-
-def _require_party_const(t: Term) -> Term:
-    if not isinstance(t, Const):
-        raise ParseError("value-layer forms need a resolved party; ground first")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -778,14 +707,13 @@ def _desugar_synpref(pattern: str, strict: bool, lhs: Formula, rhs: Formula) -> 
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _principle_conjunction(principle: str, party: Term) -> Formula:
-    _require_party_const(party)
+def _principle_conjunction(principle: str, party: Const) -> Formula:
     v1, v2 = PRINCIPLES[principle]
     return And((ValAtom(v1, party), ValAtom(v2, party)))
 
 
 def desugar(f: Formula) -> Formula:
-    """Rewrite derived operators into the modal core.  Quantifier-free input."""
+    """Rewrite derived operators into the modal core."""
     if isinstance(f, SynPref):
         return _desugar_synpref(f.pattern, f.strict, desugar(f.lhs), desugar(f.rhs))
     if isinstance(f, Cond):
@@ -804,27 +732,25 @@ def desugar(f: Formula) -> Formula:
             BoxStrict(Iff(desugar(f.decision), DiaStrict(target))),
         )
     if isinstance(f, Conflict):
-        party = _require_party_const(f.party)
-        return And(tuple(ValAtom(v, party) for v in BasicValue))
-    if isinstance(f, (Forall, Exists)):
-        raise ParseError("desugar expects grounded input (quantifier found)")
+        return And(tuple(ValAtom(v, f.party) for v in BasicValue))
     return _rebuild(f, desugar)
 
 
 def elaborate(f: Formula, sig: Signature) -> Formula:
-    """ground + desugar: the normal form the evaluator and encoder accept."""
-    return desugar(ground(f, sig))
+    """The normal form the evaluator and encoder accept: desugar(f).  A parsed
+    formula is already ground, so sig is not read."""
+    return desugar(f)
 
 
 # ---------------------------------------------------------------------------
 # symbol collection (used for oracle enumeration and model validation)
 
 # The forms desugar rewrites away; none may reach the evaluator or encoder.
-_DERIVED = (Forall, Exists, SynPref, Cond, PrincipleExt, Agg, VPref, Promotes, Conflict)
+_DERIVED = (SynPref, Cond, PrincipleExt, Agg, VPref, Promotes, Conflict)
 
 
 def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[tuple[BasicValue, str]]]:
-    """Ground atom keys and incidence keys occurring in a normalized formula."""
+    """Ground atom keys and incidence keys occurring in a desugared formula."""
     atoms: set[tuple[str, tuple[str, ...]]] = set()
     incidence: set[tuple[BasicValue, str]] = set()
 
@@ -833,12 +759,13 @@ def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[t
             names = []
             for a in g.args:
                 if not isinstance(a, Const):
-                    raise ParseError("collect_symbols expects grounded input")
+                    raise ParseError(f"collect_symbols expects constant arguments, found {a!r}")
                 names.append(a.name)
             atoms.add((g.pred, tuple(names)))
         elif isinstance(g, ValAtom):
-            party = _require_party_const(g.party)
-            incidence.add((g.value, party.name))
+            if not isinstance(g.party, Const):
+                raise ParseError(f"collect_symbols expects a constant party, found {g.party!r}")
+            incidence.add((g.value, g.party.name))
         elif isinstance(g, _DERIVED):
             raise ParseError(f"collect_symbols expects desugared input, found {type(g).__name__}")
         else:

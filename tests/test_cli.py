@@ -123,11 +123,12 @@ def test_replay_unknown_proof(capsys):
 
 
 def test_meta_suite_cross_checked_at_small_bound(capsys):
-    code, out, _ = run(capsys, "suite", "meta", "--engine", "both", "--bound", "2")
-    assert code == 0
-    assert out.startswith("suite meta: engine=both bound=2 seed=0\n")
-    assert "FAIL" not in out
-    assert out.strip().endswith("rows passed")
+    # every suite with both engines at bound 3, where the oracle decides each
+    # query in its domain; recorded like the goldens above, all exiting 0
+    # (not in exit_codes.json, whose names are "<subcommand>-<argument>")
+    for name in ("meta", "values", "cases"):
+        code, out, _ = run(capsys, "suite", name, "--engine", "both", "--bound", "3")
+        assert (code, out) == (0, (GOLDEN / f"suite-{name}-both-bound3.out").read_text()), name
 
 
 def test_suites_all_pass_by_default(capsys):

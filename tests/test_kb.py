@@ -70,13 +70,33 @@ def test_load_kb_rejects_malformed_documents(tmp_path):
     ("(option bound 0)", "option bound must be in 1..62, not 0"),
     ("(option bound -3)", "option bound must be in 1..62, not -3"),
     ("(option bound 99)", "option bound must be in 1..62, not 99"),
-], ids=["unknown-key", "bad-total", "bad-bound", "bound-0", "bound-negative", "bound-99"])
+    ("(option bound 1_0)", "option bound takes an integer"),
+    ("(option bound +3)", "option bound takes an integer"),
+    ("(option bound \u0663)", "option bound takes an integer"),  # ARABIC-INDIC DIGIT THREE
+    ("(option bound \uff11\uff12)", "option bound takes an integer"),  # FULLWIDTH 12
+], ids=["unknown-key", "bad-total", "bad-bound", "bound-0", "bound-negative", "bound-99",
+        "bound-underscore", "bound-plus", "bound-arabic-indic", "bound-fullwidth"])
 def test_load_kb_rejects_bad_options(tmp_path, capsys, option, message):
     p = write(tmp_path, "opt.kb", f"(atom Rain)\n(goal g1 Rain)\n{option}\n")
     with pytest.raises(sx.ParseError, match=f"line 3: {message}"):
         load_kb(p)
     assert main(["entail", str(p)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_an_option_is_set_once_per_file(tmp_path, capsys):
+    for key, first, second in (("bound", "3", "5"), ("total", "true", "false")):
+        p = write(tmp_path, "twice.kb",
+                  f"(atom Rain)\n(goal g1 Rain)\n(option {key} {first})\n(option {key} {second})\n")
+        with pytest.raises(sx.ParseError, match=rf"line 4: more than one \(option {key} \.\.\.\)"):
+            load_kb(p)
+        assert main(["entail", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 4: ")
+    # an imported option is not the file's own: the file's option wins,
+    # before the import or after it
+    write(tmp_path, "base.kb", "(atom Rain) (option bound 2)")
+    for body in ("(option bound 5) (import base)", "(import base) (option bound 5)"):
+        assert load_kb(write(tmp_path, "top.kb", body)).options["bound"] == 5
 
 
 def test_imports_merge_and_stay_unique(tmp_path):
@@ -236,7 +256,12 @@ def test_load_proof_rejects_bad_references(tmp_path):
     ("(bound 70)", "line 3: bound must be in 1..62, not 70"),
     ("(uses b) (uses a)", "line 3: step 's1' has more than one .uses .... clause"),
     ("(bound 4) (bound 2)", "line 3: step 's1' has more than one .bound .... clause"),
-], ids=["bound-0", "bound-70", "repeated-uses", "repeated-bound"])
+    ("(bound 1_0)", "line 3: bound takes an integer"),
+    ("(bound +3)", "line 3: bound takes an integer"),
+    ("(bound \u0663)", "line 3: bound takes an integer"),  # ARABIC-INDIC DIGIT THREE
+    ("(bound \uff11\uff12)", "line 3: bound takes an integer"),  # FULLWIDTH 12
+], ids=["bound-0", "bound-70", "repeated-uses", "repeated-bound",
+        "bound-underscore", "bound-plus", "bound-arabic-indic", "bound-fullwidth"])
 def test_load_proof_rejects_bad_step_clauses(tmp_path, capsys, clauses, message):
     # each clause is checked at its own line, before any query is built
     kb = case_kb("pierson")

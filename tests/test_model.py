@@ -140,8 +140,8 @@ def test_evaluation_rejects_malformed_input():
     m = chain3()
     with pytest.raises(ModelError, match="not interpreted"):
         eval_formula(m, sx.Atom("R"))
-    with pytest.raises(ModelError, match="grounded"):
-        eval_formula(m, sx.Atom("Owns", (sx.Var("x"),)))
+    with pytest.raises(ModelError, match="constant arguments"):
+        eval_formula(m, sx.Atom("Owns", ("x",)))
     with pytest.raises(ModelError, match="desugared"):
         eval_formula(m, sx.SynPref("ae", False, sx.Atom("P"), sx.Atom("Q")))
 

@@ -24,6 +24,7 @@ from prefsat.solver import (
     CDCL,
     Countermodel,
     EngineDisagreement,
+    EngineError,
     NoModel,
     OracleDomainError,
     Query,
@@ -428,6 +429,31 @@ def test_countermodel_is_validated_and_refutes_target():
     validate_model(v.model)
     assert not v.model.atom_bits(("P", ())) & 1
     assert render_verdict(v).startswith("Countermodel worlds=1\nw0:")
+
+
+def test_a_corrupted_witness_is_caught_on_each_engine(monkeypatch):
+    # both engines re-evaluate a witness before returning it
+    P = ("P", ())
+    decode = solver._Encoder.decode
+
+    def flip_p(self, cdcl):  # the SAT model with P's world set complemented
+        m = decode(self, cdcl)
+        return replace(m, valuation={**m.valuation, P: m.valuation[P] ^ m.full_mask})
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver._Encoder, "decode", flip_p)
+        for q, message in ((find(axioms=["P"]), "fails axioms or facts"),
+                           (refute("P"), "countermodel satisfies the target"),
+                           (find(target="P"), "model falsifies the target")):
+            with pytest.raises(EngineError, match=message):
+                check_sat_engine(q)
+    # the oracle admitting every assignment returns the first, every symbol
+    # false everywhere, which breaks the axiom P and satisfies the target (not P)
+    monkeypatch.setattr(solver, "_sliced_admitted", lambda q, s: s.block)
+    for q, message in ((find(axioms=["P"], bound=1), "fails axioms or facts"),
+                       (refute("(not P)", bound=1), "countermodel satisfies the target")):
+        with pytest.raises(EngineError, match=message):
+            enum_oracle(q)
 
 
 def test_axioms_hold_everywhere_facts_only_at_the_designated_world():

@@ -1,4 +1,4 @@
-"""Reader, parser, printer and normalization passes."""
+"""Reader, parser, printer, desugaring and symbol collection."""
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -148,10 +148,9 @@ def test_quantifiers_bind_and_check():
     sig = sig2()
     sig.add_atom("Owns", ("contender",))
     f = parse_formula("(forall x contender (implies (Owns x) (conflict x)))", sig)
-    assert f == sx.Forall(
-        "x", "contender",
-        sx.Implies(sx.Atom("Owns", (sx.Var("x"),)), sx.Conflict(sx.Var("x"))),
-    )
+    assert f == sx.And(tuple(
+        sx.Implies(sx.Atom("Owns", (sx.Const(c),)), sx.Conflict(sx.Const(c))) for c in "pd"
+    ))
     with pytest.raises(ParseError, match="unknown sort"):
         parse_formula("(forall x things P)", sig)
     with pytest.raises(ParseError, match="already bound"):
@@ -193,6 +192,12 @@ ROUND_TRIP = [
     "(conflict p)",
     "(forall x contender (exists y contender (implies (conflict x) (conflict y))))",
 ]
+# A quantified text prints as its expansion, which parses back to an equal AST.
+PRINTED = {
+    ROUND_TRIP[-1]:
+        "(and (or (implies (conflict p) (conflict p)) (implies (conflict p) (conflict d)))"
+        " (or (implies (conflict d) (conflict p)) (implies (conflict d) (conflict d))))",
+}
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP)
@@ -200,25 +205,23 @@ def test_format_parse_round_trip(text):
     sig = sig2()
     f = parse_formula(text, sig)
     printed = sx.format_formula(f)
-    assert printed == text
+    assert printed == PRINTED.get(text, text)
     assert parse_formula(printed, sig) == f
 
 
 # ---------------------------------------------------------------------------
-# grounding
+# grounding: the parser expands quantifiers over the sort's constants
 
 
 def test_ground_expands_quantifiers():
     sig = sig2()
     f = parse_formula("(forall x contender (val UTILITY x))", sig)
-    g = sx.ground(f, sig)
-    assert g == sx.And((
+    assert f == sx.And((
         sx.ValAtom(BasicValue.UTILITY, sx.Const("p")),
         sx.ValAtom(BasicValue.UTILITY, sx.Const("d")),
     ))
     e = parse_formula("(exists x contender (conflict (other x)))", sig)
-    ge = sx.ground(e, sig)
-    assert ge == sx.Or((sx.Conflict(sx.Const("d")), sx.Conflict(sx.Const("p"))))
+    assert e == sx.Or((sx.Conflict(sx.Const("d")), sx.Conflict(sx.Const("p"))))
 
 
 def test_ground_single_constant_sort_drops_connective():
@@ -226,7 +229,7 @@ def test_ground_single_constant_sort_drops_connective():
     sig.add_sort("case", ("c1",))
     sig.add_atom("Decided", ("case",))
     f = parse_formula("(forall x case (Decided x))", sig)
-    assert sx.ground(f, sig) == sx.Atom("Decided", (sx.Const("c1"),))
+    assert f == sx.Atom("Decided", (sx.Const("c1"),))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +291,6 @@ def test_desugar_promotes_shape():
     assert isinstance(f.rhs.sub.rhs, sx.DiaStrict)
 
 
-def test_desugar_rejects_quantifiers_and_unresolved_parties():
-    with pytest.raises(ParseError, match="quantifier"):
-        sx.desugar(sx.Forall("x", "contender", P()))
-    with pytest.raises(ParseError, match="ground"):
-        sx.desugar(sx.Conflict(sx.Var("x")))
-
-
 def test_elaborate_is_ground_then_desugar():
     sig = sig2()
     f = parse_formula("(forall x contender (conflict x))", sig)
@@ -329,22 +325,27 @@ def test_collect_symbols():
     atoms, incidence = sx.collect_symbols(f)
     assert atoms == {("Owns", ("p",)), ("Q", ())}
     assert incidence == {(v, "d") for v in BasicValue}
+    # the engines' input check: every argument and party is a constant
+    with pytest.raises(ParseError, match="constant arguments"):
+        sx.collect_symbols(sx.Atom("Owns", ("p",)))
+    with pytest.raises(ParseError, match="constant party"):
+        sx.collect_symbols(sx.ValAtom(BasicValue.FREEDOM, "p"))
+    with pytest.raises(ParseError, match="desugared"):
+        sx.collect_symbols(sx.Conflict(sx.Const("p")))
 
 
 # ---------------------------------------------------------------------------
 # node classes
 
-NP, NQ = sx.Atom("P"), sx.Atom("Q", (sx.Const("d"), sx.Var("x")))
+NP, NQ = sx.Atom("P"), sx.Atom("Q", (sx.Const("d"), sx.Const("p")))
 _P = "Atom(pred='P', args=())"
-_Q = "Atom(pred='Q', args=(Const(name='d'), Var(name='x')))"
+_Q = "Atom(pred='Q', args=(Const(name='d'), Const(name='p')))"
 
 # One node of every class and its repr, as a frozen dataclass printed it.
 NODE_REPRS = [
     (sx.SSym("a", 1), "SSym(text='a', line=1)"),
     (sx.SList((sx.SSym("a", 1),), 2), "SList(items=(SSym(text='a', line=1),), line=2)"),
     (sx.Const("d"), "Const(name='d')"),
-    (sx.Var("x"), "Var(name='x')"),
-    (sx.Opponent(sx.Var("x")), "Opponent(arg=Var(name='x'))"),
     (NQ, _Q),
     (sx.ValAtom(BasicValue.FREEDOM, sx.Const("p")),
      "ValAtom(value=<BasicValue.FREEDOM: 'FREEDOM'>, party=Const(name='p'))"),
@@ -359,8 +360,6 @@ NODE_REPRS = [
     (sx.BoxStrict(NP), f"BoxStrict(sub={_P})"),
     (sx.Somewhere(NP), f"Somewhere(sub={_P})"),
     (sx.Everywhere(NP), f"Everywhere(sub={_P})"),
-    (sx.Forall("x", "contender", NP), f"Forall(var='x', sort='contender', body={_P})"),
-    (sx.Exists("x", "contender", NP), f"Exists(var='x', sort='contender', body={_P})"),
     (sx.SynPref("ae", True, NP, NQ), f"SynPref(pattern='ae', strict=True, lhs={_P}, rhs={_Q})"),
     (sx.CpDiaWeak((NP,), NQ), f"CpDiaWeak(guards=({_P},), sub={_Q})"),
     (sx.CpDiaStrict((NP,), NQ), f"CpDiaStrict(guards=({_P},), sub={_Q})"),
@@ -368,8 +367,8 @@ NODE_REPRS = [
      f"CpPrefAA(guards=({_P},), strict=False, lhs={_P}, rhs={_Q})"),
     (sx.Cond(NP, NQ), f"Cond(lhs={_P}, rhs={_Q})"),
     (sx.PrincipleExt("RESP", sx.Const("p")), "PrincipleExt(principle='RESP', party=Const(name='p'))"),
-    (sx.Agg((("RESP", sx.Const("p")), ("STAB", sx.Opponent(sx.Var("x"))))),
-     "Agg(parts=(('RESP', Const(name='p')), ('STAB', Opponent(arg=Var(name='x')))))"),
+    (sx.Agg((("RESP", sx.Const("p")), ("STAB", sx.Const("d")))),
+     "Agg(parts=(('RESP', Const(name='p')), ('STAB', Const(name='d'))))"),
     (sx.VPref(True, sx.PrincipleExt("RESP", sx.Const("p")), sx.PrincipleExt("STAB", sx.Const("d"))),
      "VPref(strict=True, lhs=PrincipleExt(principle='RESP', party=Const(name='p')), "
      "rhs=PrincipleExt(principle='STAB', party=Const(name='d')))"),
@@ -383,7 +382,7 @@ def test_every_node_class_has_a_repr_case():
     classes = {cls for cls in vars(sx).values()
                if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields}
     assert {type(node) for node, _ in NODE_REPRS} == classes
-    assert len(classes) == 30
+    assert len(classes) == 26
 
 
 @pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
@@ -400,14 +399,14 @@ def test_nodes_equal_only_within_one_class():
     assert sx.And((NP, NQ)) != sx.Or((NP, NQ))
     assert sx.DiaWeak(NP) != sx.BoxWeak(NP)
     assert sx.Not(NP) != sx.Not(sx.Atom("P", (sx.Const("d"),)))
-    assert sx.Const("d") != sx.Var("d") and sx.Const("d") != "d"
+    assert sx.Const("d") != "d"
     assert len({sx.And((NP, NQ)), sx.Or((NP, NQ)), sx.And((NP, NQ))}) == 2
 
 
 def test_node_keywords_and_defaults():
     assert sx.Atom("P") == sx.Atom(pred="P", args=()) == sx.Atom("P", ()) == sx.Atom(pred="P")
     assert sx.Atom.args == ()
-    assert sx.Forall("x", sort="s", body=NP) == sx.Forall(var="x", sort="s", body=NP)
+    assert sx.VPref(True, lhs=NP, rhs=NQ) == sx.VPref(strict=True, lhs=NP, rhs=NQ)
     with pytest.raises(TypeError, match="missing"):
         sx.Implies(NP)
     with pytest.raises(TypeError, match="multiple"):
@@ -443,8 +442,6 @@ LAYOUT = {
     sx.DiaStrict: (('sub', 'formula'),),
     sx.Everywhere: (('sub', 'formula'),),
     sx.Somewhere: (('sub', 'formula'),),
-    sx.Forall: (('var', None), ('sort', None), ('body', 'formula')),
-    sx.Exists: (('var', None), ('sort', None), ('body', 'formula')),
     sx.SynPref: (('pattern', None), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
     sx.CpDiaWeak: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpDiaStrict: (('guards', 'formulas'), ('sub', 'formula')),
