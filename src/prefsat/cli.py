@@ -40,6 +40,15 @@ from .solver import (
 from .suites import SUITE_NAMES, run_suite
 
 
+def _bound_arg(text: str) -> int:
+    """--bound, read as a KB's (option bound N) is: ASCII digits, in
+    1..model.MAX_WORLDS."""
+    try:
+        return kbmod._bound_value(text, "bound", None)
+    except sx.ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="prefsat",
@@ -49,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # replay takes no --bound: every step runs at its own (bound N), 4 without one
     bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--bound", type=int, default=None, metavar="N",
+    bounded.add_argument("--bound", type=_bound_arg, default=None, metavar="N",
                          help="largest world count to search (default 4)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--engine", choices=("sat", "enum", "both"), default=None,

@@ -45,7 +45,9 @@ class ConfigError(Exception):
 
 @dataclass
 class KnowledgeBase:
-    """Named entries, each stored grounded and desugared, and options."""
+    """Named entries, each stored grounded and desugared, and options.  The
+    entries of a loaded KB share equal subformulas: one node for each
+    distinct subformula across its axioms, facts and goals."""
 
     name: str
     sig: sx.Signature
@@ -118,6 +120,10 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
             kb.options[key] = _option_value(key, value, form.line)
         else:
             raise sx.ParseError(f"unknown top-level form {head!r}", form.line)
+    if _loading is None:  # imports merged: share across the whole KB once
+        table: dict = {}
+        for entries in (kb.axioms, kb.facts, kb.goals):
+            entries.update(zip(list(entries), sx.share(entries.values(), table)))
     return kb
 
 

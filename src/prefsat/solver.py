@@ -6,11 +6,13 @@ validity / entailment) or to find a model of everything (satisfiability).
 The search solves exact world counts up to the bound, each count one
 propositional instance: relation variables for every ordered world pair,
 variables for each ground atom and value symbol per world, and definition
-gates for each subformula per world.  Reflexivity is compiled away, the
-strict relation is defined from the weak one, and transitivity (plus
-optionally totality) is asserted as clauses.  Which counts it solves, and in
-what order, is check_sat_engine's cloning-lemma search; the verdict and
-witness are those of the least count with a model.
+gates for each distinct subformula per world (a loaded KB holds one node per
+distinct subformula, and the encoder builds each node once per world).
+Reflexivity is compiled away, the strict relation is defined from the weak
+one, and transitivity (plus optionally totality) is asserted as clauses.
+Which counts it solves, and in what order, is check_sat_engine's
+cloning-lemma search; the verdict and witness are those of the least count
+with a model.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
@@ -256,10 +258,12 @@ class CDCL:
         reorders their literals.  `probes` are literals that solve decides
         True, one at a time, before its search."""
         self.probes.extend(probes)
-        attach, units = self._attach, self.units
+        attached, watch, units = self.clauses, self.watch, self.units
         for clause in clauses:
-            if len(clause) > 1:
-                attach(clause)
+            if len(clause) > 1:  # as _attach does
+                attached.append(clause)
+                watch[clause[0]].append(clause)
+                watch[clause[1]].append(clause)
             elif clause:
                 units.append(clause[0])
             else:
@@ -446,6 +450,16 @@ class CDCL:
 # ---------------------------------------------------------------------------
 # encoding
 
+# The one modal rule's (sign, strict, guarded) for each modality, as in
+# model._diamond: a box is the negated diamond of its negated body.
+_MODALITIES = {
+    sx.DiaWeak: (1, False, False), sx.DiaStrict: (1, True, False),
+    sx.CpDiaWeak: (1, False, True), sx.CpDiaStrict: (1, True, True),
+    sx.BoxWeak: (-1, False, False), sx.BoxStrict: (-1, True, False),
+}
+# Formulas true at every world or at none; encoded once, at world -1.
+_WORLD_INDEPENDENT = frozenset((sx.Somewhere, sx.Everywhere, sx.CpPrefAA))
+
 
 class _Encoder:
     """Compile a query at an exact world count into clauses.
@@ -454,7 +468,11 @@ class _Encoder:
     lexicographic order; then one variable per ground atom (sorted by name
     and argument tuple) per world; then one per value symbol (sorted) per
     world; then definition gates in creation order, the maximal-world lemma's
-    last.
+    last.  `t` builds the gates for each distinct subformula once per world:
+    it caches by node id, and equal subtrees of a loaded KB are one node.  A
+    subtree built again as another object gets the same literal from the
+    conj and iff caches, with no new variable or clause, so sharing changes
+    the build's cost and not its CNF.
     """
 
     def __init__(self, n: int, atom_keys, inc_keys, total: bool):
@@ -479,6 +497,7 @@ class _Encoder:
         self._iff_memo: dict[tuple[int, int], int] = {}
         self._t_memo: dict[tuple[int, int], int] = {}
         self._keep: list = []  # formula refs pinned while ids are cache keys
+        self._strict: list[list[int | None]] = [[None] * n for _ in range(n)]
 
         for i in range(n):
             for j in range(n):
@@ -501,8 +520,15 @@ class _Encoder:
 
     def edge(self, w: int, v: int, strict: bool, guards) -> list[int]:
         """Literals that together say v is weakly (strictly: weakly and not
-        conversely) better than w and agrees with w on every guard."""
-        lits = [self.conj((self.rlit(w, v), -self.rlit(v, w))) if strict else self.rlit(w, v)]
+        conversely) better than w and agrees with w on every guard.  The
+        strict edge's gate is made by conj at its first use and then kept."""
+        if strict:
+            lit = self._strict[w][v]
+            if lit is None:
+                lit = self._strict[w][v] = self.conj((self.rlit(w, v), -self.rlit(v, w)))
+        else:
+            lit = self.rlit(w, v)
+        lits = [lit]
         for g in guards:
             lits.append(self.iff(self.t(g, w), self.t(g, v)))
         return lits
@@ -510,23 +536,33 @@ class _Encoder:
     def conj(self, lits) -> int:
         """A gate for the conjunction, its literals without repeats; a
         complementary pair is false, so each clause satisfies CDCL.load."""
-        out: dict[int, None] = {}
-        for l in lits:
-            if l == -self.vtrue or -l in out:
-                return -self.vtrue
-            if l != self.vtrue:
-                out[l] = None
-        if len(out) < 2:
-            return next(iter(out), self.vtrue)
-        key = tuple(sorted(out))
-        hit = self._conj_memo.get(key)
-        if hit is not None:
-            return hit
-        g = self._new()
-        for l in out:
-            self.clauses.append([-g, l])
-        self.clauses.append([g, *map(neg, out)])
-        self._conj_memo[key] = g
+        vtrue = self.vtrue
+        if len(lits) == 2:  # most calls: the same steps, spelt out
+            a, b = out = lits
+            if a == -vtrue or b == -vtrue or a == -b:
+                return -vtrue
+            if a == vtrue:
+                return b
+            if b == vtrue or a == b:
+                return a
+            key = (a, b) if a < b else (b, a)
+        else:
+            out = {}
+            for l in lits:
+                if l == -vtrue or -l in out:
+                    return -vtrue
+                if l != vtrue:
+                    out[l] = None
+            if len(out) < 2:
+                return next(iter(out), vtrue)
+            key = tuple(sorted(out))
+        g = self._conj_memo.get(key)
+        if g is None:
+            g = self._conj_memo[key] = self._new()
+            clauses = self.clauses
+            for l in out:
+                clauses.append([-g, l])
+            clauses.append([g, *map(neg, out)])
         return g
 
     def disj(self, lits) -> int:
@@ -559,8 +595,8 @@ class _Encoder:
 
     def t(self, f: sx.Formula, w: int) -> int:
         """Literal equivalent to "f holds at world w"."""
-        if isinstance(f, (sx.Somewhere, sx.Everywhere, sx.CpPrefAA)):
-            w = -1  # world-independent
+        if type(f) in _WORLD_INDEPENDENT:
+            w = -1
         key = (id(f), w)
         hit = self._t_memo.get(key)
         if hit is not None:
@@ -571,47 +607,44 @@ class _Encoder:
         return lit
 
     def _t_build(self, f: sx.Formula, w: int) -> int:
-        n = self.n
-        if isinstance(f, sx.Atom):
-            args = tuple(a.name for a in f.args)  # grounded: Const only
-            return self.atom_vars[(f.pred, args)][w]
-        if isinstance(f, sx.ValAtom):
-            return self.inc_vars[(f.value, f.party.name)][w]
-        if isinstance(f, sx.Not):
-            return -self.t(f.sub, w)
-        if isinstance(f, sx.And):
-            return self.conj([self.t(a, w) for a in f.args])
-        if isinstance(f, sx.Or):
-            return self.disj([self.t(a, w) for a in f.args])
-        if isinstance(f, sx.Implies):
-            return self.disj([-self.t(f.lhs, w), self.t(f.rhs, w)])
-        if isinstance(f, sx.Iff):
-            return self.iff(self.t(f.lhs, w), self.t(f.rhs, w))
-        if isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict,
-                          sx.BoxWeak, sx.BoxStrict)):
-            # one rule, as in model._diamond: a box is the negated diamond of
-            # its negated body
-            sign = -1 if isinstance(f, (sx.BoxWeak, sx.BoxStrict)) else 1
-            strict = isinstance(f, (sx.DiaStrict, sx.CpDiaStrict, sx.BoxStrict))
-            guards = f.guards if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else ()
+        cls = type(f)
+        modality = _MODALITIES.get(cls)
+        if modality is not None:
+            sign, strict, guarded = modality
+            guards, sub = f.guards if guarded else (), f.sub
             opts = []
-            for v in range(n):
+            for v in range(self.n):
                 lits = self.edge(w, v, strict, guards)
-                lits.append(sign * self.t(f.sub, v))
+                lits.append(sign * self.t(sub, v))
                 opts.append(self.conj(lits))
             return sign * self.disj(opts)
-        if isinstance(f, sx.Somewhere):
+        if cls is sx.Atom:
+            return self.atom_vars[(f.pred, tuple(a.name for a in f.args))][w]
+        if cls is sx.ValAtom:
+            return self.inc_vars[(f.value, f.party.name)][w]
+        if cls is sx.Not:
+            return -self.t(f.sub, w)
+        if cls is sx.And:
+            return self.conj([self.t(a, w) for a in f.args])
+        if cls is sx.Or:
+            return self.disj([self.t(a, w) for a in f.args])
+        if cls is sx.Implies:
+            return self.disj([-self.t(f.lhs, w), self.t(f.rhs, w)])
+        if cls is sx.Iff:
+            return self.iff(self.t(f.lhs, w), self.t(f.rhs, w))
+        n = self.n
+        if cls is sx.Somewhere:
             return self.disj([self.t(f.sub, v) for v in range(n)])
-        if isinstance(f, sx.Everywhere):
+        if cls is sx.Everywhere:
             return self.conj([self.t(f.sub, v) for v in range(n)])
-        if isinstance(f, sx.CpPrefAA):
+        if cls is sx.CpPrefAA:
             parts = []
             for s in range(n):
                 for u in range(n):
                     guard = self.conj(self.edge(s, u, f.strict, f.guards))  # first: variable order
                     parts.append(self.disj((-self.t(f.lhs, s), -self.t(f.rhs, u), guard)))
             return self.conj(parts)
-        raise EngineError(f"encoder expects desugared formulas, found {type(f).__name__}")
+        raise EngineError(f"encoder expects desugared formulas, found {cls.__name__}")
 
     def maximal_world_lemma(self):
         """Clauses saying every world is maximal or has a strictly better

@@ -6,14 +6,15 @@ expands `(forall x SORT F)` and `(exists x SORT F)` as it reads them, into
 the conjunction or disjunction of F over the sort's constants, and folds
 `(other t)` to a constant.  One later pass, `desugar`, rewrites every derived
 operator (syntactic preference variants, the conditional, and the
-value-layer forms) into the modal core for evaluation.  Printing is the
+value-layer forms) into the modal core for evaluation, and `share` makes
+equal subtrees one object for the caches keyed by node.  Printing is the
 inverse of parsing: `format_formula` emits text that parses back to an equal
 AST, so a quantified text prints as its expansion.
 """
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field
-from operator import attrgetter
+from operator import attrgetter, is_not
 
 from .ontology import CONTENDERS, PRINCIPLES, BasicValue, other
 
@@ -430,6 +431,44 @@ def children(f: Formula):
             yield getattr(f, name)
         elif kind == "formulas":
             yield from getattr(f, name)
+
+
+def share(formulas, table: dict) -> list[Formula]:
+    """The formulas, equal to the given ones, with every equal subtree made
+    one object (hash-consing: Filliâtre & Conchon, ML 2006), so that a cache
+    keyed by node id meets each distinct sub-formula once.  Bottom-up, a
+    node's key is its class, its other fields and the ids of its shared
+    sub-formulas, so no deep tree is ever hashed; a leaf's key is the node
+    itself.  `table` maps keys to shared nodes and keeps them alive: calls
+    with one table share across calls.  A node not yet in the table whose
+    sub-formulas come back as they were is kept rather than rebuilt."""
+
+    def walk(f: Formula) -> Formula:
+        if type(f) in _LEAVES:
+            return table.setdefault(f, f)
+        key, values, changed = [type(f)], [], False
+        for name, kind in _layout(f):
+            value = getattr(f, name)
+            if kind == "formula":
+                new = walk(value)
+                key.append(id(new))
+                changed = changed or new is not value
+                value = new
+            elif kind == "formulas":
+                new = tuple(map(walk, value))
+                key.append(tuple(map(id, new)))
+                changed = changed or any(map(is_not, new, value))
+                value = new
+            else:
+                key.append(value)
+            values.append(value)
+        key = tuple(key)
+        node = table.get(key)
+        if node is None:
+            node = table[key] = type(f)(*values) if changed else f
+        return node
+
+    return [walk(f) for f in formulas]
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,11 @@ def test_conj_drops_repeats_and_reads_a_complementary_pair_as_false():
     assert enc.conj([p, enc.vtrue, p]) == p
     assert enc.conj([enc.vtrue]) == enc.vtrue
     assert enc.conj([p, q, -p]) == -enc.vtrue
+    # two literals, the common case
+    assert enc.conj((q, p)) == g
+    assert enc.conj([p, p]) == enc.conj([p, enc.vtrue]) == enc.conj([enc.vtrue, p]) == p
+    assert enc.conj([enc.vtrue, enc.vtrue]) == enc.vtrue
+    assert enc.conj([p, -enc.vtrue]) == enc.conj([-enc.vtrue, p]) == enc.conj([-q, q]) == -enc.vtrue
     assert enc.disj([q, -q]) == enc.vtrue
     assert (enc.nvars, len(enc.clauses)) == size  # no gate and no clause for any of them
 
@@ -283,7 +288,10 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
             # the unit clauses are [vtrue] and the asserted formulas
             definitions = [c for c in enc.clauses if len(c) > 1]
             nodes = {id(f): f for f in enc._keep}
-            for _ in range(3):
+            # six models: a loaded KB shares its equal subformulas, so the
+            # memo holds each distinct (subformula, world) once, about half
+            # the entries it held unshared; three models checked 24 048
+            for _ in range(6):
                 pairs = [(a, b) for a in range(n) for b in range(n)
                          if a != b and rng.random() < 0.3]
                 m = from_edges(n, pairs, {k: rng.randrange(1 << n) for k in atom_keys},
@@ -304,7 +312,66 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
                     assert (val[abs(lit)] == (lit > 0)) == expected, \
                         (case, n, w, render_text(m), sx.format_formula(f))
                     checked += 1
-    assert checked > 40_000
+    assert checked > 40_000, checked
+
+
+def unshared(f):
+    """A copy of f with every node rebuilt, so that no two subtrees are one
+    object."""
+    values = []
+    for name, kind in sx._LAYOUT[type(f)]:
+        value = getattr(f, name)
+        if kind == "formula":
+            value = unshared(value)
+        elif kind == "formulas":
+            value = tuple(map(unshared, value))
+        values.append(value)
+    return type(f)(*values)
+
+
+def unshared_query(q):
+    return replace(q, axioms=tuple(map(unshared, q.axioms)), facts=tuple(map(unshared, q.facts)),
+                   target=None if q.target is None else unshared(q.target))
+
+
+# sha256 of repr((nvars, clauses, probes)) of every encoding in
+# test_sharing_changes_no_encoding, in its order, recorded before a loaded KB
+# shared its equal subformulas
+ENCODINGS_SHA256 = "e360855742828c4f4e75c073520960473c1f7fb2e3f7482a1aff8e586108b17d"
+
+
+def test_sharing_changes_no_encoding():
+    """Every suite query, 300 random ones and each case's queries at 7
+    worlds, at each world count up to min(bound, 7): encoded from the
+    formulas as built, where a loaded KB shares its equal subformulas, and
+    from a copy in which no two subtrees are one object, they give the same
+    variables, clauses in order and probes."""
+    queries = [q for _, q in suite_queries()] + random_queries(11, 300) + list(case_queries(7))
+    digest = hashlib.sha256()
+    count = 0
+    for q in queries:
+        copy = unshared_query(q)
+        for n in range(1, min(q.bound, 7) + 1):
+            enc, enc_copy = solver.encode(q, n), solver.encode(copy, n)
+            cnf = (enc.nvars, enc.clauses, enc.probes)
+            assert cnf == (enc_copy.nvars, enc_copy.clauses, enc_copy.probes), (n, q)
+            digest.update(repr(cnf).encode())
+            count += 1
+    assert count == 1162
+    assert digest.hexdigest() == ENCODINGS_SHA256
+
+
+def test_a_loaded_kb_is_encoded_once_per_distinct_subformula():
+    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
+    enc = solver.encode(q, 7)
+    nodes = {id(f): f for f in enc._keep}
+    by_world = {}
+    for node_id, w in enc._t_memo:
+        by_world.setdefault(w, []).append(nodes[node_id])
+    for w, formulas in by_world.items():
+        assert len(set(formulas)) == len(formulas), w  # no two equal nodes at one world
+    copy = unshared_query(q)
+    assert (len(enc._t_memo), len(solver.encode(copy, 7)._t_memo)) == (863, 1572)
 
 
 def test_maximal_world_lemma_holds_in_every_preorder():
