@@ -121,9 +121,10 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
         else:
             raise sx.ParseError(f"unknown top-level form {head!r}", form.line)
     if _loading is None:  # imports merged: share across the whole KB once
-        table: dict = {}
-        for entries in (kb.axioms, kb.facts, kb.goals):
-            entries.update(zip(list(entries), sx.share(entries.values(), table)))
+        groups = (kb.axioms, kb.facts, kb.goals)
+        shared = iter(sx.share([f for entries in groups for f in entries.values()]))
+        for entries in groups:
+            entries.update(zip(list(entries), shared))
     return kb
 
 

@@ -258,12 +258,10 @@ class CDCL:
         reorders their literals.  `probes` are literals that solve decides
         True, one at a time, before its search."""
         self.probes.extend(probes)
-        attached, watch, units = self.clauses, self.watch, self.units
+        attach, units = self._attach, self.units
         for clause in clauses:
-            if len(clause) > 1:  # as _attach does
-                attached.append(clause)
-                watch[clause[0]].append(clause)
-                watch[clause[1]].append(clause)
+            if len(clause) > 1:
+                attach(clause)
             elif clause:
                 units.append(clause[0])
             else:
@@ -497,7 +495,6 @@ class _Encoder:
         self._iff_memo: dict[tuple[int, int], int] = {}
         self._t_memo: dict[tuple[int, int], int] = {}
         self._keep: list = []  # formula refs pinned while ids are cache keys
-        self._strict: list[list[int | None]] = [[None] * n for _ in range(n)]
 
         for i in range(n):
             for j in range(n):
@@ -520,15 +517,8 @@ class _Encoder:
 
     def edge(self, w: int, v: int, strict: bool, guards) -> list[int]:
         """Literals that together say v is weakly (strictly: weakly and not
-        conversely) better than w and agrees with w on every guard.  The
-        strict edge's gate is made by conj at its first use and then kept."""
-        if strict:
-            lit = self._strict[w][v]
-            if lit is None:
-                lit = self._strict[w][v] = self.conj((self.rlit(w, v), -self.rlit(v, w)))
-        else:
-            lit = self.rlit(w, v)
-        lits = [lit]
+        conversely) better than w and agrees with w on every guard."""
+        lits = [self.conj((self.rlit(w, v), -self.rlit(v, w))) if strict else self.rlit(w, v)]
         for g in guards:
             lits.append(self.iff(self.t(g, w), self.t(g, v)))
         return lits
@@ -536,33 +526,23 @@ class _Encoder:
     def conj(self, lits) -> int:
         """A gate for the conjunction, its literals without repeats; a
         complementary pair is false, so each clause satisfies CDCL.load."""
-        vtrue = self.vtrue
-        if len(lits) == 2:  # most calls: the same steps, spelt out
-            a, b = out = lits
-            if a == -vtrue or b == -vtrue or a == -b:
-                return -vtrue
-            if a == vtrue:
-                return b
-            if b == vtrue or a == b:
-                return a
-            key = (a, b) if a < b else (b, a)
-        else:
-            out = {}
-            for l in lits:
-                if l == -vtrue or -l in out:
-                    return -vtrue
-                if l != vtrue:
-                    out[l] = None
-            if len(out) < 2:
-                return next(iter(out), vtrue)
-            key = tuple(sorted(out))
-        g = self._conj_memo.get(key)
-        if g is None:
-            g = self._conj_memo[key] = self._new()
-            clauses = self.clauses
-            for l in out:
-                clauses.append([-g, l])
-            clauses.append([g, *map(neg, out)])
+        out: dict[int, None] = {}
+        for l in lits:
+            if l == -self.vtrue or -l in out:
+                return -self.vtrue
+            if l != self.vtrue:
+                out[l] = None
+        if len(out) < 2:
+            return next(iter(out), self.vtrue)
+        key = tuple(sorted(out))
+        hit = self._conj_memo.get(key)
+        if hit is not None:
+            return hit
+        g = self._new()
+        for l in out:
+            self.clauses.append([-g, l])
+        self.clauses.append([g, *map(neg, out)])
+        self._conj_memo[key] = g
         return g
 
     def disj(self, lits) -> int:

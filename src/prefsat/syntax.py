@@ -433,15 +433,15 @@ def children(f: Formula):
             yield from getattr(f, name)
 
 
-def share(formulas, table: dict) -> list[Formula]:
+def share(formulas) -> list[Formula]:
     """The formulas, equal to the given ones, with every equal subtree made
     one object (hash-consing: Filliâtre & Conchon, ML 2006), so that a cache
     keyed by node id meets each distinct sub-formula once.  Bottom-up, a
     node's key is its class, its other fields and the ids of its shared
     sub-formulas, so no deep tree is ever hashed; a leaf's key is the node
-    itself.  `table` maps keys to shared nodes and keeps them alive: calls
-    with one table share across calls.  A node not yet in the table whose
-    sub-formulas come back as they were is kept rather than rebuilt."""
+    itself.  A node not yet met whose sub-formulas come back as they were is
+    kept rather than rebuilt."""
+    table: dict = {}  # key -> shared node; keeps the keyed ids alive
 
     def walk(f: Formula) -> Formula:
         if type(f) in _LEAVES:

@@ -239,11 +239,6 @@ def test_conj_drops_repeats_and_reads_a_complementary_pair_as_false():
     assert enc.conj([p, enc.vtrue, p]) == p
     assert enc.conj([enc.vtrue]) == enc.vtrue
     assert enc.conj([p, q, -p]) == -enc.vtrue
-    # two literals, the common case
-    assert enc.conj((q, p)) == g
-    assert enc.conj([p, p]) == enc.conj([p, enc.vtrue]) == enc.conj([enc.vtrue, p]) == p
-    assert enc.conj([enc.vtrue, enc.vtrue]) == enc.vtrue
-    assert enc.conj([p, -enc.vtrue]) == enc.conj([-enc.vtrue, p]) == enc.conj([-q, q]) == -enc.vtrue
     assert enc.disj([q, -q]) == enc.vtrue
     assert (enc.nvars, len(enc.clauses)) == size  # no gate and no clause for any of them
 

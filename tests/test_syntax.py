@@ -357,26 +357,24 @@ def elaborated(texts):
 
 def test_share_keeps_the_formulas_and_makes_equal_subtrees_one_object():
     formulas = elaborated(SHARED_TEXTS)
-    table = {}
-    shared = sx.share(formulas, table)
+    shared = sx.share(formulas)
     assert shared == formulas
     occurrences = [sub for f in shared for sub in subtrees(f)]
     one_of_each = {}
     for sub in occurrences:
         assert one_of_each.setdefault(sub, sub) is sub, sx.format_formula(sub)
     assert (len(one_of_each), len(occurrences)) == (17, 30)
-    # the same table gives the same objects for shared and for fresh formulas
-    assert all(map(is_, sx.share(shared, table), shared))
-    assert all(map(is_, sx.share(elaborated(SHARED_TEXTS), table), shared))
+    # sharing shared formulas gives them back as they are
+    assert all(map(is_, sx.share(shared), shared))
 
 
 def test_share_keeps_a_node_whose_subformulas_are_already_shared():
     sig = base_signature("P", "Q", "R", "S")
     f = parse_formula("(and P (not Q) (dialt (or R S)))", sig)  # no two subtrees equal
-    assert sx.share([f], {})[0] is f
+    assert sx.share([f])[0] is f
     # the conjunction is rebuilt around one shared P; (not Q) is kept
     g = sx.And((sx.Atom("P"), sx.Not(sx.Atom("Q")), sx.Atom("P")))
-    h = sx.share([g], {})[0]
+    h = sx.share([g])[0]
     assert h == g and h is not g
     assert h.args[0] is h.args[2] and h.args[1] is g.args[1]
 
