@@ -45,9 +45,10 @@ class ConfigError(Exception):
 
 @dataclass
 class KnowledgeBase:
-    """Named entries, each stored grounded and desugared, and options.  The
-    entries of a loaded KB share equal subformulas: one node for each
-    distinct subformula across its axioms, facts and goals."""
+    """Named entries, each stored as the ground, core formula the parser
+    returns, and options.  The entries of a loaded KB share equal
+    subformulas: one node for each distinct subformula across its axioms,
+    facts and goals."""
 
     name: str
     sig: sx.Signature
@@ -108,8 +109,7 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
                 raise sx.ParseError(f"duplicate entry name {name!r}", form.line)
             # parsed now: a quantifier expands over the constants declared
             # before it, and no sort is ever redeclared
-            formula = sx.elaborate(sx._parse_formula(items[2], kb.sig, {}), kb.sig)
-            getattr(kb, head + "s")[name] = formula
+            getattr(kb, head + "s")[name] = sx._parse_formula(items[2], kb.sig, {})
         elif head == "option":
             if len(items) != 3:
                 raise sx.ParseError("option takes a key and a value", form.line)
@@ -219,8 +219,7 @@ def audit_queries(kb: KnowledgeBase, **overrides) -> dict[str, Query]:
     """Per-party refutation query: does the KB force a value conflict at the
     designated world?"""
     facts = tuple(kb.facts.values())
-    return {party: _kb_query(kb, sx.desugar(sx.Conflict(sx.Const(party))), "refute",
-                             facts, overrides)
+    return {party: _kb_query(kb, sx.conflict(sx.Const(party)), "refute", facts, overrides)
             for party in CONTENDERS}
 
 
@@ -246,6 +245,8 @@ class StepResult:
 
 
 def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
+    """The steps of a proof script, each formula parsed under sig into the
+    ground, core formula a KB entry would be."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -315,7 +316,7 @@ def _step_query(step: ProofStep, kb: KnowledgeBase, established: dict[str, sx.Fo
             unavailable.append(ref)
         else:
             missing.append(ref)
-    q = _kb_query(kb, sx.elaborate(step.formula, kb.sig), "refute", tuple(at_w0), overrides,
+    q = _kb_query(kb, step.formula, "refute", tuple(at_w0), overrides,
                   axioms=tuple(axioms), bound=step.bound)
     return q, tuple(missing), tuple(unavailable)
 
@@ -337,7 +338,7 @@ def replay(steps: list[ProofStep], kb: KnowledgeBase, *, engine: str | None = No
            total: bool | None = None, budget: float | None = None) -> list[StepResult]:
     """Check every step against exactly its cited support."""
     results: list[StepResult] = []
-    established: dict[str, sx.Formula] = {}  # passed steps, elaborated
+    established: dict[str, sx.Formula] = {}  # passed steps' formulas
     failed: set[str] = set()
     overrides = {"engine": engine, "total": total, "budget": budget}
     for step in steps:

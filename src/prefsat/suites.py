@@ -131,9 +131,8 @@ def _query_rows(group: str, *, engine: str, bound: int, budget: float | None):
     """(name, query, expected kind) for each row of one group of the table."""
     sig = sx.base_signature("P", "Q", "R", "Fresh")
     for name, text, mode, own_bound, expect in _QUERY_ROWS[group]:
-        target = sx.elaborate(sx.parse_formula(text, sig), sig)
-        yield name, Query(target=target, mode=mode, bound=own_bound or bound, engine=engine,
-                          budget=budget), expect
+        yield name, Query(target=sx.parse_formula(text, sig), mode=mode,
+                          bound=own_bound or bound, engine=engine, budget=budget), expect
 
 
 # ---------------------------------------------------------------------------

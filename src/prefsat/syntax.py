@@ -1,15 +1,17 @@
 """Surface syntax and core formula representation.
 
 Formulas are written as s-expressions.  The parser checks names, arities and
-sorts against a Signature and produces immutable, ground AST nodes: it
-expands `(forall x SORT F)` and `(exists x SORT F)` as it reads them, into
-the conjunction or disjunction of F over the sort's constants, and folds
-`(other t)` to a constant.  One later pass, `desugar`, rewrites every derived
-operator (syntactic preference variants, the conditional, and the
-value-layer forms) into the modal core for evaluation, and `share` makes
-equal subtrees one object for the caches keyed by node.  Printing is the
-inverse of parsing: `format_formula` emits text that parses back to an equal
-AST, so a quantified text prints as its expansion.
+sorts against a Signature and produces immutable, ground formulas of the
+modal core: it expands every derived form as it reads it.  `(forall x SORT
+F)` and `(exists x SORT F)` become the conjunction or disjunction of F over
+the sort's constants, `(other t)` folds to a constant, and the syntactic
+preference variants, the conditional and the value-layer forms (`ext`,
+`agg`, `vpref`, `promotes`, `conflict`) become the core formulas they
+abbreviate.  `desugar` does the same for the SynPref and Cond nodes a caller
+builds by hand, and `share` makes equal subtrees one object for the caches
+keyed by node.  Printing is the inverse of parsing: `format_formula` emits
+text that parses back to an equal formula, so a derived form prints as its
+expansion.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ class Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-# The constructor of a node with one to four fields: all fields given
+# The constructor of a node with one, two or four fields: all fields given
 # positionally are set directly; anything else goes through Node._bind.
 
 
@@ -103,15 +105,6 @@ def _init2(self, a=_MISSING, b=_MISSING, /, **kwargs):
     _set(self, g, b)
 
 
-def _init3(self, a=_MISSING, b=_MISSING, c=_MISSING, /, **kwargs):
-    if kwargs or c is _MISSING:
-        return self._bind((a, b, c), kwargs)
-    f, g, h = self._fields
-    _set(self, f, a)
-    _set(self, g, b)
-    _set(self, h, c)
-
-
 def _init4(self, a=_MISSING, b=_MISSING, c=_MISSING, d=_MISSING, /, **kwargs):
     if kwargs or d is _MISSING:
         return self._bind((a, b, c, d), kwargs)
@@ -122,7 +115,7 @@ def _init4(self, a=_MISSING, b=_MISSING, c=_MISSING, d=_MISSING, /, **kwargs):
     _set(self, i, d)
 
 
-_INIT_FOR_FIELD_COUNT = {1: _init1, 2: _init2, 3: _init3, 4: _init4}
+_INIT_FOR_FIELD_COUNT = {1: _init1, 2: _init2, 4: _init4}
 
 
 # ---------------------------------------------------------------------------
@@ -325,42 +318,6 @@ class Cond(Formula):
     rhs: Formula
 
 
-class PrincipleExt(Formula):
-    """Worlds realizing both values a principle commits a party to."""
-
-    principle: str
-    party: Const
-
-
-class Agg(Formula):
-    """Union-style aggregation of principle extensions."""
-
-    parts: tuple[tuple[str, Const], ...]
-
-
-class VPref(Formula):
-    """Value preference: the chosen all-exists lift over two aggregations."""
-
-    strict: bool
-    lhs: Formula  # PrincipleExt | Agg
-    rhs: Formula
-
-
-class Promotes(Formula):
-    """Factual premises tie a decision to reaching a principle's worlds."""
-
-    premise: Formula
-    decision: Formula
-    principle: str
-    party: Const
-
-
-class Conflict(Formula):
-    """All four basic values observed for one party at once."""
-
-    party: Const
-
-
 def make_and(args: list[Formula]) -> Formula:
     if not args:
         raise ValueError("empty conjunction")
@@ -379,17 +336,16 @@ KEYWORDS: dict[str, type] = {
     "boxleq": BoxWeak, "dialeq": DiaWeak, "boxlt": BoxStrict, "dialt": DiaStrict,
     "A": Everywhere, "E": Somewhere, "prefsyn": SynPref,
     "cp-dialeq": CpDiaWeak, "cp-dialt": CpDiaStrict, "cp-pref-aa": CpPrefAA, "cond": Cond,
-    "ext": PrincipleExt, "agg": Agg, "vpref": VPref, "promotes": Promotes,
-    "conflict": Conflict, "val": ValAtom,
+    "val": ValAtom,
 }
 _KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
 
 # Field layout of every node class, read once from the field annotations: each
 # field is a sub-formula, a tuple of them, a term (a constant), a tuple of
-# terms, a tuple of (principle, term) pairs, or (None) plain data.
+# terms, or (None) plain data.
 _FIELD_KINDS = {
     "Formula": "formula", "tuple[Formula, ...]": "formulas",
-    "Const": "term", "tuple[Const, ...]": "terms", "tuple[tuple[str, Const], ...]": "pairs",
+    "Const": "term", "tuple[Const, ...]": "terms",
 }
 _LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
     cls: tuple((name, _FIELD_KINDS.get(cls.__annotations__[name])) for name in cls._fields)
@@ -475,8 +431,10 @@ def share(formulas) -> list[Formula]:
 # signature
 
 
-# The quantifiers have no node class: the parser expands them.
-RESERVED_HEADS = frozenset(KEYWORDS) | {"other", "forall", "exists"}
+# The quantifiers and the value-layer forms have no node class: the parser
+# expands them.
+RESERVED_HEADS = frozenset(KEYWORDS) | {
+    "other", "forall", "exists", "ext", "agg", "vpref", "promotes", "conflict"}
 
 
 @dataclass
@@ -564,11 +522,16 @@ def _parse_party(node, sig: Signature, env: Env) -> Const:
     return term
 
 
-def _parse_principle_pair(node, sig, env) -> tuple[str, Const]:
+def _parse_principle(principle_node, party_node, sig, env) -> Formula:
+    """The worlds realizing both values the principle commits the party to."""
+    principle = _parse_choice(principle_node, PRINCIPLES, "unknown principle")
+    return _principle_conjunction(principle, _parse_party(party_node, sig, env))
+
+
+def _parse_principle_pair(node, sig, env) -> Formula:
     if not isinstance(node, SList) or len(node.items) != 2:
         raise ParseError("expected (PRINCIPLE party)", getattr(node, "line", None))
-    principle = _parse_choice(node.items[0], PRINCIPLES, "unknown principle")
-    return principle, _parse_party(node.items[1], sig, env)
+    return _parse_principle(*node.items, sig, env)
 
 
 def _parse_gammas(node, sig, env) -> tuple[Formula, ...]:
@@ -623,24 +586,39 @@ def _parse_formula(node, sig: Signature, env: Env) -> Formula:
         parts = [_parse_formula(body_node, sig, {**env, var: (Const(c), sort)})
                  for c in sig.sorts[sort]]
         return make_and(parts) if op == "forall" else make_or(parts)
-    if cls is Agg:
+    # the value layer: each form is read straight into the core it abbreviates
+    if op == "ext":
+        _want(node, 2, op)
+        return _parse_principle(items[1], items[2], sig, env)
+    if op == "agg":
         if len(items) < 2:
             raise ParseError("agg takes at least one (PRINCIPLE party) pair", node.line)
-        return Agg(tuple(_parse_principle_pair(x, sig, env) for x in items[1:]))
-    if cls is Promotes:
+        return make_or([_parse_principle_pair(x, sig, env) for x in items[1:]])
+    if op == "vpref":
+        # the chosen lift of a value preference is all-exists
+        _want(node, 3, op)
+        strict = _SLOT_READERS["strict"](items[1], sig, env)
+        lhs, rhs = (_parse_formula(x, sig, env) for x in items[2:])
+        if not all(_head(x) in ("ext", "agg") for x in items[2:]):
+            raise ParseError("vpref sides must be ext or agg forms", node.line)
+        return _desugar_synpref("ae", strict, lhs, rhs)
+    if op == "promotes":
+        # factual premises tie a decision to reaching a principle's worlds
         _want(node, 3, op)
         premise = _parse_formula(items[1], sig, env)
         decision = _parse_formula(items[2], sig, env)
-        return Promotes(premise, decision, *_parse_principle_pair(items[3], sig, env))
+        target = _parse_principle_pair(items[3], sig, env)
+        return Implies(premise, BoxStrict(Iff(decision, DiaStrict(target))))
+    if op == "conflict":
+        _want(node, 1, op)
+        return conflict(_parse_party(items[1], sig, env))
     if cls is not None:
-        # every other form lists its fields in order, each read by its kind
+        # every other form lists its fields in order, each read by its kind;
+        # a derived one (prefsyn, cond) is expanded from its core fields
         layout = _LAYOUT[cls]
         _want(node, len(layout), op)
-        f = cls(*(_SLOT_READERS[kind or name](x, sig, env)
-                  for (name, kind), x in zip(layout, items[1:])))
-        if cls is VPref and not all(isinstance(s, (PrincipleExt, Agg)) for s in (f.lhs, f.rhs)):
-            raise ParseError("vpref sides must be ext or agg forms", node.line)
-        return f
+        return _EXPANSIONS.get(cls, cls)(*(_SLOT_READERS[kind or name](x, sig, env)
+                                           for (name, kind), x in zip(layout, items[1:])))
 
     # anything else must be a declared atom applied to terms
     if op in RESERVED_HEADS:
@@ -678,7 +656,6 @@ _SLOT_READERS = {
         _parse_choice(node, ("weak", "strict"), "expected weak or strict") == "strict",
     "pattern": lambda node, sig, env:
         _parse_choice(node, LIFT_PATTERNS, "pattern must be one of ee ea ae aa"),
-    "principle": lambda node, sig, env: _parse_choice(node, PRINCIPLES, "unknown principle"),
     "value": lambda node, sig, env:
         BasicValue[_parse_choice(node, BasicValue.__members__, "unknown basic value")],
 }
@@ -700,9 +677,6 @@ def format_formula(f: Formula) -> str:
         if not f.args:
             return f.pred
         return "(" + " ".join([f.pred] + [a.name for a in f.args]) + ")"
-    if isinstance(f, Promotes):
-        pair = f"({f.principle} {f.party.name})"
-        return f"(promotes {format_formula(f.premise)} {format_formula(f.decision)} {pair})"
     layout = _layout(f)
     parts = [_KEYWORD_OF[type(f)]]
     for name, kind in layout:
@@ -715,8 +689,6 @@ def format_formula(f: Formula) -> str:
             parts.append(subs if len(layout) == 1 else f"({subs})")
         elif kind == "term":
             parts.append(value.name)
-        elif kind == "pairs":
-            parts += [f"({p} {x.name})" for p, x in value]
         elif isinstance(value, bool):
             parts.append("strict" if value else "weak")
         elif isinstance(value, BasicValue):
@@ -746,46 +718,41 @@ def _desugar_synpref(pattern: str, strict: bool, lhs: Formula, rhs: Formula) -> 
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
+def _desugar_cond(lhs: Formula, rhs: Formula) -> Formula:
+    return Everywhere(Implies(lhs, DiaWeak(And((lhs, BoxWeak(Implies(lhs, rhs)))))))
+
+
 def _principle_conjunction(principle: str, party: Const) -> Formula:
     v1, v2 = PRINCIPLES[principle]
     return And((ValAtom(v1, party), ValAtom(v2, party)))
 
 
+def conflict(party: Const) -> Formula:
+    """All four basic values observed for one party at once."""
+    return And(tuple(ValAtom(v, party) for v in BasicValue))
+
+
+# The derived node classes, each with the expansion of its fields (already
+# core) into the modal core.  None may reach the evaluator or encoder.
+_EXPANSIONS = {SynPref: _desugar_synpref, Cond: _desugar_cond}
+
+
 def desugar(f: Formula) -> Formula:
-    """Rewrite derived operators into the modal core."""
-    if isinstance(f, SynPref):
-        return _desugar_synpref(f.pattern, f.strict, desugar(f.lhs), desugar(f.rhs))
-    if isinstance(f, Cond):
-        lhs, rhs = desugar(f.lhs), desugar(f.rhs)
-        return Everywhere(Implies(lhs, DiaWeak(And((lhs, BoxWeak(Implies(lhs, rhs)))))))
-    if isinstance(f, PrincipleExt):
-        return _principle_conjunction(f.principle, f.party)
-    if isinstance(f, Agg):
-        return make_or([_principle_conjunction(p, x) for p, x in f.parts])
-    if isinstance(f, VPref):
-        return _desugar_synpref("ae", f.strict, desugar(f.lhs), desugar(f.rhs))
-    if isinstance(f, Promotes):
-        target = _principle_conjunction(f.principle, f.party)
-        return Implies(
-            desugar(f.premise),
-            BoxStrict(Iff(desugar(f.decision), DiaStrict(target))),
-        )
-    if isinstance(f, Conflict):
-        return And(tuple(ValAtom(v, f.party) for v in BasicValue))
-    return _rebuild(f, desugar)
+    """Rewrite the derived nodes a caller builds by hand, SynPref and Cond,
+    into the modal core.  A parsed formula has none: it is returned equal."""
+    f = _rebuild(f, desugar)
+    expand = _EXPANSIONS.get(type(f))
+    return f if expand is None else expand(*(getattr(f, name) for name in f._fields))
 
 
 def elaborate(f: Formula, sig: Signature) -> Formula:
     """The normal form the evaluator and encoder accept: desugar(f).  A parsed
-    formula is already ground, so sig is not read."""
+    formula is already ground and core; sig is not read."""
     return desugar(f)
 
 
 # ---------------------------------------------------------------------------
 # symbol collection (used for oracle enumeration and model validation)
-
-# The forms desugar rewrites away; none may reach the evaluator or encoder.
-_DERIVED = (SynPref, Cond, PrincipleExt, Agg, VPref, Promotes, Conflict)
 
 
 def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[tuple[BasicValue, str]]]:
@@ -805,7 +772,7 @@ def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[t
             if not isinstance(g.party, Const):
                 raise ParseError(f"collect_symbols expects a constant party, found {g.party!r}")
             incidence.add((g.value, g.party.name))
-        elif isinstance(g, _DERIVED):
+        elif type(g) in _EXPANSIONS:
             raise ParseError(f"collect_symbols expects desugared input, found {type(g).__name__}")
         else:
             for sub in children(g):

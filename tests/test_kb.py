@@ -120,7 +120,7 @@ def test_imports_merge_and_stay_unique(tmp_path):
 
 
 def test_entries_are_stored_grounded_and_desugared(tmp_path):
-    # an imported entry is elaborated in its own file's signature; the
+    # an imported entry is parsed in its own file's signature; the
     # importing file only adds sorts, so that is the same formula
     write(tmp_path, "base.kb", """\
         (sort thing a b)
@@ -139,7 +139,10 @@ def test_entries_are_stored_grounded_and_desugared(tmp_path):
     for name, text in [("own", "(forall x thing (implies (Has p x) (dialt (Has d x))))"),
                        ("f1", "(exists y place (At y))"),
                        ("g1", "(prefsyn ae strict (Has p a) (At here))")]:
-        assert entries[name] == sx.elaborate(sx.parse_formula(text, kb.sig), kb.sig), name
+        assert entries[name] == sx.parse_formula(text, kb.sig), name
+    # the preference statement is stored as the modal-core formula it abbreviates
+    has, at = sx.Atom("Has", (sx.Const("p"), sx.Const("a"))), sx.Atom("At", (sx.Const("here"),))
+    assert kb.goals["g1"] == sx.Everywhere(sx.Implies(has, sx.DiaStrict(at)))
     assert goal_query(kb, "g1").target is kb.goals["g1"]
 
 
@@ -190,7 +193,7 @@ def test_general_knowledge_alone_decides_nothing():
     kb = case_kb("general")
     assert not kb.goals and not kb.facts
     # without case facts the ruling direction is open
-    probe = sx.elaborate(sx.parse_formula("(boxlt (For d))", kb.sig), kb.sig)
+    probe = sx.parse_formula("(boxlt (For d))", kb.sig)
     from prefsat.solver import Query
 
     v = check(Query(axioms=tuple(kb.axioms.values()), target=probe, mode="refute"))
@@ -226,6 +229,18 @@ def test_load_proof_structure():
     ]
     assert all(s.bound == 4 for s in steps)
     assert steps[1].uses == ("s1-wild-setting", "R2")
+
+
+def test_shipped_formulas_print_and_parse_back():
+    # the printer on real KB trees, as an EngineDisagreement message prints them
+    for name in ("general", "pierson", "post", "conti"):
+        kb = case_kb(name)
+        formulas = [*kb.axioms.values(), *kb.facts.values(), *kb.goals.values()]
+        if name == "pierson":
+            formulas += [step.formula for step in load_proof(case_proof_path(name), kb.sig)]
+        for f in formulas:
+            text = sx.format_formula(f)
+            assert sx.parse_formula(text, kb.sig) == f, (name, text)
 
 
 def test_load_proof_rejects_bad_references(tmp_path):

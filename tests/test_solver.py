@@ -44,7 +44,7 @@ SIG = sx.base_signature("P", "Q", "R", "S")
 
 
 def fm(text):
-    return sx.elaborate(sx.parse_formula(text, SIG), SIG)
+    return sx.parse_formula(text, SIG)
 
 
 def refute(target, axioms=(), facts=(), **kw):

@@ -48,7 +48,8 @@ def test_signature_seeds_contender_sort():
 
 def test_reserved_names_rejected():
     sig = sx.Signature()
-    for name in ("A", "E", "not", "val", "WILL", "FREEDOM"):
+    for name in ("A", "E", "not", "val", "WILL", "FREEDOM",
+                 "ext", "agg", "vpref", "promotes", "conflict", "prefsyn", "cond"):
         with pytest.raises(ParseError, match="reserved"):
             sig.add_atom(name, ())
 
@@ -89,9 +90,12 @@ def test_modal_operators():
 
 
 def test_prefsyn_patterns_and_strictness():
+    # read straight into the modal core, as desugar expands a SynPref node
+    P, Q = sx.Atom("P"), sx.Atom("Q")
     f = parse_formula("(prefsyn ae strict P Q)", sig2())
-    assert f == sx.SynPref("ae", True, sx.Atom("P"), sx.Atom("Q"))
-    assert parse_formula("(prefsyn ee weak P Q)", sig2()).strict is False
+    assert f == sx.Everywhere(sx.Implies(P, sx.DiaStrict(Q)))
+    g = parse_formula("(prefsyn ee weak P Q)", sig2())
+    assert g == sx.Somewhere(sx.And((P, sx.DiaWeak(Q))))
     with pytest.raises(ParseError, match="pattern"):
         parse_formula("(prefsyn xx weak P Q)", sig2())
     with pytest.raises(ParseError, match="weak"):
@@ -110,21 +114,29 @@ def test_guard_lists():
         parse_formula("(cp-dialeq P Q)", sig2())
 
 
+def val(value, party):
+    return sx.ValAtom(BasicValue[value], sx.Const(party))
+
+
 def test_value_layer_forms():
     sig = sig2()
-    assert parse_formula("(val FREEDOM p)", sig) == sx.ValAtom(BasicValue.FREEDOM, sx.Const("p"))
-    assert parse_formula("(ext WILL p)", sig) == sx.PrincipleExt("WILL", sx.Const("p"))
-    agg = parse_formula("(agg (WILL p) (STAB d))", sig)
-    assert agg == sx.Agg((("WILL", sx.Const("p")), ("STAB", sx.Const("d"))))
-    v = parse_formula("(vpref strict (ext WILL p) (agg (STAB d)))", sig)
-    assert v.strict and isinstance(v.lhs, sx.PrincipleExt) and isinstance(v.rhs, sx.Agg)
-    pr = parse_formula("(promotes P Q (WILL p))", sig)
-    assert pr == sx.Promotes(sx.Atom("P"), sx.Atom("Q"), "WILL", sx.Const("p"))
-    assert parse_formula("(conflict d)", sig) == sx.Conflict(sx.Const("d"))
+    assert parse_formula("(val FREEDOM p)", sig) == val("FREEDOM", "p")
     with pytest.raises(ParseError, match="principle"):
         parse_formula("(ext Nope p)", sig)
     with pytest.raises(ParseError, match="basic value"):
         parse_formula("(val WILL p)", sig)
+    with pytest.raises(ParseError, match="at least one"):
+        parse_formula("(agg)", sig)
+    with pytest.raises(ParseError, match=r"expected \(PRINCIPLE party\)"):
+        parse_formula("(promotes P Q WILL)", sig)
+
+
+@pytest.mark.parametrize("side", ["P", "(and (ext WILL p) P)",
+                                  "(forall x contender (ext WILL x))"])
+def test_vpref_sides_are_ext_or_agg_forms(side):
+    for text in (f"(vpref weak {side} (ext WILL p))", f"(vpref weak (ext WILL p) {side})"):
+        with pytest.raises(ParseError, match="vpref sides must be ext or agg forms"):
+            parse_formula(text, sig2())
 
 
 def test_party_slot_needs_contender_sort():
@@ -150,7 +162,7 @@ def test_quantifiers_bind_and_check():
     sig.add_atom("Owns", ("contender",))
     f = parse_formula("(forall x contender (implies (Owns x) (conflict x)))", sig)
     assert f == sx.And(tuple(
-        sx.Implies(sx.Atom("Owns", (sx.Const(c),)), sx.Conflict(sx.Const(c))) for c in "pd"
+        sx.Implies(sx.Atom("Owns", (sx.Const(c),)), sx.conflict(sx.Const(c))) for c in "pd"
     ))
     with pytest.raises(ParseError, match="unknown sort"):
         parse_formula("(forall x things P)", sig)
@@ -193,11 +205,24 @@ ROUND_TRIP = [
     "(conflict p)",
     "(forall x contender (exists y contender (implies (conflict x) (conflict y))))",
 ]
-# A quantified text prints as its expansion, which parses back to an equal AST.
+CONFLICT = "(and (val FREEDOM {0}) (val UTILITY {0}) (val SECURITY {0}) (val EQUALITY {0}))"
+# A derived text prints as its expansion, which parses back to an equal AST.
 PRINTED = {
+    "(prefsyn ea weak P Q)": "(E (and Q (boxlt (not P))))",
+    "(prefsyn aa strict (and P Q) P)": "(A (implies P (boxleq (not (and P Q)))))",
+    "(cond P Q)": "(A (implies P (dialeq (and P (boxleq (implies P Q))))))",
+    "(ext RELI d)": "(and (val SECURITY d) (val EQUALITY d))",
+    "(agg (WILL p) (FAIR p))":
+        "(or (and (val FREEDOM p) (val UTILITY p)) (and (val EQUALITY p) (val FREEDOM p)))",
+    "(vpref weak (agg (WILL p)) (ext RELI d))":
+        "(A (implies (and (val FREEDOM p) (val UTILITY p))"
+        " (dialeq (and (val SECURITY d) (val EQUALITY d)))))",
+    "(promotes (and P Q) Q (GAIN p))":
+        "(implies (and P Q) (boxlt (iff Q (dialt (and (val UTILITY p) (val FREEDOM p))))))",
+    "(conflict p)": CONFLICT.format("p"),
     ROUND_TRIP[-1]:
-        "(and (or (implies (conflict p) (conflict p)) (implies (conflict p) (conflict d)))"
-        " (or (implies (conflict d) (conflict p)) (implies (conflict d) (conflict d))))",
+        "(and (or (implies {p} {p}) (implies {p} {d})) (or (implies {d} {p}) (implies {d} {d})))"
+        .format(p=CONFLICT.format("p"), d=CONFLICT.format("d")),
 }
 
 
@@ -222,7 +247,7 @@ def test_ground_expands_quantifiers():
         sx.ValAtom(BasicValue.UTILITY, sx.Const("d")),
     ))
     e = parse_formula("(exists x contender (conflict (other x)))", sig)
-    assert e == sx.Or((sx.Conflict(sx.Const("d")), sx.Conflict(sx.Const("p"))))
+    assert e == sx.Or((sx.conflict(sx.Const("d")), sx.conflict(sx.Const("p"))))
 
 
 def test_ground_single_constant_sort_drops_connective():
@@ -270,36 +295,32 @@ def test_desugar_cond():
 
 
 def test_desugar_value_layer():
-    p = sx.Const("p")
-    ext = sx.desugar(sx.PrincipleExt("WILL", p))
-    assert ext == sx.And((
-        sx.ValAtom(BasicValue.FREEDOM, p), sx.ValAtom(BasicValue.UTILITY, p),
-    ))
-    agg = sx.desugar(sx.Agg((("WILL", p), ("RELI", p))))
-    assert isinstance(agg, sx.Or) and len(agg.args) == 2
-    v = sx.desugar(sx.VPref(True, sx.PrincipleExt("WILL", p), sx.PrincipleExt("RELI", p)))
-    assert isinstance(v, sx.Everywhere)  # the chosen lift is ae
-    assert isinstance(v.sub.rhs, sx.DiaStrict)
-    c = sx.desugar(sx.Conflict(p))
-    assert c == sx.And(tuple(sx.ValAtom(val, p) for val in BasicValue))
+    # each value-layer form is read straight into the core formula it abbreviates
+    sig = sig2()
+    will_p = sx.And((val("FREEDOM", "p"), val("UTILITY", "p")))
+    stab_d = sx.And((val("SECURITY", "d"), val("UTILITY", "d")))
+    assert parse_formula("(ext WILL p)", sig) == will_p
+    assert parse_formula("(agg (WILL p) (STAB d))", sig) == sx.Or((will_p, stab_d))
+    assert parse_formula("(agg (STAB d))", sig) == stab_d
+    # the chosen lift of a value preference is all-exists
+    v = parse_formula("(vpref strict (ext WILL p) (agg (STAB d)))", sig)
+    assert v == sx.Everywhere(sx.Implies(will_p, sx.DiaStrict(stab_d)))
+    conflict_d = sx.And(tuple(val(value.name, "d") for value in BasicValue))
+    assert parse_formula("(conflict d)", sig) == conflict_d == sx.conflict(sx.Const("d"))
 
 
 def test_desugar_promotes_shape():
-    f = sx.desugar(sx.Promotes(P(), Q(), "WILL", sx.Const("p")))
-    assert isinstance(f, sx.Implies)
-    assert isinstance(f.rhs, sx.BoxStrict)
-    assert isinstance(f.rhs.sub, sx.Iff)
-    assert isinstance(f.rhs.sub.rhs, sx.DiaStrict)
+    f = parse_formula("(promotes P Q (WILL p))", sig2())
+    will_p = sx.And((val("FREEDOM", "p"), val("UTILITY", "p")))
+    assert f == sx.Implies(P(), sx.BoxStrict(sx.Iff(Q(), sx.DiaStrict(will_p))))
 
 
 def test_elaborate_is_ground_then_desugar():
     sig = sig2()
     f = parse_formula("(forall x contender (conflict x))", sig)
-    g = sx.elaborate(f, sig)
-    assert g == sx.And((
-        sx.And(tuple(sx.ValAtom(v, sx.Const("p")) for v in BasicValue)),
-        sx.And(tuple(sx.ValAtom(v, sx.Const("d")) for v in BasicValue)),
-    ))
+    assert f == sx.And((sx.conflict(sx.Const("p")), sx.conflict(sx.Const("d"))))
+    # a parsed formula is already core: elaborate gives it back equal
+    assert sx.elaborate(f, sig) == f
 
 
 def test_elaborate_grounds_quantifiers_inside_promotes():
@@ -316,13 +337,13 @@ def test_elaborate_grounds_quantifiers_inside_promotes():
         will = sx.And((sx.ValAtom(BasicValue.FREEDOM, x), sx.ValAtom(BasicValue.UTILITY, x)))
         return sx.Implies(premise, sx.BoxStrict(sx.Iff(sx.Atom("For", (x,)), sx.DiaStrict(will))))
 
-    assert sx.elaborate(f, sig) == sx.And((promoted("p"), promoted("d")))
+    assert f == sx.And((promoted("p"), promoted("d")))
 
 
 def test_collect_symbols():
     sig = sig2()
     sig.add_atom("Owns", ("contender",))
-    f = sx.elaborate(parse_formula("(and (Owns p) (dialt (conflict d)) Q)", sig), sig)
+    f = parse_formula("(and (Owns p) (dialt (conflict d)) Q)", sig)
     atoms, incidence = sx.collect_symbols(f)
     assert atoms == {("Owns", ("p",)), ("Q", ())}
     assert incidence == {(v, "d") for v in BasicValue}
@@ -331,8 +352,9 @@ def test_collect_symbols():
         sx.collect_symbols(sx.Atom("Owns", ("p",)))
     with pytest.raises(ParseError, match="constant party"):
         sx.collect_symbols(sx.ValAtom(BasicValue.FREEDOM, "p"))
-    with pytest.raises(ParseError, match="desugared"):
-        sx.collect_symbols(sx.Conflict(sx.Const("p")))
+    for derived in (sx.SynPref("ae", True, P(), Q()), sx.Cond(P(), Q())):
+        with pytest.raises(ParseError, match="desugared"):
+            sx.collect_symbols(sx.Not(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +372,8 @@ SHARED_TEXTS = ("(and (dialt (and P Q)) (boxlt (and P Q)))",
                 "(implies (and P Q) (cond P (prefsyn ea strict P (and P Q))))")
 
 
-def elaborated(texts):
-    sig = sig2()
-    return [sx.elaborate(parse_formula(text, sig), sig) for text in texts]
-
-
 def test_share_keeps_the_formulas_and_makes_equal_subtrees_one_object():
-    formulas = elaborated(SHARED_TEXTS)
+    formulas = [parse_formula(text, sig2()) for text in SHARED_TEXTS]
     shared = sx.share(formulas)
     assert shared == formulas
     occurrences = [sub for f in shared for sub in subtrees(f)]
@@ -411,15 +428,6 @@ NODE_REPRS = [
     (sx.CpPrefAA((NP,), False, NP, NQ),
      f"CpPrefAA(guards=({_P},), strict=False, lhs={_P}, rhs={_Q})"),
     (sx.Cond(NP, NQ), f"Cond(lhs={_P}, rhs={_Q})"),
-    (sx.PrincipleExt("RESP", sx.Const("p")), "PrincipleExt(principle='RESP', party=Const(name='p'))"),
-    (sx.Agg((("RESP", sx.Const("p")), ("STAB", sx.Const("d")))),
-     "Agg(parts=(('RESP', Const(name='p')), ('STAB', Const(name='d'))))"),
-    (sx.VPref(True, sx.PrincipleExt("RESP", sx.Const("p")), sx.PrincipleExt("STAB", sx.Const("d"))),
-     "VPref(strict=True, lhs=PrincipleExt(principle='RESP', party=Const(name='p')), "
-     "rhs=PrincipleExt(principle='STAB', party=Const(name='d')))"),
-    (sx.Promotes(NP, NQ, "RESP", sx.Const("p")),
-     f"Promotes(premise={_P}, decision={_Q}, principle='RESP', party=Const(name='p'))"),
-    (sx.Conflict(sx.Const("p")), "Conflict(party=Const(name='p'))"),
 ]
 
 
@@ -427,7 +435,7 @@ def test_every_node_class_has_a_repr_case():
     classes = {cls for cls in vars(sx).values()
                if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields}
     assert {type(node) for node, _ in NODE_REPRS} == classes
-    assert len(classes) == 26
+    assert len(classes) == 21
 
 
 @pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
@@ -451,7 +459,7 @@ def test_nodes_equal_only_within_one_class():
 def test_node_keywords_and_defaults():
     assert sx.Atom("P") == sx.Atom(pred="P", args=()) == sx.Atom("P", ()) == sx.Atom(pred="P")
     assert sx.Atom.args == ()
-    assert sx.VPref(True, lhs=NP, rhs=NQ) == sx.VPref(strict=True, lhs=NP, rhs=NQ)
+    assert sx.Cond(NP, rhs=NQ) == sx.Cond(lhs=NP, rhs=NQ)
     with pytest.raises(TypeError, match="missing"):
         sx.Implies(NP)
     with pytest.raises(TypeError, match="multiple"):
@@ -492,11 +500,6 @@ LAYOUT = {
     sx.CpDiaStrict: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpPrefAA: (('guards', 'formulas'), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
     sx.Cond: (('lhs', 'formula'), ('rhs', 'formula')),
-    sx.PrincipleExt: (('principle', None), ('party', 'term')),
-    sx.Agg: (('parts', 'pairs'),),
-    sx.VPref: (('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
-    sx.Promotes: (('premise', 'formula'), ('decision', 'formula'), ('principle', None), ('party', 'term')),
-    sx.Conflict: (('party', 'term'),),
     sx.ValAtom: (('value', None), ('party', 'term')),
 }
 

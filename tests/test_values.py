@@ -245,30 +245,32 @@ def test_vpref_holds_on_a_chain():
 
 
 def test_value_layer_matches_the_formulas_it_mirrors():
-    """The set-level value layer and the desugared ext, agg, conflict and
-    vpref formulas agree on sampled preorders and incidence maps."""
+    """The set-level value layer and the parsed ext, agg, conflict and vpref
+    formulas agree on sampled preorders and incidence maps."""
     rng = random.Random(20261018)
     preorders = [(n, rows) for n in (1, 2, 3) for rows in all_preorders(n)]
     principles = sorted(PRINCIPLES)
+    sig = sx.Signature()
 
     def parts():
         return [(rng.choice(principles), rng.choice("pd")) for _ in range(rng.randint(1, 3))]
 
     def agg(pairs):
-        return sx.Agg(tuple((principle, sx.Const(party)) for principle, party in pairs))
+        return "(agg " + " ".join(f"({principle} {party})" for principle, party in pairs) + ")"
 
     for _ in range(400):
         n, rows = rng.choice(preorders)
         m = PreferenceModel(n, rows,
                             incidence={sym: rng.randrange(1 << n) for sym in ALL_VALUE_SYMBOLS})
         for party in ("p", "d"):
-            conflict = sx.desugar(sx.Conflict(sx.Const(party)))
+            conflict = sx.parse_formula(f"(conflict {party})", sig)
             assert conflict_extension(m, party) == eval_formula(m, conflict)
             principle = rng.choice(principles)
-            ext = sx.desugar(sx.PrincipleExt(principle, sx.Const(party)))
+            ext = sx.parse_formula(f"(ext {principle} {party})", sig)
             assert principle_extension(m, principle, party) == eval_formula(m, ext)
         lhs, rhs = parts(), parts()
-        assert aggregate_principles(m, lhs) == eval_formula(m, sx.desugar(agg(lhs)))
-        for strict in (False, True):
-            vpref = sx.desugar(sx.VPref(strict, agg(lhs), agg(rhs)))
-            assert vpref_holds(m, strict, lhs, rhs) == globally_true(m, vpref), (m.leq, lhs, rhs)
+        assert aggregate_principles(m, lhs) == eval_formula(m, sx.parse_formula(agg(lhs), sig))
+        for strict in ("weak", "strict"):
+            vpref = sx.parse_formula(f"(vpref {strict} {agg(lhs)} {agg(rhs)})", sig)
+            assert vpref_holds(m, strict == "strict", lhs, rhs) == globally_true(m, vpref), \
+                (m.leq, lhs, rhs)
