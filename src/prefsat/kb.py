@@ -22,7 +22,6 @@ never usable as support.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import syntax as sx
@@ -43,8 +42,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class KnowledgeBase:
+class KnowledgeBase(sx.Node):
     """Named entries, each stored as the ground, core formula the parser
     returns, and options.  The entries of a loaded KB share equal
     subformulas: one node for each distinct subformula across its axioms,
@@ -52,10 +50,14 @@ class KnowledgeBase:
 
     name: str
     sig: sx.Signature
-    axioms: dict[str, sx.Formula] = field(default_factory=dict)
-    facts: dict[str, sx.Formula] = field(default_factory=dict)
-    goals: dict[str, sx.Formula] = field(default_factory=dict)
-    options: dict[str, int | bool] = field(default_factory=dict)  # typed at load
+    axioms: dict[str, sx.Formula]
+    facts: dict[str, sx.Formula]
+    goals: dict[str, sx.Formula]
+    options: dict[str, int | bool]  # typed at load
+
+    def __init__(self, name, sig, axioms=None, facts=None, goals=None, options=None):
+        dicts = ({} if d is None else d for d in (axioms, facts, goals, options))
+        super().__init__(name, sig, *dicts)
 
     def entry_names(self) -> set[str]:
         return set(self.axioms) | set(self.facts) | set(self.goals)
@@ -227,16 +229,14 @@ def audit_queries(kb: KnowledgeBase, **overrides) -> dict[str, Query]:
 # proof scripts
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(sx.Node):
     name: str
     formula: sx.Formula
     uses: tuple[str, ...]
     bound: int
 
 
-@dataclass
-class StepResult:
+class StepResult(sx.Node):
     name: str
     passed: bool
     verdict: Verdict

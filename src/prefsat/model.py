@@ -18,7 +18,6 @@ holds w - d.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .ontology import BasicValue, ValueSymbol
@@ -91,19 +90,20 @@ class _Frame:
         return ext
 
 
-@dataclass
-class PreferenceModel(_Frame):
+class PreferenceModel(_Frame, sx.Node):
     """Worlds, weak-betterness rows, atom valuation, value incidence."""
 
     n: int
     leq: tuple[int, ...]  # leq[w] = mask of worlds weakly better than w (incl. w)
-    valuation: dict[AtomKey, int] = field(default_factory=dict)
-    incidence: dict[ValueSymbol, int] = field(default_factory=dict)
+    valuation: dict[AtomKey, int]
+    incidence: dict[ValueSymbol, int]
+    __setattr__ = object.__setattr__  # _init_frame sets the evaluator's attributes
 
-    def __post_init__(self):
+    def __init__(self, n, leq, valuation=None, incidence=None):
+        super().__init__(n, tuple(leq), {} if valuation is None else valuation,
+                         {} if incidence is None else incidence)
         if not (1 <= self.n <= MAX_WORLDS):
             raise ModelError(f"world count must be in 1..{MAX_WORLDS}")
-        self.leq = tuple(self.leq)
         self._init_frame(1)
 
     def atom_bits(self, key: AtomKey) -> int:

@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import neg
 
@@ -119,8 +118,7 @@ class _Budget:
 _ENCODE_BUDGET: ContextVar[_Budget] = ContextVar("encode_budget", default=_Budget(None))
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(sx.Node):
     """One decision problem.  Formulas must be grounded and desugared."""
 
     axioms: tuple[sx.Formula, ...] = ()
@@ -132,7 +130,8 @@ class Query:
     budget: float | None = None
     engine: str = "sat"  # sat | enum | both
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.mode not in ("refute", "find"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "refute" and self.target is None:
@@ -160,35 +159,30 @@ class Query:
         return tuple(sorted(atoms)), tuple(sorted(incidence, key=lambda k: (k[0].value, k[1])))
 
 
-@dataclass(frozen=True)
-class BoundedValid:
+class BoundedValid(sx.Node):
     bound: int
-    kind: str = field(default="bounded-valid", init=False)
+    kind = "bounded-valid"
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(sx.Node):
     model: PreferenceModel
     bound: int
-    kind: str = field(default="countermodel", init=False)
+    kind = "countermodel"
 
 
-@dataclass(frozen=True)
-class Satisfiable:
+class Satisfiable(sx.Node):
     model: PreferenceModel
-    kind: str = field(default="satisfiable", init=False)
+    kind = "satisfiable"
 
 
-@dataclass(frozen=True)
-class NoModel:
+class NoModel(sx.Node):
     bound: int
-    kind: str = field(default="no-model", init=False)
+    kind = "no-model"
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(sx.Node):
     reason: str
-    kind: str = field(default="unknown", init=False)
+    kind = "unknown"
 
 
 Verdict = BoundedValid | Countermodel | Satisfiable | NoModel | Unknown

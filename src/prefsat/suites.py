@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from . import kb as kbmod
 from . import syntax as sx
@@ -59,8 +58,7 @@ from .values import (
 SUITE_NAMES = ("meta", "values", "cases")
 
 
-@dataclass
-class SuiteRow:
+class SuiteRow(sx.Node):
     name: str
     ok: bool
     detail: str

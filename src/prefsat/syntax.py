@@ -15,7 +15,6 @@ expansion.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter, is_not
 
 from .ontology import CONTENDERS, PRINCIPLES, BasicValue, other
@@ -31,11 +30,14 @@ _set = object.__setattr__
 
 
 class Node:
-    """Base of every syntax node: an immutable record whose fields are the
-    class's annotations, in order, and whose class attributes are defaults.
-    Nodes compare and hash by class and field values and print as
-    `Name(field=value, ...)`, as a frozen dataclass does, but the methods are
-    shared rather than generated for each class."""
+    """The package's one record base: syntax nodes, queries, verdicts, KBs,
+    models and suite rows.  A record's fields are its class's annotations, in
+    order, and its class attributes are defaults.  Records compare and hash
+    by class and field values, print as `Name(field=value, ...)` and refuse
+    assignment, as a frozen dataclass does, but the methods are shared rather
+    than generated for each class.  A class may build on `Node.__init__`
+    with its own (fresh dicts per instance, checks) or restore
+    `object.__setattr__`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -46,7 +48,14 @@ class Node:
         if fields:  # Formula, the abstract base of formulas, has none
             cls._fields = fields
             cls._values = attrgetter(*fields)  # a tuple, or a single field's value
-            cls.__init__ = _INIT_FOR_FIELD_COUNT[len(fields)]
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = _INIT_FOR_FIELD_COUNT.get(len(fields), Node.__init__)
+
+    def __init__(self, *args, **kwargs):
+        extra = len(args) - len(self._fields)
+        if extra > 0:
+            raise TypeError(f"{type(self).__name__}() takes {len(self._fields)} arguments")
+        self._bind(args + (_MISSING,) * -extra, kwargs)
 
     def _bind(self, args: tuple, kwargs: dict):
         """Set the fields from one positional value per field (_MISSING where
@@ -81,14 +90,17 @@ class Node:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # only here: a slow import
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-# The constructor of a node with one, two or four fields: all fields given
-# positionally are set directly; anything else goes through Node._bind.
+# The constructor of a node with one, two or four fields, the formula nodes'
+# counts: all fields given positionally are set directly; anything else goes
+# through Node._bind.
 
 
 def _init1(self, a=_MISSING, /, **kwargs):
@@ -437,14 +449,14 @@ RESERVED_HEADS = frozenset(KEYWORDS) | {
     "other", "forall", "exists", "ext", "agg", "vpref", "promotes", "conflict"}
 
 
-@dataclass
-class Signature:
+class Signature(Node):
     """Declared sorts (finite constant lists) and atoms (argument sorts)."""
 
-    sorts: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    atoms: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    sorts: dict[str, tuple[str, ...]]
+    atoms: dict[str, tuple[str, ...]]
 
-    def __post_init__(self):
+    def __init__(self, sorts=None, atoms=None):
+        super().__init__({} if sorts is None else sorts, {} if atoms is None else atoms)
         self.sorts.setdefault("contender", CONTENDERS)
 
     def const_sort(self, name: str) -> str | None:

@@ -10,11 +10,10 @@ in the first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lifts import check_masks, sem_lift  # sem_lift: unused here; bench/tracing.py wraps it
 from .model import PreferenceModel
 from .ontology import ValueSymbol
+from .syntax import Node
 
 
 def down(m: PreferenceModel, symbols) -> int:
@@ -35,8 +34,7 @@ def up(m: PreferenceModel, worlds: int) -> frozenset[ValueSymbol]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(Node):
     """A Galois-closed pair: extent = down(intent), intent = up(extent)."""
 
     extent: int  # world mask

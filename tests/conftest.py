@@ -1,8 +1,14 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 import pytest
 
 from prefsat import solver
 from prefsat.model import PreferenceModel
+
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed, built through its
+    constructor (as `dataclasses.replace` does for a dataclass)."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ import itertools
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import prefsat.syntax as sx
 from prefsat.cli import main as cli_main
@@ -45,6 +44,7 @@ from prefsat.solver import (
 )
 from prefsat.suites import random_queries, suite_queries
 from prefsat.values import aggregate1, aggregate2, down, up
+from conftest import replace
 
 SIG = sx.base_signature("P", "Q", "R")
 

@@ -73,3 +73,21 @@ def test_importing_the_cli_loads_every_traced_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout == "\n", f"not loaded by import prefsat.cli: {out.stdout.split()}"
+
+
+def test_commands_do_not_import_dataclasses():
+    # a cold command pays for every module it imports, and dataclasses brings
+    # in inspect, ast, dis and tokenize.  -S keeps site's own imports out.
+    # suites, lifts and values still load with the cli: bench/cli_child.py
+    # reads them from sys.modules right after `import prefsat.cli`.
+    code = """if True:
+        import io, sys, contextlib, prefsat.cli
+        eager = [m for m in ("suites", "lifts", "values") if f"prefsat.{m}" in sys.modules]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [prefsat.cli.main([command, "pierson"]) for command in ("entail", "replay")]
+        print(codes, eager, [m for m in ("dataclasses", "inspect") if m in sys.modules])
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[0, 0] ['suites', 'lifts', 'values'] []\n"

@@ -1,5 +1,6 @@
 """KB loading, imports, derived queries, and proof replay."""
 import textwrap
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -7,6 +8,7 @@ import prefsat.syntax as sx
 from prefsat.cli import main
 from prefsat.kb import (
     ConfigError,
+    KnowledgeBase,
     audit_queries,
     case_kb,
     case_proof_path,
@@ -18,6 +20,7 @@ from prefsat.kb import (
     step_queries,
 )
 from prefsat.solver import BoundedValid, Countermodel, Satisfiable, check
+from conftest import replace
 
 
 def write(tmp_path, name, body):
@@ -45,6 +48,16 @@ def test_load_kb_collects_entries(tmp_path):
     assert set(kb.axioms) == {"a1"} and set(kb.facts) == {"f1"} and set(kb.goals) == {"g1"}
     assert kb.options == {"bound": 3}
     assert kb.sig.atoms["Wet"] == ("contender",)
+
+
+def test_knowledge_bases_never_share_a_dict():
+    a, b = KnowledgeBase("a", sx.Signature()), KnowledgeBase("b", sx.Signature())
+    for name in ("axioms", "facts", "goals", "options"):
+        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name), name
+    a.axioms["x"] = sx.Atom("P")
+    assert b.axioms == {}
+    options = {"bound": 3}
+    assert KnowledgeBase("c", sx.Signature(), options=options).options is options
 
 
 def test_load_kb_rejects_malformed_documents(tmp_path):
@@ -229,6 +242,8 @@ def test_load_proof_structure():
     ]
     assert all(s.bound == 4 for s in steps)
     assert steps[1].uses == ("s1-wild-setting", "R2")
+    with pytest.raises(FrozenInstanceError):
+        steps[1].uses = ()
 
 
 def test_shipped_formulas_print_and_parse_back():
@@ -306,8 +321,6 @@ def test_replay_full_ruling_passes():
 
 
 def test_replay_uses_only_cited_support():
-    from dataclasses import replace
-
     kb = case_kb("pierson")
     steps = load_proof(case_proof_path("pierson"), kb.sig)
     # s1 cites no preference rule, so a step citing only s1 cannot conclude one

@@ -86,6 +86,23 @@ def test_validate_rejects_broken_relations():
         PreferenceModel(0, ())
 
 
+def test_model_record_fields():
+    m = PreferenceModel(2, [0b11, 0b10], {("P", ()): 0b01})
+    assert m.leq == (0b11, 0b10) and m._fields == ("n", "leq", "valuation", "incidence")
+    assert m == PreferenceModel(2, (0b11, 0b10), {("P", ()): 0b01}, {})
+    assert m != PreferenceModel(2, (0b11, 0b10), {("P", ()): 0b10})
+    assert m != PreferenceModel(2, (0b11, 0b10), {("P", ()): 0b01}, {(BasicValue.FREEDOM, "p"): 1})
+    assert m != PreferenceModel(2, (0b01, 0b11), {("P", ()): 0b01})
+    assert PreferenceModel(1, (1,)) != PreferenceModel(2, (0b01, 0b10))
+
+
+def test_models_never_share_a_dict():
+    a, b = PreferenceModel(1, (1,)), PreferenceModel(1, (1,))
+    assert a.valuation is not b.valuation and a.incidence is not b.incidence
+    a.valuation[("P", ())] = 1
+    assert b.valuation == {} and a != b
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

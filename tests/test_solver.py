@@ -1,7 +1,7 @@
 """Bounded decision procedures: SAT engine, enumeration oracle, agreement."""
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 from itertools import combinations, product
 from operator import neg
 
@@ -38,6 +38,7 @@ from prefsat.solver import (
     solve_at,
 )
 from prefsat.suites import random_queries, suite_queries
+from conftest import replace
 from test_model import from_edges, reference_eval
 
 SIG = sx.base_signature("P", "Q", "R", "S")
@@ -466,6 +467,39 @@ def test_query_validation():
         Query(mode="find", bound=63)
     with pytest.raises(ValueError, match="engine"):
         Query(mode="find", engine="z3")
+
+
+def test_query_rejects_a_nan_budget():
+    with pytest.raises(ValueError, match="nan"):
+        Query(mode="find", budget=float("nan"))
+
+
+def test_query_and_verdicts_are_frozen():
+    m = PreferenceModel(1, (1,))
+    records = [Query(mode="find"), BoundedValid(3), Countermodel(m, 3), Satisfiable(m),
+               NoModel(3), Unknown("budget-exhausted")]
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+
+
+def test_query_equality_and_hash_ignore_the_cached_symbols():
+    q, twin = refute("(boxlt P)"), refute("(boxlt P)")
+    assert q.symbols == ((("P", ()),), ())
+    assert "symbols" in vars(q) and "symbols" not in vars(twin)
+    assert q == twin and hash(q) == hash(twin)
+    assert q != refute("(boxlt Q)")
+
+
+def test_each_verdict_class_has_its_kind():
+    kinds = {cls: cls.kind for cls in (BoundedValid, Countermodel, Satisfiable, NoModel, Unknown)}
+    assert kinds == {BoundedValid: "bounded-valid", Countermodel: "countermodel",
+                     Satisfiable: "satisfiable", NoModel: "no-model", Unknown: "unknown"}
+    assert all("kind" not in cls._fields for cls in kinds)
+    assert Unknown("budget-exhausted").kind == "unknown"
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,15 @@ def test_signature_seeds_contender_sort():
     assert sig.sorts["contender"] == ("p", "d")
 
 
+def test_signatures_never_share_a_dict():
+    a, b = sx.Signature(), sx.Signature()
+    assert a.sorts is not b.sorts and a.atoms is not b.atoms
+    a.add_atom("P", ())
+    assert a.atoms == {"P": ()} and b.atoms == {}
+    assert a.sorts == b.sorts == {"contender": ("p", "d")}
+    assert repr(b) == "Signature(sorts={'contender': ('p', 'd')}, atoms={})"
+
+
 def test_reserved_names_rejected():
     sig = sx.Signature()
     for name in ("A", "E", "not", "val", "WILL", "FREEDOM",
@@ -432,8 +441,9 @@ NODE_REPRS = [
 
 
 def test_every_node_class_has_a_repr_case():
-    classes = {cls for cls in vars(sx).values()
-               if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields}
+    classes = {cls for cls in vars(sx).values()  # Signature is a record, not a node
+               if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields
+               and cls is not sx.Signature}
     assert {type(node) for node, _ in NODE_REPRS} == classes
     assert len(classes) == 21
 

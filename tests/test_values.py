@@ -1,5 +1,6 @@
 """Galois connection between worlds and value symbols, and the layers above."""
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -160,6 +161,8 @@ def test_concept_construction_and_rejection():
     intent = up(m, 0b10)
     d = Concept(down(m, intent), intent)
     assert d.extent == 0b11 and is_concept(m, d.extent, d.intent)
+    with pytest.raises(FrozenInstanceError):
+        d.extent = 0
 
 
 def test_meet_join_are_lattice_operations():
