@@ -4,8 +4,9 @@ These are the world-independent comparisons between two sets of worlds: the
 four quantifier patterns (exists/forall on each side) over the weak or strict
 betterness relation, the guard-respecting variants, maximal ("best") worlds,
 and the likelihood-style comparison used by the defeasible conditional.  The
-syntactic counterparts live in syntax.desugar; keeping both routes separate
-lets the test suite compare them instead of trusting one implementation.
+syntactic counterparts are syntax.SynPref and syntax.Cond; keeping both
+routes separate lets the test suite compare them instead of trusting one
+implementation.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ def sem_lift(m: PreferenceModel, pattern: str, strict: bool, a: int, b: int) -> 
 def cp_relation(m: PreferenceModel, guards: list[sx.Formula], strict: bool) -> list[int]:
     """Rows of betterness restricted to worlds agreeing on every guard.
 
-    Guards are grounded, desugared formulas; they are evaluated on the model
+    Guards are ground formulas; they are evaluated on the model
     and two worlds are related only if additionally every guard has the same
     truth value at both.  An empty guard list returns the base relation.
     """

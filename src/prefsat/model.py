@@ -218,7 +218,7 @@ def _diamond(steps, sub: int, guards: list[int]) -> int:
 
 
 def eval_packed(s: _Frame, f: sx.Formula) -> int:
-    """The packed extension of a grounded, desugared formula."""
+    """The packed extension of a ground formula."""
     # Cache keyed by node identity; the node reference is kept alongside so
     # the id stays valid for the cache's lifetime.
     key = id(f)
@@ -267,14 +267,14 @@ def eval_packed(s: _Frame, f: sx.Formula) -> int:
             bad |= lhs & _move(rhs, k) & ~mask
         ext = s.everywhere(s.block ^ s.any_world(bad))
     else:
-        raise ModelError(f"evaluation expects desugared formulas, found {type(f).__name__}")
+        raise ModelError(f"not a formula node: {type(f).__name__}")
 
     s._cache[key] = (f, ext)
     return ext
 
 
 def eval_formula(m: PreferenceModel, f: sx.Formula) -> int:
-    """The world mask where the (grounded, desugared) formula holds."""
+    """The world mask where the ground formula holds."""
     return eval_packed(m, f)
 
 

@@ -119,7 +119,7 @@ _ENCODE_BUDGET: ContextVar[_Budget] = ContextVar("encode_budget", default=_Budge
 
 
 class Query(sx.Node):
-    """One decision problem.  Formulas must be grounded and desugared."""
+    """One decision problem.  Formulas must be ground."""
 
     axioms: tuple[sx.Formula, ...] = ()
     facts: tuple[sx.Formula, ...] = ()
@@ -618,7 +618,7 @@ class _Encoder:
                     guard = self.conj(self.edge(s, u, f.strict, f.guards))  # first: variable order
                     parts.append(self.disj((-self.t(f.lhs, s), -self.t(f.rhs, u), guard)))
             return self.conj(parts)
-        raise EngineError(f"encoder expects desugared formulas, found {cls.__name__}")
+        raise EngineError(f"not a formula node: {cls.__name__}")
 
     def maximal_world_lemma(self):
         """Clauses saying every world is maximal or has a strictly better

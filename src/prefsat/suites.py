@@ -165,8 +165,7 @@ def _preorder_count_row() -> SuiteRow:
 
 def _semsyn_agree_row(name: str, patterns, total_only: bool) -> SuiteRow:
     P, Q = sx.Atom("P"), sx.Atom("Q")
-    syn = {(pat, st): sx.desugar(sx.SynPref(pat, st, P, Q))
-           for pat in patterns for st in (False, True)}
+    syn = {(pat, st): sx.SynPref(pat, st, P, Q) for pat in patterns for st in (False, True)}
     checked = 0
     for m, s, i, a, b in _enum_models():
         if total_only and not is_total(m):
@@ -183,8 +182,7 @@ def _semsyn_agree_row(name: str, patterns, total_only: bool) -> SuiteRow:
 
 def _semsyn_witness_row() -> SuiteRow:
     P, Q = sx.Atom("P"), sx.Atom("Q")
-    syn = {(pat, st): sx.desugar(sx.SynPref(pat, st, P, Q))
-           for pat in ("ea", "aa") for st in (False, True)}
+    syn = {(pat, st): sx.SynPref(pat, st, P, Q) for pat in ("ea", "aa") for st in (False, True)}
     found: dict[tuple[str, bool], int] = {}
     for m, s, i, a, b in _enum_models():
         if is_total(m):
@@ -223,7 +221,7 @@ def _cp_collapse_row() -> SuiteRow:
 
 
 def _cond_triangle_row() -> SuiteRow:
-    cond = sx.desugar(sx.Cond(sx.Atom("P"), sx.Atom("Q")))
+    cond = sx.Cond(sx.Atom("P"), sx.Atom("Q"))
     checked = 0
     for m, s, i, a, b in _enum_models():
         c1 = bool(eval_packed(s, cond) >> i & 1)
@@ -480,9 +478,9 @@ def random_queries(seed: int, count: int, *, bound: int = 3) -> list[Query]:
 
     out: list[Query] = []
     for _ in range(count):
-        target = sx.desugar(gen(3))
-        axioms = tuple(sx.desugar(gen(2)) for _ in range(rng.randrange(2)))
-        facts = tuple(sx.desugar(gen(2)) for _ in range(rng.randrange(2)))
+        target = gen(3)
+        axioms = tuple(gen(2) for _ in range(rng.randrange(2)))
+        facts = tuple(gen(2) for _ in range(rng.randrange(2)))
         mode = "refute" if rng.random() < 0.7 else "find"
         out.append(Query(axioms=axioms, facts=facts, target=target, mode=mode,
                          bound=bound, total=rng.random() < 0.2, engine="both"))

@@ -7,11 +7,11 @@ F)` and `(exists x SORT F)` become the conjunction or disjunction of F over
 the sort's constants, `(other t)` folds to a constant, and the syntactic
 preference variants, the conditional and the value-layer forms (`ext`,
 `agg`, `vpref`, `promotes`, `conflict`) become the core formulas they
-abbreviate.  `desugar` does the same for the SynPref and Cond nodes a caller
-builds by hand, and `share` makes equal subtrees one object for the caches
-keyed by node.  Printing is the inverse of parsing: `format_formula` emits
-text that parses back to an equal formula, so a derived form prints as its
-expansion.
+abbreviate.  Every formula node is core: `SynPref` and `Cond` are functions
+that build the expansion, for a caller writing formulas by hand.  `share`
+makes equal subtrees one object for the caches keyed by node.  Printing is
+the inverse of parsing: `format_formula` emits text that parses back to an
+equal formula, so a derived form prints as its expansion.
 """
 from __future__ import annotations
 
@@ -290,18 +290,6 @@ class Everywhere(Formula):
     sub: Formula
 
 
-LIFT_PATTERNS = ("ee", "ea", "ae", "aa")
-
-
-class SynPref(Formula):
-    """Binary preference statement, one of the eight syntactic variants."""
-
-    pattern: str  # ee | ea | ae | aa
-    strict: bool
-    lhs: Formula
-    rhs: Formula
-
-
 class CpDiaWeak(Formula):
     """Weak-betterness diamond restricted to worlds agreeing on the guards."""
 
@@ -323,13 +311,6 @@ class CpPrefAA(Formula):
     rhs: Formula
 
 
-class Cond(Formula):
-    """Defeasible conditional: best antecedent worlds satisfy the consequent."""
-
-    lhs: Formula
-    rhs: Formula
-
-
 def make_and(args: list[Formula]) -> Formula:
     if not args:
         raise ValueError("empty conjunction")
@@ -346,8 +327,8 @@ def make_or(args: list[Formula]) -> Formula:
 KEYWORDS: dict[str, type] = {
     "not": Not, "and": And, "or": Or, "implies": Implies, "iff": Iff,
     "boxleq": BoxWeak, "dialeq": DiaWeak, "boxlt": BoxStrict, "dialt": DiaStrict,
-    "A": Everywhere, "E": Somewhere, "prefsyn": SynPref,
-    "cp-dialeq": CpDiaWeak, "cp-dialt": CpDiaStrict, "cp-pref-aa": CpPrefAA, "cond": Cond,
+    "A": Everywhere, "E": Somewhere,
+    "cp-dialeq": CpDiaWeak, "cp-dialt": CpDiaStrict, "cp-pref-aa": CpPrefAA,
     "val": ValAtom,
 }
 _KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
@@ -373,23 +354,6 @@ def _layout(f: Formula) -> tuple[tuple[str, str | None], ...]:
         return _LAYOUT[type(f)]
     except KeyError:
         raise TypeError(f"not a formula node: {type(f).__name__}") from None
-
-
-def _rebuild(f: Formula, on_formula) -> Formula:
-    """The node f with every sub-formula mapped by on_formula; other fields
-    are kept.  A node with no sub-formulas is returned as is."""
-    layout = _layout(f)
-    if type(f) in _LEAVES:
-        return f
-    values = []
-    for name, kind in layout:
-        value = getattr(f, name)
-        if kind == "formula":
-            value = on_formula(value)
-        elif kind == "formulas":
-            value = tuple(map(on_formula, value))
-        values.append(value)
-    return type(f)(*values)
 
 
 def children(f: Formula):
@@ -443,10 +407,10 @@ def share(formulas) -> list[Formula]:
 # signature
 
 
-# The quantifiers and the value-layer forms have no node class: the parser
+# The quantifiers and the derived forms have no node class: the parser
 # expands them.
-RESERVED_HEADS = frozenset(KEYWORDS) | {
-    "other", "forall", "exists", "ext", "agg", "vpref", "promotes", "conflict"}
+RESERVED_HEADS = frozenset(KEYWORDS) | {"other", "forall", "exists", "prefsyn", "cond",
+                                        "ext", "agg", "vpref", "promotes", "conflict"}
 
 
 class Signature(Node):
@@ -613,7 +577,7 @@ def _parse_formula(node, sig: Signature, env: Env) -> Formula:
         lhs, rhs = (_parse_formula(x, sig, env) for x in items[2:])
         if not all(_head(x) in ("ext", "agg") for x in items[2:]):
             raise ParseError("vpref sides must be ext or agg forms", node.line)
-        return _desugar_synpref("ae", strict, lhs, rhs)
+        return SynPref("ae", strict, lhs, rhs)
     if op == "promotes":
         # factual premises tie a decision to reaching a principle's worlds
         _want(node, 3, op)
@@ -624,13 +588,17 @@ def _parse_formula(node, sig: Signature, env: Env) -> Formula:
     if op == "conflict":
         _want(node, 1, op)
         return conflict(_parse_party(items[1], sig, env))
+    if op in _DERIVED:
+        # prefsyn and cond list their slots in order and build the expansion
+        expand, kinds = _DERIVED[op]
+        _want(node, len(kinds), op)
+        return expand(*(_SLOT_READERS[kind](x, sig, env) for kind, x in zip(kinds, items[1:])))
     if cls is not None:
-        # every other form lists its fields in order, each read by its kind;
-        # a derived one (prefsyn, cond) is expanded from its core fields
+        # every other form lists its fields in order, each read by its kind
         layout = _LAYOUT[cls]
         _want(node, len(layout), op)
-        return _EXPANSIONS.get(cls, cls)(*(_SLOT_READERS[kind or name](x, sig, env)
-                                           for (name, kind), x in zip(layout, items[1:])))
+        return cls(*(_SLOT_READERS[kind or name](x, sig, env)
+                     for (name, kind), x in zip(layout, items[1:])))
 
     # anything else must be a declared atom applied to terms
     if op in RESERVED_HEADS:
@@ -699,22 +667,22 @@ def format_formula(f: Formula) -> str:
             # a lone argument list is spread (and, or); a guard slot is a list
             subs = " ".join(map(format_formula, value))
             parts.append(subs if len(layout) == 1 else f"({subs})")
-        elif kind == "term":
-            parts.append(value.name)
         elif isinstance(value, bool):
             parts.append("strict" if value else "weak")
-        elif isinstance(value, BasicValue):
+        else:  # a term (a constant) or a basic value
             parts.append(value.name)
-        else:
-            parts.append(value)
     return "(" + " ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
-# desugaring into the modal core
+# derived forms: each function returns the core formula it abbreviates
 
 
-def _desugar_synpref(pattern: str, strict: bool, lhs: Formula, rhs: Formula) -> Formula:
+LIFT_PATTERNS = ("ee", "ea", "ae", "aa")
+
+
+def SynPref(pattern: str, strict: bool, lhs: Formula, rhs: Formula) -> Formula:
+    """Binary preference statement, one of the eight syntactic variants."""
     dia = DiaStrict if strict else DiaWeak
     # The existential/universal "box of the complement" variants flip flavor:
     # weak uses the strict box, strict uses the weak box.
@@ -730,7 +698,8 @@ def _desugar_synpref(pattern: str, strict: bool, lhs: Formula, rhs: Formula) -> 
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _desugar_cond(lhs: Formula, rhs: Formula) -> Formula:
+def Cond(lhs: Formula, rhs: Formula) -> Formula:
+    """Defeasible conditional: best antecedent worlds satisfy the consequent."""
     return Everywhere(Implies(lhs, DiaWeak(And((lhs, BoxWeak(Implies(lhs, rhs)))))))
 
 
@@ -744,23 +713,22 @@ def conflict(party: Const) -> Formula:
     return And(tuple(ValAtom(v, party) for v in BasicValue))
 
 
-# The derived node classes, each with the expansion of its fields (already
-# core) into the modal core.  None may reach the evaluator or encoder.
-_EXPANSIONS = {SynPref: _desugar_synpref, Cond: _desugar_cond}
+# The derived forms with a keyword of their own: each keyword's expansion and
+# the kinds of its slots, in order.
+_DERIVED = {
+    "prefsyn": (SynPref, ("pattern", "strict", "formula", "formula")),
+    "cond": (Cond, ("formula", "formula")),
+}
 
 
 def desugar(f: Formula) -> Formula:
-    """Rewrite the derived nodes a caller builds by hand, SynPref and Cond,
-    into the modal core.  A parsed formula has none: it is returned equal."""
-    f = _rebuild(f, desugar)
-    expand = _EXPANSIONS.get(type(f))
-    return f if expand is None else expand(*(getattr(f, name) for name in f._fields))
+    """Return f, which is core: kept because bench/ calls it by name."""
+    return f
 
 
 def elaborate(f: Formula, sig: Signature) -> Formula:
-    """The normal form the evaluator and encoder accept: desugar(f).  A parsed
-    formula is already ground and core; sig is not read."""
-    return desugar(f)
+    """Return f, which is ground and core: kept because bench/ calls it by name."""
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +736,7 @@ def elaborate(f: Formula, sig: Signature) -> Formula:
 
 
 def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[tuple[BasicValue, str]]]:
-    """Ground atom keys and incidence keys occurring in a desugared formula."""
+    """Ground atom keys and incidence keys occurring in a formula."""
     atoms: set[tuple[str, tuple[str, ...]]] = set()
     incidence: set[tuple[BasicValue, str]] = set()
 
@@ -784,8 +752,6 @@ def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[t
             if not isinstance(g.party, Const):
                 raise ParseError(f"collect_symbols expects a constant party, found {g.party!r}")
             incidence.add((g.value, g.party.name))
-        elif type(g) in _EXPANSIONS:
-            raise ParseError(f"collect_symbols expects desugared input, found {type(g).__name__}")
         else:
             for sub in children(g):
                 walk(sub)

@@ -96,7 +96,7 @@ def test_01_modal_core():
 def test_02_semantic_and_syntactic_lifts():
     assert sum(1 for _ in all_preorders(3)) == 29
     syntactic = {
-        (pat, strict): sx.desugar(sx.SynPref(pat, strict, sx.Atom("P"), sx.Atom("Q")))
+        (pat, strict): sx.SynPref(pat, strict, sx.Atom("P"), sx.Atom("Q"))
         for pat in ("ee", "ea", "ae", "aa")
         for strict in (False, True)
     }
@@ -175,7 +175,7 @@ def test_05_value_conflicts():
 
 def test_06_conditional_triangle():
     P, Q = sx.Atom("P"), sx.Atom("Q")
-    boutilier = sx.desugar(sx.Cond(P, Q))
+    boutilier = sx.Cond(P, Q)
     for m in models_2atoms():
         pw = eval_formula(m, P)
         qw = eval_formula(m, Q)

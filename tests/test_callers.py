@@ -1,10 +1,12 @@
 """Everything defined at module level in `src/prefsat` has a use in the program.
 
-A reference is a name, an attribute, an import alias or a string constant
-anywhere in `src/prefsat` or in `bench/`.  String constants count because
-`bench/tracing.py` names the functions it wraps as strings.  Code that only
-tests call belongs next to those tests.  The package's `__init__.py` is its
-docstring alone: a re-export would be a reference that no caller uses.
+A definition is a function, a class or a name assigned at module level.  A
+reference is a name read (not assigned), an attribute, an import alias or a
+string constant anywhere in `src/prefsat` or in `bench/`.  String constants
+count because `bench/tracing.py` names the functions it wraps as strings.
+Code that only tests call belongs next to those tests.  The package's
+`__init__.py` is its docstring alone: a re-export would be a reference that
+no caller uses.
 """
 import ast
 import os
@@ -27,6 +29,12 @@ def _definitions() -> dict[str, str]:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 out[node.name] = path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            out[name.id] = path.name
     return out
 
 
@@ -35,7 +43,7 @@ def _references() -> set[str]:
     refs = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
@@ -55,6 +63,11 @@ def test_every_module_level_definition_has_a_reference():
 
 def test_allowed_names_still_exist():
     assert ALLOWED <= set(_definitions())
+
+
+def test_module_level_assignments_are_definitions():
+    # a constant is checked as a function is: its own assignment is no use
+    assert {"LIFT_PATTERNS", "_DERIVED", "RESERVED_HEADS", "Env"} <= set(_definitions())
 
 
 def test_package_init_is_its_docstring_alone():

@@ -159,8 +159,8 @@ def test_evaluation_rejects_malformed_input():
         eval_formula(m, sx.Atom("R"))
     with pytest.raises(ModelError, match="constant arguments"):
         eval_formula(m, sx.Atom("Owns", ("x",)))
-    with pytest.raises(ModelError, match="desugared"):
-        eval_formula(m, sx.SynPref("ae", False, sx.Atom("P"), sx.Atom("Q")))
+    with pytest.raises(ModelError, match="not a formula node"):
+        eval_formula(m, sx.Const("p"))
 
 
 def test_incidence_evaluation():
@@ -224,7 +224,7 @@ def test_every_enumerated_relation_validates():
 
 
 def reference_eval(m: PreferenceModel, f: sx.Formula, memo: dict) -> int:
-    """The worlds of m where the grounded, desugared formula f holds, one bit
+    """The worlds of m where the ground formula f holds, one bit
     per world.  It walks one model world by world and shares no code with
     model.eval_packed.  memo caches by node id for one model."""
     hit = memo.get(id(f))
@@ -286,7 +286,7 @@ def reference_eval(m: PreferenceModel, f: sx.Formula, memo: dict) -> int:
         ok = all(not (rhs & ~rows[s]) for s in range(n) if lhs >> s & 1)
         bits = full if ok else 0
     else:
-        raise TypeError(f"reference expects desugared formulas, found {type(f).__name__}")
+        raise TypeError(f"not a formula node: {type(f).__name__}")
     memo[id(f)] = (f, bits)
     return bits
 

@@ -1,10 +1,12 @@
-"""Reader, parser, printer, desugaring, symbol collection and sharing."""
+"""Reader, parser, printer, derived forms, symbol collection and sharing."""
 from dataclasses import FrozenInstanceError
 from operator import is_
 
 import pytest
 
 import prefsat.syntax as sx
+from prefsat import solver
+from prefsat.model import PreferenceModel, eval_formula
 from prefsat.ontology import BasicValue
 from prefsat.syntax import ParseError, base_signature, parse_formula
 
@@ -99,7 +101,7 @@ def test_modal_operators():
 
 
 def test_prefsyn_patterns_and_strictness():
-    # read straight into the modal core, as desugar expands a SynPref node
+    # read straight into the modal core, as sx.SynPref builds it
     P, Q = sx.Atom("P"), sx.Atom("Q")
     f = parse_formula("(prefsyn ae strict P Q)", sig2())
     assert f == sx.Everywhere(sx.Implies(P, sx.DiaStrict(Q)))
@@ -268,7 +270,7 @@ def test_ground_single_constant_sort_drops_connective():
 
 
 # ---------------------------------------------------------------------------
-# desugaring
+# derived forms
 
 
 def P():
@@ -279,28 +281,36 @@ def Q():
     return sx.Atom("Q")
 
 
-def test_desugar_synpref_eight_variants():
-    # ee/ae use the matching diamond; ea/aa box the complement with the
-    # opposite flavor (weak statement -> strict box, strict -> weak box).
-    cases = {
-        ("ee", False): sx.Somewhere(sx.And((P(), sx.DiaWeak(Q())))),
-        ("ee", True): sx.Somewhere(sx.And((P(), sx.DiaStrict(Q())))),
-        ("ae", False): sx.Everywhere(sx.Implies(P(), sx.DiaWeak(Q()))),
-        ("ae", True): sx.Everywhere(sx.Implies(P(), sx.DiaStrict(Q()))),
-        ("ea", False): sx.Somewhere(sx.And((Q(), sx.BoxStrict(sx.Not(P()))))),
-        ("ea", True): sx.Somewhere(sx.And((Q(), sx.BoxWeak(sx.Not(P()))))),
-        ("aa", False): sx.Everywhere(sx.Implies(Q(), sx.BoxStrict(sx.Not(P())))),
-        ("aa", True): sx.Everywhere(sx.Implies(Q(), sx.BoxWeak(sx.Not(P())))),
-    }
-    for (pattern, strict), expected in cases.items():
-        assert sx.desugar(sx.SynPref(pattern, strict, P(), Q())) == expected
+# Each keyword form with its expansion function, written out by hand, and the
+# core formula it abbreviates.  ee/ae use the matching diamond; ea/aa box the
+# complement with the opposite flavor (weak statement -> strict box, strict ->
+# weak box).
+DERIVED_FORMS = [
+    ("(prefsyn ee weak P Q)", sx.SynPref("ee", False, P(), Q()),
+     sx.Somewhere(sx.And((P(), sx.DiaWeak(Q()))))),
+    ("(prefsyn ee strict P Q)", sx.SynPref("ee", True, P(), Q()),
+     sx.Somewhere(sx.And((P(), sx.DiaStrict(Q()))))),
+    ("(prefsyn ae weak P Q)", sx.SynPref("ae", False, P(), Q()),
+     sx.Everywhere(sx.Implies(P(), sx.DiaWeak(Q())))),
+    ("(prefsyn ae strict P Q)", sx.SynPref("ae", True, P(), Q()),
+     sx.Everywhere(sx.Implies(P(), sx.DiaStrict(Q())))),
+    ("(prefsyn ea weak P Q)", sx.SynPref("ea", False, P(), Q()),
+     sx.Somewhere(sx.And((Q(), sx.BoxStrict(sx.Not(P())))))),
+    ("(prefsyn ea strict P Q)", sx.SynPref("ea", True, P(), Q()),
+     sx.Somewhere(sx.And((Q(), sx.BoxWeak(sx.Not(P())))))),
+    ("(prefsyn aa weak P Q)", sx.SynPref("aa", False, P(), Q()),
+     sx.Everywhere(sx.Implies(Q(), sx.BoxStrict(sx.Not(P()))))),
+    ("(prefsyn aa strict P Q)", sx.SynPref("aa", True, P(), Q()),
+     sx.Everywhere(sx.Implies(Q(), sx.BoxWeak(sx.Not(P()))))),
+    ("(cond P Q)", sx.Cond(P(), Q()),
+     sx.Everywhere(sx.Implies(P(), sx.DiaWeak(sx.And((P(), sx.BoxWeak(sx.Implies(P(), Q())))))))),
+]
 
 
-def test_desugar_cond():
-    f = sx.desugar(sx.Cond(P(), Q()))
-    assert f == sx.Everywhere(
-        sx.Implies(P(), sx.DiaWeak(sx.And((P(), sx.BoxWeak(sx.Implies(P(), Q()))))))
-    )
+@pytest.mark.parametrize("text, built, expected", DERIVED_FORMS,
+                         ids=[text[1:-5].replace(" ", "-") for text, _, _ in DERIVED_FORMS])
+def test_derived_form_parses_to_its_expansion(text, built, expected):
+    assert parse_formula(text, sig2()) == built == expected
 
 
 def test_desugar_value_layer():
@@ -328,8 +338,8 @@ def test_elaborate_is_ground_then_desugar():
     sig = sig2()
     f = parse_formula("(forall x contender (conflict x))", sig)
     assert f == sx.And((sx.conflict(sx.Const("p")), sx.conflict(sx.Const("d"))))
-    # a parsed formula is already core: elaborate gives it back equal
-    assert sx.elaborate(f, sig) == f
+    # a parsed formula is already core: elaborate and desugar give it back
+    assert sx.elaborate(f, sig) is f and sx.desugar(f) is f
 
 
 def test_elaborate_grounds_quantifiers_inside_promotes():
@@ -361,9 +371,6 @@ def test_collect_symbols():
         sx.collect_symbols(sx.Atom("Owns", ("p",)))
     with pytest.raises(ParseError, match="constant party"):
         sx.collect_symbols(sx.ValAtom(BasicValue.FREEDOM, "p"))
-    for derived in (sx.SynPref("ae", True, P(), Q()), sx.Cond(P(), Q())):
-        with pytest.raises(ParseError, match="desugared"):
-            sx.collect_symbols(sx.Not(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +438,10 @@ NODE_REPRS = [
     (sx.BoxStrict(NP), f"BoxStrict(sub={_P})"),
     (sx.Somewhere(NP), f"Somewhere(sub={_P})"),
     (sx.Everywhere(NP), f"Everywhere(sub={_P})"),
-    (sx.SynPref("ae", True, NP, NQ), f"SynPref(pattern='ae', strict=True, lhs={_P}, rhs={_Q})"),
     (sx.CpDiaWeak((NP,), NQ), f"CpDiaWeak(guards=({_P},), sub={_Q})"),
     (sx.CpDiaStrict((NP,), NQ), f"CpDiaStrict(guards=({_P},), sub={_Q})"),
     (sx.CpPrefAA((NP,), False, NP, NQ),
      f"CpPrefAA(guards=({_P},), strict=False, lhs={_P}, rhs={_Q})"),
-    (sx.Cond(NP, NQ), f"Cond(lhs={_P}, rhs={_Q})"),
 ]
 
 
@@ -445,7 +450,7 @@ def test_every_node_class_has_a_repr_case():
                if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields
                and cls is not sx.Signature}
     assert {type(node) for node, _ in NODE_REPRS} == classes
-    assert len(classes) == 21
+    assert len(classes) == 19
 
 
 @pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
@@ -469,7 +474,7 @@ def test_nodes_equal_only_within_one_class():
 def test_node_keywords_and_defaults():
     assert sx.Atom("P") == sx.Atom(pred="P", args=()) == sx.Atom("P", ()) == sx.Atom(pred="P")
     assert sx.Atom.args == ()
-    assert sx.Cond(NP, rhs=NQ) == sx.Cond(lhs=NP, rhs=NQ)
+    assert sx.Implies(NP, rhs=NQ) == sx.Implies(lhs=NP, rhs=NQ)
     with pytest.raises(TypeError, match="missing"):
         sx.Implies(NP)
     with pytest.raises(TypeError, match="multiple"):
@@ -505,11 +510,9 @@ LAYOUT = {
     sx.DiaStrict: (('sub', 'formula'),),
     sx.Everywhere: (('sub', 'formula'),),
     sx.Somewhere: (('sub', 'formula'),),
-    sx.SynPref: (('pattern', None), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
     sx.CpDiaWeak: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpDiaStrict: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpPrefAA: (('guards', 'formulas'), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
-    sx.Cond: (('lhs', 'formula'), ('rhs', 'formula')),
     sx.ValAtom: (('value', None), ('party', 'term')),
 }
 
@@ -517,3 +520,21 @@ LAYOUT = {
 def test_field_layout():
     assert sx._LAYOUT == LAYOUT
     assert list(sx._LAYOUT) == list(LAYOUT)
+
+
+# A value for every slot of a one-level node: by field kind, or by field name
+# for plain data.
+ONE_LEVEL_SLOTS = {"formula": P(), "formulas": (Q(),), "term": sx.Const("p"), "terms": (),
+                   "pred": "P", "strict": True, "value": BasicValue.FREEDOM}
+
+
+def test_every_formula_node_is_core():
+    # no node class stands for a derived form: each one the parser or printer
+    # knows, both engines accept
+    assert set(sx.Formula.__subclasses__()) == set(sx._LAYOUT)
+    m = PreferenceModel(2, (0b11, 0b10), {("P", ()): 0b01, ("Q", ()): 0b10},
+                        {(BasicValue.FREEDOM, "p"): 0b10})
+    for cls, layout in sx._LAYOUT.items():
+        f = cls(*(ONE_LEVEL_SLOTS[kind or name] for name, kind in layout))
+        assert 0 <= eval_formula(m, f) <= m.full_mask, cls
+        assert solver.encode(solver.Query(target=f, bound=2), 2).nvars > 0, cls

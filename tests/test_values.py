@@ -29,7 +29,7 @@ from prefsat.values import (
 
 # ---------------------------------------------------------------------------
 # set-level reference implementations of the value layer's formulas; the
-# program desugars ext, agg, vpref and conflict into the modal core instead
+# parser expands ext, agg, vpref and conflict into the modal core instead
 
 
 def principle_symbols(principle: str, party: str) -> frozenset[ValueSymbol]:
