@@ -5,16 +5,17 @@ relation (weak preference), a valuation for ground atoms, and an incidence
 map for value symbols.  The strict relation is never stored: it is derived as
 "weakly better but not weakly worse".
 
-One evaluator serves both a single model and the enumeration oracle, which
-takes one preorder under all A assignments of world sets to a list of
-symbols at once.  An extension is one packed int: bit w*A + i says "holds at
-world w under assignment i", so world w owns the block of A bits that starts
-at bit w*A.  A model is the case A = 1.  Its extensions are world masks, one
-bit per world, and its valuation and incidence masks are its symbols'
-extensions as stored.  Every connective is one big-int operation.  A modal
-node takes each world distance d in turn.  It shifts its operand d blocks up,
-so that block w holds world w - d's block, and keeps the blocks w whose row
-holds w - d.
+One evaluator, eval_packed, serves both a single model and the enumeration
+oracle.  It reads a Frame, which holds the packed layout: one preorder under
+all A assignments of world sets to a list of symbols at once.  An extension
+is one packed int: bit w*A + i says "holds at world w under assignment i",
+so world w owns the block of A bits that starts at bit w*A.  A model is a
+plain record; its frame (`PreferenceModel.frame`, built at the first
+evaluation) is the case A = 1.  Its extensions are world masks, one bit per
+world, and its symbols' extensions are the valuation and incidence masks as
+stored.  Every connective is one big-int operation.  A modal node takes each
+world distance d in turn.  It shifts its operand d blocks up, so that block
+w holds world w - d's block, and keeps the blocks w whose row holds w - d.
 """
 from __future__ import annotations
 
@@ -33,24 +34,116 @@ class ModelError(Exception):
 AtomKey = tuple[str, tuple[str, ...]]
 
 
-class _Frame:
-    """What the evaluator reads: `n` worlds, the weak rows `leq`, `width`
-    assignments (A) per world block, `block` (one world's block: every
-    assignment) and `full_mask` (every world under every assignment).
-    PreferenceModel has one assignment; SlicedModel is one preorder under
-    every assignment of its symbols."""
+class PreferenceModel(sx.Node):
+    """Worlds, weak-betterness rows, atom valuation, value incidence."""
 
-    def _init_frame(self, width: int) -> None:
-        self.width = width
-        self.block = (1 << width) - 1
-        self.full_mask = (1 << self.n * width) - 1
-        self._offsets = range(0, self.n * width, width)  # where each world's block starts
-        self._cache: dict[int, tuple[object, int]] = {}  # eval_packed's, by node id
-        self._steps: dict[bool, list[tuple[int, int]]] = {}
+    n: int
+    leq: tuple[int, ...]  # leq[w] = mask of worlds weakly better than w (incl. w)
+    valuation: dict[AtomKey, int]
+    incidence: dict[ValueSymbol, int]
+
+    def __init__(self, n, leq, valuation=None, incidence=None):
+        super().__init__(n, tuple(leq), {} if valuation is None else valuation,
+                         {} if incidence is None else incidence)
+        if not (1 <= self.n <= MAX_WORLDS):
+            raise ModelError(f"world count must be in 1..{MAX_WORLDS}")
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
 
     @cached_property
     def lt(self) -> tuple[int, ...]:
         return strict_rows(self.leq)
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The evaluator's view of the model, built at its first evaluation."""
+        return Frame(self.leq, {**self.valuation, **self.incidence})
+
+
+def strict_rows(leq: tuple[int, ...]) -> tuple[int, ...]:
+    """Strict rows, derived: v strictly better than w iff w<=v and not v<=w."""
+    rows = []
+    for w, row in enumerate(leq):
+        lt = 0
+        for v in sx_iter_bits(row):
+            if not (leq[v] >> w & 1):
+                lt |= 1 << v
+        rows.append(lt)
+    return tuple(rows)
+
+
+def sx_iter_bits(mask: int):
+    w = 0
+    while mask:
+        if mask & 1:
+            yield w
+        mask >>= 1
+        w += 1
+
+
+def validate_model(m: PreferenceModel, total: bool = False) -> None:
+    """Check reflexivity, transitivity, mask widths, optionally totality."""
+    if len(m.leq) != m.n:
+        raise ModelError("relation row count != world count")
+    for w in range(m.n):
+        row = m.leq[w]
+        if row < 0 or row >> m.n:
+            raise ModelError(f"relation row {w} outside world range")
+        if not (row >> w & 1):
+            raise ModelError(f"relation not reflexive at world {w}")
+        for v in sx_iter_bits(row):
+            if m.leq[v] & ~row:
+                raise ModelError(f"relation not transitive via {w}<={v}")
+    if total and not is_total(m.leq):
+        raise ModelError("relation not total")
+    for key, bits in m.valuation.items():
+        if bits < 0 or bits >> m.n:
+            raise ModelError(f"valuation of {key!r} outside world range")
+    for key, bits in m.incidence.items():
+        if bits < 0 or bits >> m.n:
+            raise ModelError(f"incidence of {key!r} outside world range")
+
+
+def is_total(leq: tuple[int, ...]) -> bool:
+    """Every two worlds are comparable under the weak rows leq."""
+    n = len(leq)
+    return all(
+        (leq[w] >> v & 1) or (leq[v] >> w & 1)
+        for w in range(n)
+        for v in range(w + 1, n)
+    )
+
+
+# ---------------------------------------------------------------------------
+# evaluation (the packed layout is in the module docstring)
+
+
+class Frame:
+    """What the evaluator reads: `n` worlds, the weak rows `leq`, `symbols`
+    (each atom key's and value symbol's packed extension), `width`
+    assignments (A) per world block, `block` (one world's block: every
+    assignment) and `full_mask` (every world under every assignment).  A
+    model's frame has A = 1; the oracle's has one preorder under every
+    assignment of its symbols."""
+
+    def __init__(self, leq: tuple[int, ...], symbols: dict, width: int = 1):
+        self.n = n = len(leq)
+        self.leq = leq
+        self.symbols = symbols
+        self.width = width
+        self.block = (1 << width) - 1
+        self.full_mask = (1 << n * width) - 1
+        self._offsets = range(0, n * width, width)  # where each world's block starts
+        self._cache: dict[int, tuple[object, int]] = {}  # eval_packed's, by node id
+        self._steps: dict[bool, list[tuple[int, int]]] = {}
+
+    def bits(self, key: AtomKey | ValueSymbol) -> int:
+        try:
+            return self.symbols[key]
+        except KeyError:
+            raise ModelError(f"{key!r} not interpreted in model") from None
 
     def steps(self, strict: bool) -> list[tuple[int, int]]:
         """Per world distance d = w - v, from 1 - n to n - 1: the shift d * A
@@ -90,100 +183,6 @@ class _Frame:
         return ext
 
 
-class PreferenceModel(_Frame, sx.Node):
-    """Worlds, weak-betterness rows, atom valuation, value incidence."""
-
-    n: int
-    leq: tuple[int, ...]  # leq[w] = mask of worlds weakly better than w (incl. w)
-    valuation: dict[AtomKey, int]
-    incidence: dict[ValueSymbol, int]
-    __setattr__ = object.__setattr__  # _init_frame sets the evaluator's attributes
-
-    def __init__(self, n, leq, valuation=None, incidence=None):
-        super().__init__(n, tuple(leq), {} if valuation is None else valuation,
-                         {} if incidence is None else incidence)
-        if not (1 <= self.n <= MAX_WORLDS):
-            raise ModelError(f"world count must be in 1..{MAX_WORLDS}")
-        self._init_frame(1)
-
-    def atom_bits(self, key: AtomKey) -> int:
-        try:
-            return self.valuation[key]
-        except KeyError:
-            raise ModelError(f"atom {key!r} not interpreted in model") from None
-
-    def incidence_bits(self, key: ValueSymbol) -> int:
-        try:
-            return self.incidence[key]
-        except KeyError:
-            raise ModelError(f"value symbol {key!r} not interpreted in model") from None
-
-
-def strict_rows(leq: tuple[int, ...]) -> tuple[int, ...]:
-    """Strict rows, derived: v strictly better than w iff w<=v and not v<=w."""
-    rows = []
-    for w, row in enumerate(leq):
-        lt = 0
-        for v in sx_iter_bits(row):
-            if not (leq[v] >> w & 1):
-                lt |= 1 << v
-        rows.append(lt)
-    return tuple(rows)
-
-
-def sx_iter_bits(mask: int):
-    w = 0
-    while mask:
-        if mask & 1:
-            yield w
-        mask >>= 1
-        w += 1
-
-
-def validate_model(m: PreferenceModel, total: bool = False) -> None:
-    """Check reflexivity, transitivity, mask widths, optionally totality."""
-    if len(m.leq) != m.n:
-        raise ModelError("relation row count != world count")
-    for w in range(m.n):
-        row = m.leq[w]
-        if row < 0 or row >> m.n:
-            raise ModelError(f"relation row {w} outside world range")
-        if not (row >> w & 1):
-            raise ModelError(f"relation not reflexive at world {w}")
-        for v in sx_iter_bits(row):
-            if m.leq[v] & ~row:
-                raise ModelError(f"relation not transitive via {w}<={v}")
-    if total:
-        for w in range(m.n):
-            for v in range(w + 1, m.n):
-                if not (m.leq[w] >> v & 1) and not (m.leq[v] >> w & 1):
-                    raise ModelError(f"relation not total: {w} and {v} incomparable")
-    for key, bits in m.valuation.items():
-        if bits < 0 or bits >> m.n:
-            raise ModelError(f"valuation of {key!r} outside world range")
-    for key, bits in m.incidence.items():
-        if bits < 0 or bits >> m.n:
-            raise ModelError(f"incidence of {key!r} outside world range")
-
-
-def is_total(m: PreferenceModel) -> bool:
-    return is_total_relation(m.leq)
-
-
-def is_total_relation(leq: tuple[int, ...]) -> bool:
-    """Every two worlds are comparable under the weak rows leq."""
-    n = len(leq)
-    return all(
-        (leq[w] >> v & 1) or (leq[v] >> w & 1)
-        for w in range(n)
-        for v in range(w + 1, n)
-    )
-
-
-# ---------------------------------------------------------------------------
-# evaluation (the packed layout is in the module docstring)
-
-
 def _move(x: int, k: int) -> int:
     """x shifted k bits up, or -k bits down."""
     if k > 0:
@@ -217,7 +216,7 @@ def _diamond(steps, sub: int, guards: list[int]) -> int:
     return ext
 
 
-def eval_packed(s: _Frame, f: sx.Formula) -> int:
+def eval_packed(s: Frame, f: sx.Formula) -> int:
     """The packed extension of a ground formula."""
     # Cache keyed by node identity; the node reference is kept alongside so
     # the id stays valid for the cache's lifetime.
@@ -227,10 +226,8 @@ def eval_packed(s: _Frame, f: sx.Formula) -> int:
         return hit[1]
     full = s.full_mask
 
-    if isinstance(f, sx.Atom):
-        ext = s.atom_bits(_ground_key(f))
-    elif isinstance(f, sx.ValAtom):
-        ext = s.incidence_bits(_ground_key(f))
+    if isinstance(f, (sx.Atom, sx.ValAtom)):
+        ext = s.bits(_ground_key(f))
     elif isinstance(f, sx.Not):
         ext = full ^ eval_packed(s, f.sub)
     elif isinstance(f, sx.And):
@@ -275,17 +272,17 @@ def eval_packed(s: _Frame, f: sx.Formula) -> int:
 
 def eval_formula(m: PreferenceModel, f: sx.Formula) -> int:
     """The world mask where the ground formula holds."""
-    return eval_packed(m, f)
+    return eval_packed(m.frame, f)
 
 
 def truth_at(m: PreferenceModel, f: sx.Formula, world: int) -> bool:
     if not (0 <= world < m.n):
         raise ModelError(f"world {world} outside 0..{m.n - 1}")
-    return bool(eval_packed(m, f) >> world & 1)
+    return bool(eval_packed(m.frame, f) >> world & 1)
 
 
 def globally_true(m: PreferenceModel, f: sx.Formula) -> bool:
-    return eval_packed(m, f) == m.full_mask
+    return eval_packed(m.frame, f) == m.full_mask
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +316,6 @@ def valuation_at(n: int, keys, i: int) -> dict:
     """The world set assignment i gives each symbol."""
     mask = (1 << n) - 1
     return {key: i >> (n * (len(keys) - 1 - k)) & mask for k, key in enumerate(keys)}
-
-
-class SlicedModel(_Frame):
-    """One preorder under every assignment of world sets to its symbols;
-    `symbols` maps each atom key and value symbol to its packed extension,
-    as valuation_slices builds them."""
-
-    def __init__(self, leq: tuple[int, ...], symbols: dict):
-        self.n = len(leq)
-        self.leq = leq
-        self.symbols = symbols
-        self._init_frame(1 << self.n * len(symbols))
-
-    def atom_bits(self, key) -> int:
-        return self.symbols[key]
-
-    incidence_bits = atom_bits
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +360,9 @@ def render_dot(m: PreferenceModel) -> str:
     weak-betterness pair (strict pairs drawn solid, ties dashed)."""
     out = ["digraph preference_model {", "  rankdir=BT;"]
     for w, (atoms, values) in enumerate(_world_labels(m)):
-        label = "\\n".join([f"w{w}", *atoms, *values])
+        # a name may hold a backslash or a quote; the \n separators stay bare
+        names = (s.replace("\\", "\\\\").replace('"', '\\"') for s in atoms + values)
+        label = "\\n".join([f"w{w}", *names])
         out.append(f'  w{w} [shape=box,label="{label}"];')
     for w in range(m.n):
         for v in sx_iter_bits(m.leq[w]):

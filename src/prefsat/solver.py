@@ -55,13 +55,13 @@ from operator import neg
 from . import syntax as sx
 from .model import (
     MAX_WORLDS,
+    Frame,
     PreferenceModel,
-    SlicedModel,
     all_preorders,
     eval_formula,  # unused here; bench/tracing.py wraps solver.eval_formula
     eval_packed,
     globally_true,
-    is_total_relation,
+    is_total,
     render_text,
     truth_at,
     validate_model,
@@ -768,7 +768,7 @@ def oracle_in_domain(q: Query) -> bool:
     return q.bound <= ORACLE_MAX_WORLDS and _oracle_work(q) <= ORACLE_MAX_WORK
 
 
-def _sliced_admitted(q: Query, s: SlicedModel) -> int:
+def _sliced_admitted(q: Query, s: Frame) -> int:
     """Assignments (as bits) whose model admits the query's axioms and facts
     and refutes (refute mode) or satisfies (find mode) its target; world 0
     is the low block."""
@@ -801,12 +801,12 @@ def enum_oracle(q: Query) -> Verdict:
     try:
         for n in range(1, q.bound + 1):
             budget.check()
-            slices = valuation_slices(n, keys)
+            slices, width = valuation_slices(n, keys), 1 << n * len(keys)
             for rows in all_preorders(n):
-                if q.total and not is_total_relation(rows):
+                if q.total and not is_total(rows):
                     continue
                 budget.check()
-                admitted = _sliced_admitted(q, SlicedModel(rows, slices))
+                admitted = _sliced_admitted(q, Frame(rows, slices, width))
                 if not admitted:
                     continue
                 sets = valuation_at(n, keys, (admitted & -admitted).bit_length() - 1)

@@ -23,8 +23,8 @@ from . import kb as kbmod
 from . import syntax as sx
 from .lifts import best_worlds, cp_lift_aa, halpern_more_likely, sem_lift
 from .model import (  # eval_formula, truth_at: unused here; bench/tracing.py wraps them
+    Frame,
     PreferenceModel,
-    SlicedModel,
     all_preorders,
     eval_formula,
     eval_packed,
@@ -142,13 +142,14 @@ _PQ = (("P", ()), ("Q", ()))
 
 def _enum_models(max_n: int = 3):
     """Every preorder up to max_n worlds with every valuation of P and Q, as
-    (model without a valuation, for the set-level lifts; SlicedModel of the
-    preorder; assignment i = pm << n | qm; P's worlds pm; Q's worlds qm).
-    Bit i of a packed extension of s is then world 0 under the valuation."""
+    (model without a valuation, for the set-level lifts; Frame of the
+    preorder under every valuation; assignment i = pm << n | qm; P's worlds
+    pm; Q's worlds qm).  Bit i of a packed extension of s is then world 0
+    under the valuation."""
     for n in range(1, max_n + 1):
-        slices = valuation_slices(n, _PQ)
+        slices, width = valuation_slices(n, _PQ), 1 << n * len(_PQ)
         for rows in all_preorders(n):
-            m, s = PreferenceModel(n, rows), SlicedModel(rows, slices)
+            m, s = PreferenceModel(n, rows), Frame(rows, slices, width)
             for i in range(s.width):
                 yield m, s, i, i >> n, i & (1 << n) - 1
 
@@ -168,7 +169,7 @@ def _semsyn_agree_row(name: str, patterns, total_only: bool) -> SuiteRow:
     syn = {(pat, st): sx.SynPref(pat, st, P, Q) for pat in patterns for st in (False, True)}
     checked = 0
     for m, s, i, a, b in _enum_models():
-        if total_only and not is_total(m):
+        if total_only and not is_total(m.leq):
             continue
         for (pat, st), f in syn.items():
             if sem_lift(m, pat, st, a, b) != bool(eval_packed(s, f) >> i & 1):
@@ -185,7 +186,7 @@ def _semsyn_witness_row() -> SuiteRow:
     syn = {(pat, st): sx.SynPref(pat, st, P, Q) for pat in ("ea", "aa") for st in (False, True)}
     found: dict[tuple[str, bool], int] = {}
     for m, s, i, a, b in _enum_models():
-        if is_total(m):
+        if is_total(m.leq):
             continue
         for key, f in syn.items():
             if key not in found and \

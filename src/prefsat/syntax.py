@@ -36,8 +36,9 @@ class Node:
     by class and field values, print as `Name(field=value, ...)` and refuse
     assignment, as a frozen dataclass does, but the methods are shared rather
     than generated for each class.  A class may build on `Node.__init__`
-    with its own (fresh dicts per instance, checks) or restore
-    `object.__setattr__`."""
+    with its own (fresh dicts per instance, checks) and cache derived values
+    with `functools.cached_property`, which writes the instance dict without
+    assigning; such a value is not a field."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

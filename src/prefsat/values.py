@@ -11,7 +11,7 @@ in the first.
 from __future__ import annotations
 
 from .lifts import check_masks, sem_lift  # sem_lift: unused here; bench/tracing.py wraps it
-from .model import PreferenceModel
+from .model import ModelError, PreferenceModel
 from .ontology import ValueSymbol
 from .syntax import Node
 
@@ -20,7 +20,10 @@ def down(m: PreferenceModel, symbols) -> int:
     """Worlds at which every given value symbol is observed."""
     bits = m.full_mask
     for sym in symbols:
-        bits &= m.incidence_bits(sym)
+        try:
+            bits &= m.incidence[sym]
+        except KeyError:
+            raise ModelError(f"value symbol {sym!r} not interpreted in model") from None
     return bits
 
 

@@ -104,7 +104,7 @@ def test_02_semantic_and_syntactic_lifts():
     for m in models_2atoms():
         a = eval_formula(m, sx.Atom("P"))
         b = eval_formula(m, sx.Atom("Q"))
-        total = is_total(m)
+        total = is_total(m.leq)
         for (pat, strict), f in syntactic.items():
             sem = sem_lift(m, pat, strict, a, b)
             syn = globally_true(m, f)
@@ -117,7 +117,7 @@ def test_02_semantic_and_syntactic_lifts():
     # every existential/universal-complement variant splits on some
     # non-total model of at most three worlds
     assert set(witnesses) == {(p, s) for p in ("ea", "aa") for s in (False, True)}
-    assert all(not is_total(m) and m.n <= 3 for m in witnesses.values())
+    assert all(not is_total(m.leq) and m.n <= 3 for m in witnesses.values())
 
 
 def test_03_aggregation_laws():
@@ -170,7 +170,7 @@ def test_05_value_conflicts():
     fresh = sx.And((conflict_p, sx.Not(sx.Atom("A"))))
     v = check(Query(target=fresh, mode="find"))
     assert isinstance(v, Satisfiable)
-    assert not v.model.atom_bits(("A", ())) & 1
+    assert not v.model.valuation[("A", ())] & 1
 
 
 def test_06_conditional_triangle():

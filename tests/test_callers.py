@@ -9,6 +9,7 @@ Code that only tests call belongs next to those tests.  The package's
 no caller uses.
 """
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -104,3 +105,23 @@ def test_commands_do_not_import_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout == "[0, 0] ['suites', 'lifts', 'values'] []\n"
+
+
+def _node_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_subclasses(sub)
+
+
+def test_no_record_restores_assignment():
+    # every record refuses assignment, as Node.__setattr__ does; a value a
+    # record derives is cached with functools.cached_property, which writes
+    # the instance dict without assigning
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"prefsat.{path.stem}")
+    from prefsat.syntax import Node
+    records = [c for c in _node_subclasses(Node) if c.__module__.startswith("prefsat.")]
+    assert any(c.__name__ == "PreferenceModel" for c in records)
+    overriding = [c.__qualname__ for c in records if c.__setattr__ is not Node.__setattr__]
+    assert not overriding, f"records that allow assignment: {overriding}"

@@ -8,8 +8,8 @@ import prefsat.syntax as sx
 from prefsat import kb as kbmod
 from prefsat.model import (
     ModelError,
+    Frame,
     PreferenceModel,
-    SlicedModel,
     all_preorders,
     eval_formula,
     eval_packed,
@@ -68,8 +68,8 @@ def test_strict_rows_drop_ties():
     assert m.lt == (0b110, 0b100, 0b000)
     tie = from_edges(2, [(0, 1), (1, 0)])
     assert tie.lt == (0, 0)
-    assert is_total(tie)
-    assert not is_total(from_edges(2, []))
+    assert is_total(tie.leq)
+    assert not is_total(from_edges(2, []).leq)
 
 
 def test_validate_rejects_broken_relations():
@@ -94,6 +94,18 @@ def test_model_record_fields():
     assert m != PreferenceModel(2, (0b11, 0b10), {("P", ()): 0b01}, {(BasicValue.FREEDOM, "p"): 1})
     assert m != PreferenceModel(2, (0b01, 0b11), {("P", ()): 0b01})
     assert PreferenceModel(1, (1,)) != PreferenceModel(2, (0b01, 0b10))
+    # the evaluator's frame and the strict rows are cached off the fields
+    m, twin = chain3(), chain3()
+    assert "frame" not in vars(m) and "lt" not in vars(m)
+    assert eval_formula(m, sx.BoxStrict(sx.Atom("P"))) == 0b110
+    assert isinstance(m.frame, Frame) and m.lt == (0b110, 0b100, 0b000)
+    assert "frame" in vars(m) and "lt" in vars(m)
+    assert "frame" not in vars(twin) and "lt" not in vars(twin)
+    assert m == twin and repr(m) == repr(twin)
+    # the dict fields make a model unhashable, evaluated or not
+    for model in (m, twin):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(model)
 
 
 def test_models_never_share_a_dict():
@@ -198,6 +210,13 @@ def test_render_dot_edge_styles():
     assert "w0 -> w1 [style=dashed];" in tie
     assert "w1 -> w0 [style=dashed];" in tie
     assert "solid" not in tie
+
+
+def test_render_dot_escapes_names():
+    # an atom name may hold a backslash or a double quote; the label keeps
+    # its \n separators and escapes both
+    m = PreferenceModel(1, (1,), {("c\\", ()): 1, ('q"', ("a\\",)): 1, ("R", ()): 0})
+    assert render_dot(m).splitlines()[2] == r'  w0 [shape=box,label="w0\nc\\\nq\"(a\\)"];'
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +336,7 @@ def test_sliced_evaluation_matches_per_model_evaluation():
             list(product(range(1 << n), repeat=len(keys)))
         slices = valuation_slices(n, keys)
         for rows in all_preorders(n):
-            s = SlicedModel(rows, slices)
+            s = Frame(rows, slices, count)
             assert s.width == count
             exts = [eval_packed(s, f) for f in formulas]
             for i, sets in enumerate(assignments):

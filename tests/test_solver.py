@@ -476,7 +476,7 @@ def test_query_rejects_a_nan_budget():
 
 def test_query_and_verdicts_are_frozen():
     m = PreferenceModel(1, (1,))
-    records = [Query(mode="find"), BoundedValid(3), Countermodel(m, 3), Satisfiable(m),
+    records = [m, Query(mode="find"), BoundedValid(3), Countermodel(m, 3), Satisfiable(m),
                NoModel(3), Unknown("budget-exhausted")]
     for record in records:
         name = record._fields[0]
@@ -523,7 +523,7 @@ def test_countermodel_is_validated_and_refutes_target():
     v = check_sat_engine(refute("P"))
     assert isinstance(v, Countermodel)
     validate_model(v.model)
-    assert not v.model.atom_bits(("P", ())) & 1
+    assert not v.model.valuation[("P", ())] & 1
     assert render_verdict(v).startswith("Countermodel worlds=1\nw0:")
 
 
@@ -719,7 +719,7 @@ def test_find_contradiction_reports_no_model():
 def test_find_with_target():
     v = check_sat_engine(find(axioms=["(implies P Q)"], target="(and P Q)"))
     assert isinstance(v, Satisfiable)
-    assert v.model.atom_bits(("P", ())) & 1 and v.model.atom_bits(("Q", ())) & 1
+    assert v.model.valuation[("P", ())] & 1 and v.model.valuation[("Q", ())] & 1
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +782,7 @@ def reference_oracle(q):
     atom_keys, inc_keys = q.symbols
     for n in range(1, q.bound + 1):
         for rows in all_preorders(n):
-            if q.total and not is_total(PreferenceModel(n, rows)):
+            if q.total and not is_total(rows):
                 continue
             for sets in product(range(1 << n), repeat=len(atom_keys) + len(inc_keys)):
                 m = PreferenceModel(n, rows, dict(zip(atom_keys, sets)),

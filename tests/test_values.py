@@ -6,7 +6,7 @@ import pytest
 
 import prefsat.syntax as sx
 from prefsat.lifts import sem_lift
-from prefsat.model import PreferenceModel, all_preorders, eval_formula, globally_true
+from prefsat.model import ModelError, PreferenceModel, all_preorders, eval_formula, globally_true
 from prefsat.ontology import (
     ALL_VALUE_SYMBOLS,
     CONTENDERS,
@@ -119,6 +119,11 @@ def test_down_and_up_hand_case():
     assert up(m, 0b010) == {(F, "p"), (U, "p"), (S, "d")}
     assert up(m, 0) == set(ALL_VALUE_SYMBOLS)
     assert up(m, 0b111) == {(S, "d")}
+    # a symbol the model does not interpret is an error, not the empty set;
+    # down reads the incidence map, so the model builds no evaluator frame
+    with pytest.raises(ModelError, match="not interpreted"):
+        down(PreferenceModel(1, (1,)), [(F, "p")])
+    assert "frame" not in vars(m)
 
 
 def test_galois_adjunction_randomized():
