@@ -221,7 +221,7 @@ def audit_queries(kb: KnowledgeBase, **overrides) -> dict[str, Query]:
     """Per-party refutation query: does the KB force a value conflict at the
     designated world?"""
     facts = tuple(kb.facts.values())
-    return {party: _kb_query(kb, sx.conflict(sx.Const(party)), "refute", facts, overrides)
+    return {party: _kb_query(kb, sx.conflict(party), "refute", facts, overrides)
             for party in CONTENDERS}
 
 

@@ -190,20 +190,6 @@ def _move(x: int, k: int) -> int:
     return x >> -k if k else x  # a shift by 0 would copy x
 
 
-def _ground_key(f: sx.Atom | sx.ValAtom) -> AtomKey | ValueSymbol:
-    """The valuation key of an atom, or the incidence key of a value atom."""
-    if isinstance(f, sx.Atom):
-        args = []
-        for a in f.args:
-            if not isinstance(a, sx.Const):
-                raise ModelError(f"evaluation needs constant arguments, not {a!r}")
-            args.append(a.name)
-        return (f.pred, tuple(args))
-    if not isinstance(f.party, sx.Const):
-        raise ModelError(f"evaluation needs a constant party, not {f.party!r}")
-    return (f.value, f.party.name)
-
-
 def _diamond(steps, sub: int, guards: list[int]) -> int:
     """Blocks w under the assignments where sub holds at a world that the
     steps' rows relate to w and that agrees with w on every guard."""
@@ -226,8 +212,10 @@ def eval_packed(s: Frame, f: sx.Formula) -> int:
         return hit[1]
     full = s.full_mask
 
-    if isinstance(f, (sx.Atom, sx.ValAtom)):
-        ext = s.bits(_ground_key(f))
+    if isinstance(f, sx.Atom):
+        ext = s.bits((f.pred, f.args))
+    elif isinstance(f, sx.ValAtom):
+        ext = s.bits((f.value, f.party))
     elif isinstance(f, sx.Not):
         ext = full ^ eval_packed(s, f.sub)
     elif isinstance(f, sx.And):

@@ -147,15 +147,10 @@ class Query(sx.Node):
     def symbols(self) -> tuple[tuple, tuple]:
         """Ground atom keys and value symbols of every formula, each sorted in
         variable order; collected once per query."""
-        atoms: set = set()
-        incidence: set = set()
         formulas = [*self.axioms, *self.facts]
         if self.target is not None:
             formulas.append(self.target)
-        for f in formulas:
-            a, i = sx.collect_symbols(f)
-            atoms |= a
-            incidence |= i
+        atoms, incidence = sx.collect_symbols(formulas)
         return tuple(sorted(atoms)), tuple(sorted(incidence, key=lambda k: (k[0].value, k[1])))
 
 
@@ -593,9 +588,9 @@ class _Encoder:
                 opts.append(self.conj(lits))
             return sign * self.disj(opts)
         if cls is sx.Atom:
-            return self.atom_vars[(f.pred, tuple(a.name for a in f.args))][w]
+            return self.atom_vars[(f.pred, f.args)][w]
         if cls is sx.ValAtom:
-            return self.inc_vars[(f.value, f.party.name)][w]
+            return self.inc_vars[(f.value, f.party)][w]
         if cls is sx.Not:
             return -self.t(f.sub, w)
         if cls is sx.And:
@@ -718,7 +713,7 @@ def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel
     return m
 
 
-def check_sat_engine(q: Query) -> Verdict:
+def check_sat_engine(q: Query, budget: _Budget | None = None) -> Verdict:
     """The verdict at the least world count with a model, found by exponential
     search (Bentley & Yao, IPL 1976).
 
@@ -731,9 +726,10 @@ def check_sat_engine(q: Query) -> Verdict:
     probe p has a model, it bisects between the last probe without one and p
     (least 3 at bound 4: 1, 2, 4, 3; least 6 at bound 7: 1, 2, 4, 7, 5, 6).
     The witness is solve_at's model at the least count, the one a scan of
-    every count from 1 would return.  The budget is checked before each probe.
+    every count from 1 would return.  The budget (the query's own, unless
+    one is given) is checked before each probe.
     """
-    budget = _Budget(q.budget)
+    budget = budget or _Budget(q.budget)
 
     def probe(n: int) -> PreferenceModel | None:
         budget.check()
@@ -783,13 +779,14 @@ def _sliced_admitted(q: Query, s: Frame) -> int:
     return bits
 
 
-def enum_oracle(q: Query) -> Verdict:
+def enum_oracle(q: Query, budget: _Budget | None = None) -> Verdict:
     """Exhaustive reference engine for tiny queries.
 
     Decides every preorder on up to bound (<= 3) worlds under every
     assignment of world sets to the query's symbols, by direct evaluation
     sliced over the assignments.  The witness is the first admitted model in
-    (world count, preorder, assignment) order.
+    (world count, preorder, assignment) order.  The budget is the query's
+    own unless one is given.
     """
     if q.bound > ORACLE_MAX_WORLDS:
         raise OracleDomainError(f"oracle handles bound <= {ORACLE_MAX_WORLDS}")
@@ -797,7 +794,7 @@ def enum_oracle(q: Query) -> Verdict:
         raise OracleDomainError("query enumerates too many models for the oracle")
     atom_keys, inc_keys = q.symbols
     keys = (*atom_keys, *inc_keys)
-    budget = _Budget(q.budget)
+    budget = budget or _Budget(q.budget)
     try:
         for n in range(1, q.bound + 1):
             budget.check()
@@ -823,16 +820,17 @@ def check(q: Query) -> Verdict:
     """Answer a query with the engine(s) it names.
 
     engine="both" runs the SAT path and, when the query is inside the
-    oracle's domain, the enumeration oracle; differing verdict kinds raise
-    EngineDisagreement.
+    oracle's domain, the enumeration oracle, both within the one budget;
+    differing verdict kinds raise EngineDisagreement.
     """
     if q.engine == "sat":
         return check_sat_engine(q)
     if q.engine == "enum":
         return enum_oracle(q)
-    v_sat = check_sat_engine(q)
+    budget = _Budget(q.budget)
+    v_sat = check_sat_engine(q, budget)
     try:
-        v_enum = enum_oracle(q)
+        v_enum = enum_oracle(q, budget)
     except OracleDomainError:
         return v_sat
     if isinstance(v_sat, Unknown) or isinstance(v_enum, Unknown):

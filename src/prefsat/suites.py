@@ -449,8 +449,7 @@ def random_queries(seed: int, count: int, *, bound: int = 3) -> list[Query]:
     including guarded diamonds and the sugared preference forms.
     """
     rng = random.Random(seed)
-    leaves = (sx.Atom("P"), sx.Atom("Q"),
-              sx.ValAtom(ALL_VALUE_SYMBOLS[0][0], sx.Const(ALL_VALUE_SYMBOLS[0][1])))
+    leaves = (sx.Atom("P"), sx.Atom("Q"), sx.ValAtom(*ALL_VALUE_SYMBOLS[0]))
 
     def gen(depth: int) -> sx.Formula:
         if depth <= 0 or rng.random() < 0.3:

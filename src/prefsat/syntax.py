@@ -2,22 +2,23 @@
 
 Formulas are written as s-expressions.  The parser checks names, arities and
 sorts against a Signature and produces immutable, ground formulas of the
-modal core: it expands every derived form as it reads it.  `(forall x SORT
-F)` and `(exists x SORT F)` become the conjunction or disjunction of F over
-the sort's constants, `(other t)` folds to a constant, and the syntactic
-preference variants, the conditional and the value-layer forms (`ext`,
-`agg`, `vpref`, `promotes`, `conflict`) become the core formulas they
-abbreviate.  Every formula node is core: `SynPref` and `Cond` are functions
-that build the expansion, for a caller writing formulas by hand.  `share`
-makes equal subtrees one object for the caches keyed by node.  Printing is
-the inverse of parsing: `format_formula` emits text that parses back to an
-equal formula, so a derived form prints as its expansion.
+modal core: it expands every derived form as it reads it.  A term is its
+constant's name, a plain str.  `(forall x SORT F)` and `(exists x SORT F)`
+become the conjunction or disjunction of F over the sort's constants,
+`(other t)` folds to a constant, and the syntactic preference variants, the
+conditional and the value-layer forms (`ext`, `agg`, `vpref`, `promotes`,
+`conflict`) become the core formulas they abbreviate.  Every formula node
+is core: `SynPref` and `Cond` are functions that build the expansion, for a
+caller writing formulas by hand.  `share` makes equal subtrees one object
+for the caches keyed by node.  Printing is the inverse of parsing:
+`format_formula` emits text that parses back to an equal formula, so a
+derived form prints as its expansion.
 """
 from __future__ import annotations
 
 from operator import attrgetter, is_not
 
-from .ontology import CONTENDERS, PRINCIPLES, BasicValue, other
+from .ontology import CONTENDERS, PRINCIPLES, BasicValue, ValueSymbol, other
 
 # ---------------------------------------------------------------------------
 # immutable nodes
@@ -207,12 +208,9 @@ def read_forms(text: str) -> list:
     return forms
 
 
-# ---------------------------------------------------------------------------
-# terms
-
-
-class Const(Node):
-    name: str
+# A term is its constant's name.  `Const` is kept only because bench/ builds
+# terms as `Const("p")` (to be deleted with `desugar` and `elaborate`).
+Const = str
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +225,14 @@ class Formula(Node):
 
 class Atom(Formula):
     pred: str
-    args: tuple[Const, ...] = ()
+    args: tuple[str, ...] = ()  # each argument is its constant's name
 
 
 class ValAtom(Formula):
     """Incidence atom: a basic value observed for one party at a world."""
 
     value: BasicValue
-    party: Const
+    party: str  # the contender's name
 
 
 class Not(Formula):
@@ -335,12 +333,8 @@ KEYWORDS: dict[str, type] = {
 _KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
 
 # Field layout of every node class, read once from the field annotations: each
-# field is a sub-formula, a tuple of them, a term (a constant), a tuple of
-# terms, or (None) plain data.
-_FIELD_KINDS = {
-    "Formula": "formula", "tuple[Formula, ...]": "formulas",
-    "Const": "term", "tuple[Const, ...]": "terms",
-}
+# field is a sub-formula, a tuple of them, or (None) plain data.
+_FIELD_KINDS = {"Formula": "formula", "tuple[Formula, ...]": "formulas"}
 _LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
     cls: tuple((name, _FIELD_KINDS.get(cls.__annotations__[name])) for name in cls._fields)
     for cls in (Atom, *KEYWORDS.values())
@@ -469,18 +463,18 @@ def _head(node) -> str | None:
 
 
 # A parse environment maps each bound variable to its current constant and sort.
-Env = dict[str, tuple[Const, str]]
+Env = dict[str, tuple[str, str]]
 
 
-def _parse_term(node, sig: Signature, env: Env) -> tuple[Const, str]:
-    """Parse a term to a constant; returns (constant, sort name)."""
+def _parse_term(node, sig: Signature, env: Env) -> tuple[str, str]:
+    """Parse a term to a constant; returns (constant name, sort name)."""
     if isinstance(node, SSym):
         name = node.text
         if name in env:
             return env[name]
         sort = sig.const_sort(name)
         if sort is not None:
-            return Const(name), sort
+            return name, sort
         raise ParseError(f"unknown constant or unbound variable {name!r}", node.line)
     if _head(node) == "other":
         if len(node.items) != 2:
@@ -488,11 +482,11 @@ def _parse_term(node, sig: Signature, env: Env) -> tuple[Const, str]:
         inner, sort = _parse_term(node.items[1], sig, env)
         if sort != "contender":
             raise ParseError("other applies to contender terms only", node.line)
-        return Const(other(inner.name)), "contender"
+        return other(inner), "contender"
     raise ParseError("expected a term", getattr(node, "line", None))
 
 
-def _parse_party(node, sig: Signature, env: Env) -> Const:
+def _parse_party(node, sig: Signature, env: Env) -> str:
     term, sort = _parse_term(node, sig, env)
     if sort != "contender":
         raise ParseError("expected a contender", getattr(node, "line", None))
@@ -560,7 +554,7 @@ def _parse_formula(node, sig: Signature, env: Env) -> Formula:
             raise ParseError(f"variable {var!r} already bound", node.line)
         if sig.const_sort(var) is not None or var in sig.atoms:
             raise ParseError(f"variable {var!r} shadows a declared name", node.line)
-        parts = [_parse_formula(body_node, sig, {**env, var: (Const(c), sort)})
+        parts = [_parse_formula(body_node, sig, {**env, var: (c, sort)})
                  for c in sig.sorts[sort]]
         return make_and(parts) if op == "forall" else make_or(parts)
     # the value layer: each form is read straight into the core it abbreviates
@@ -632,7 +626,7 @@ def _parse_choice(node, choices, message: str) -> str:
 _SLOT_READERS = {
     "formula": _parse_formula,
     "formulas": _parse_gammas,
-    "term": _parse_party,
+    "party": _parse_party,
     "strict": lambda node, sig, env:
         _parse_choice(node, ("weak", "strict"), "expected weak or strict") == "strict",
     "pattern": lambda node, sig, env:
@@ -657,7 +651,7 @@ def format_formula(f: Formula) -> str:
     if isinstance(f, Atom):
         if not f.args:
             return f.pred
-        return "(" + " ".join([f.pred] + [a.name for a in f.args]) + ")"
+        return "(" + " ".join((f.pred, *f.args)) + ")"
     layout = _layout(f)
     parts = [_KEYWORD_OF[type(f)]]
     for name, kind in layout:
@@ -670,8 +664,8 @@ def format_formula(f: Formula) -> str:
             parts.append(subs if len(layout) == 1 else f"({subs})")
         elif isinstance(value, bool):
             parts.append("strict" if value else "weak")
-        else:  # a term (a constant) or a basic value
-            parts.append(value.name)
+        else:  # a party prints as itself, a basic value as its name
+            parts.append(value if isinstance(value, str) else value.name)
     return "(" + " ".join(parts) + ")"
 
 
@@ -704,12 +698,12 @@ def Cond(lhs: Formula, rhs: Formula) -> Formula:
     return Everywhere(Implies(lhs, DiaWeak(And((lhs, BoxWeak(Implies(lhs, rhs)))))))
 
 
-def _principle_conjunction(principle: str, party: Const) -> Formula:
+def _principle_conjunction(principle: str, party: str) -> Formula:
     v1, v2 = PRINCIPLES[principle]
     return And((ValAtom(v1, party), ValAtom(v2, party)))
 
 
-def conflict(party: Const) -> Formula:
+def conflict(party: str) -> Formula:
     """All four basic values observed for one party at once."""
     return And(tuple(ValAtom(v, party) for v in BasicValue))
 
@@ -736,26 +730,20 @@ def elaborate(f: Formula, sig: Signature) -> Formula:
 # symbol collection (used for oracle enumeration and model validation)
 
 
-def collect_symbols(f: Formula) -> tuple[set[tuple[str, tuple[str, ...]]], set[tuple[BasicValue, str]]]:
-    """Ground atom keys and incidence keys occurring in a formula."""
+def collect_symbols(formulas) -> tuple[set[tuple[str, tuple[str, ...]]], set[ValueSymbol]]:
+    """Ground atom keys and incidence keys occurring in the formulas."""
     atoms: set[tuple[str, tuple[str, ...]]] = set()
-    incidence: set[tuple[BasicValue, str]] = set()
+    incidence: set[ValueSymbol] = set()
 
     def walk(g: Formula):
         if isinstance(g, Atom):
-            names = []
-            for a in g.args:
-                if not isinstance(a, Const):
-                    raise ParseError(f"collect_symbols expects constant arguments, found {a!r}")
-                names.append(a.name)
-            atoms.add((g.pred, tuple(names)))
+            atoms.add((g.pred, g.args))
         elif isinstance(g, ValAtom):
-            if not isinstance(g.party, Const):
-                raise ParseError(f"collect_symbols expects a constant party, found {g.party!r}")
-            incidence.add((g.value, g.party.name))
+            incidence.add((g.value, g.party))
         else:
             for sub in children(g):
                 walk(sub)
 
-    walk(f)
+    for f in formulas:
+        walk(f)
     return atoms, incidence

@@ -17,8 +17,8 @@ def enum_fault(monkeypatch):
     cross-checked query has a disagreement to catch."""
     real = solver.enum_oracle
 
-    def flipped(q):
-        v = real(q)
+    def flipped(q, budget=None):
+        v = real(q, budget)
         if v.kind in ("bounded-valid", "no-model"):
             m = PreferenceModel(1, (1,))
             return solver.Countermodel(m, q.bound) if q.mode == "refute" else solver.Satisfiable(m)

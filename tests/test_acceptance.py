@@ -161,7 +161,7 @@ def test_05_value_conflicts():
     # values observed for one party say nothing about the other
     refuted("(implies (and (ext RESP p) (ext STAB d)) (conflict p))")
     # a conflict is contingent: satisfiable and refutable
-    conflict_p = sx.conflict(sx.Const("p"))
+    conflict_p = sx.conflict("p")
     sat = check(Query(target=conflict_p, mode="find"))
     assert isinstance(sat, Satisfiable)
     assert isinstance(check(Query(target=conflict_p, mode="refute")), Countermodel)

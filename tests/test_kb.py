@@ -154,7 +154,7 @@ def test_entries_are_stored_grounded_and_desugared(tmp_path):
                        ("g1", "(prefsyn ae strict (Has p a) (At here))")]:
         assert entries[name] == sx.parse_formula(text, kb.sig), name
     # the preference statement is stored as the modal-core formula it abbreviates
-    has, at = sx.Atom("Has", (sx.Const("p"), sx.Const("a"))), sx.Atom("At", (sx.Const("here"),))
+    has, at = sx.Atom("Has", ("p", "a")), sx.Atom("At", ("here",))
     assert kb.goals["g1"] == sx.Everywhere(sx.Implies(has, sx.DiaStrict(at)))
     assert goal_query(kb, "g1").target is kb.goals["g1"]
 

@@ -857,6 +857,26 @@ def test_exhausted_budget_reports_unknown():
     assert isinstance(both, Unknown)
 
 
+def test_engine_both_shares_one_budget(monkeypatch):
+    # the clock passes the deadline just after the SAT engine returns, so the
+    # oracle must find the budget spent rather than start one of its own
+    clock = [0.0]
+    monkeypatch.setattr(solver.time, "monotonic", lambda: clock[0])
+    real = solver.check_sat_engine
+
+    def sat_then_late(*args):
+        v = real(*args)
+        clock[0] += 2.0
+        return v
+
+    monkeypatch.setattr(solver, "check_sat_engine", sat_then_late)
+    q = refute("(or P (not P))", bound=2, budget=1.0, engine="both")
+    assert oracle_in_domain(q)
+    assert check(q) == Unknown("budget-exhausted")
+    # each engine called alone still starts a budget of its own
+    assert isinstance(enum_oracle(q), BoundedValid)
+
+
 class StopAt:
     """A budget that raises on its k-th check and on every later one."""
 

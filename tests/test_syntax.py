@@ -80,7 +80,7 @@ def test_name_collisions_rejected():
 def test_atom_arity_and_sort_checked():
     sig = base_signature("P")
     sig.add_atom("Owns", ("contender",))
-    assert parse_formula("(Owns p)", sig) == sx.Atom("Owns", (sx.Const("p"),))
+    assert parse_formula("(Owns p)", sig) == sx.Atom("Owns", ("p",))
     with pytest.raises(ParseError, match="argument"):
         parse_formula("(Owns p d)", sig)
     with pytest.raises(ParseError, match="needs arguments"):
@@ -126,7 +126,7 @@ def test_guard_lists():
 
 
 def val(value, party):
-    return sx.ValAtom(BasicValue[value], sx.Const(party))
+    return sx.ValAtom(BasicValue[value], party)
 
 
 def test_value_layer_forms():
@@ -161,7 +161,7 @@ def test_party_slot_needs_contender_sort():
 
 def test_other_folds_over_constants():
     f = parse_formula("(val UTILITY (other p))", sig2())
-    assert f == sx.ValAtom(BasicValue.UTILITY, sx.Const("d"))
+    assert f == sx.ValAtom(BasicValue.UTILITY, "d")
     with pytest.raises(ParseError, match="contender"):
         sig = sig2()
         sig.add_sort("case", ("c1",))
@@ -173,7 +173,7 @@ def test_quantifiers_bind_and_check():
     sig.add_atom("Owns", ("contender",))
     f = parse_formula("(forall x contender (implies (Owns x) (conflict x)))", sig)
     assert f == sx.And(tuple(
-        sx.Implies(sx.Atom("Owns", (sx.Const(c),)), sx.conflict(sx.Const(c))) for c in "pd"
+        sx.Implies(sx.Atom("Owns", (c,)), sx.conflict(c)) for c in "pd"
     ))
     with pytest.raises(ParseError, match="unknown sort"):
         parse_formula("(forall x things P)", sig)
@@ -254,11 +254,11 @@ def test_ground_expands_quantifiers():
     sig = sig2()
     f = parse_formula("(forall x contender (val UTILITY x))", sig)
     assert f == sx.And((
-        sx.ValAtom(BasicValue.UTILITY, sx.Const("p")),
-        sx.ValAtom(BasicValue.UTILITY, sx.Const("d")),
+        sx.ValAtom(BasicValue.UTILITY, "p"),
+        sx.ValAtom(BasicValue.UTILITY, "d"),
     ))
     e = parse_formula("(exists x contender (conflict (other x)))", sig)
-    assert e == sx.Or((sx.conflict(sx.Const("d")), sx.conflict(sx.Const("p"))))
+    assert e == sx.Or((sx.conflict("d"), sx.conflict("p")))
 
 
 def test_ground_single_constant_sort_drops_connective():
@@ -266,7 +266,7 @@ def test_ground_single_constant_sort_drops_connective():
     sig.add_sort("case", ("c1",))
     sig.add_atom("Decided", ("case",))
     f = parse_formula("(forall x case (Decided x))", sig)
-    assert f == sx.Atom("Decided", (sx.Const("c1"),))
+    assert f == sx.Atom("Decided", ("c1",))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def test_desugar_value_layer():
     v = parse_formula("(vpref strict (ext WILL p) (agg (STAB d)))", sig)
     assert v == sx.Everywhere(sx.Implies(will_p, sx.DiaStrict(stab_d)))
     conflict_d = sx.And(tuple(val(value.name, "d") for value in BasicValue))
-    assert parse_formula("(conflict d)", sig) == conflict_d == sx.conflict(sx.Const("d"))
+    assert parse_formula("(conflict d)", sig) == conflict_d == sx.conflict("d")
 
 
 def test_desugar_promotes_shape():
@@ -337,7 +337,7 @@ def test_desugar_promotes_shape():
 def test_elaborate_is_ground_then_desugar():
     sig = sig2()
     f = parse_formula("(forall x contender (conflict x))", sig)
-    assert f == sx.And((sx.conflict(sx.Const("p")), sx.conflict(sx.Const("d"))))
+    assert f == sx.And((sx.conflict("p"), sx.conflict("d")))
     # a parsed formula is already core: elaborate and desugar give it back
     assert sx.elaborate(f, sig) is f and sx.desugar(f) is f
 
@@ -350,9 +350,8 @@ def test_elaborate_grounds_quantifiers_inside_promotes():
     f = parse_formula(
         "(forall x contender (promotes (exists a entity (Pursue x a)) (For x) (WILL x)))", sig)
 
-    def promoted(party):
-        x = sx.Const(party)
-        premise = sx.Or(tuple(sx.Atom("Pursue", (x, sx.Const(a))) for a in ("fox", "whale")))
+    def promoted(x):
+        premise = sx.Or(tuple(sx.Atom("Pursue", (x, a)) for a in ("fox", "whale")))
         will = sx.And((sx.ValAtom(BasicValue.FREEDOM, x), sx.ValAtom(BasicValue.UTILITY, x)))
         return sx.Implies(premise, sx.BoxStrict(sx.Iff(sx.Atom("For", (x,)), sx.DiaStrict(will))))
 
@@ -363,14 +362,26 @@ def test_collect_symbols():
     sig = sig2()
     sig.add_atom("Owns", ("contender",))
     f = parse_formula("(and (Owns p) (dialt (conflict d)) Q)", sig)
-    atoms, incidence = sx.collect_symbols(f)
+    atoms, incidence = sx.collect_symbols([f, parse_formula("(val UTILITY p)", sig)])
     assert atoms == {("Owns", ("p",)), ("Q", ())}
-    assert incidence == {(v, "d") for v in BasicValue}
-    # the engines' input check: every argument and party is a constant
-    with pytest.raises(ParseError, match="constant arguments"):
-        sx.collect_symbols(sx.Atom("Owns", ("p",)))
-    with pytest.raises(ParseError, match="constant party"):
-        sx.collect_symbols(sx.ValAtom(BasicValue.FREEDOM, "p"))
+    assert incidence == {(v, "d") for v in BasicValue} | {(BasicValue.UTILITY, "p")}
+
+
+def test_hand_built_atoms_are_keyed_by_their_fields():
+    # a term is its constant's name, so a hand-built atom equals the parsed one
+    # and every layer keys it as the parser's
+    sig = sig2()
+    sig.add_atom("Owns", ("contender",))
+    owns, freedom = sx.Atom("Owns", ("p",)), sx.ValAtom(BasicValue.FREEDOM, "p")
+    assert owns == parse_formula("(Owns p)", sig)
+    assert freedom == parse_formula("(val FREEDOM p)", sig)
+    keys = ({("Owns", ("p",))}, {(BasicValue.FREEDOM, "p")})
+    assert sx.collect_symbols([owns, freedom]) == keys
+    m = PreferenceModel(2, (0b11, 0b10), {("Owns", ("p",)): 0b01},
+                        {(BasicValue.FREEDOM, "p"): 0b10})
+    assert (eval_formula(m, owns), eval_formula(m, freedom)) == (0b01, 0b10)
+    enc = solver.encode(solver.Query(target=sx.And((owns, freedom)), bound=2), 2)
+    assert (set(enc.atom_vars), set(enc.inc_vars)) == keys
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +426,17 @@ def test_share_keeps_a_node_whose_subformulas_are_already_shared():
 # ---------------------------------------------------------------------------
 # node classes
 
-NP, NQ = sx.Atom("P"), sx.Atom("Q", (sx.Const("d"), sx.Const("p")))
+NP, NQ = sx.Atom("P"), sx.Atom("Q", ("d", "p"))
 _P = "Atom(pred='P', args=())"
-_Q = "Atom(pred='Q', args=(Const(name='d'), Const(name='p')))"
+_Q = "Atom(pred='Q', args=('d', 'p'))"
 
 # One node of every class and its repr, as a frozen dataclass printed it.
 NODE_REPRS = [
     (sx.SSym("a", 1), "SSym(text='a', line=1)"),
     (sx.SList((sx.SSym("a", 1),), 2), "SList(items=(SSym(text='a', line=1),), line=2)"),
-    (sx.Const("d"), "Const(name='d')"),
     (NQ, _Q),
-    (sx.ValAtom(BasicValue.FREEDOM, sx.Const("p")),
-     "ValAtom(value=<BasicValue.FREEDOM: 'FREEDOM'>, party=Const(name='p'))"),
+    (sx.ValAtom(BasicValue.FREEDOM, "p"),
+     "ValAtom(value=<BasicValue.FREEDOM: 'FREEDOM'>, party='p')"),
     (sx.Not(NP), f"Not(sub={_P})"),
     (sx.And((NP, NQ)), f"And(args=({_P}, {_Q}))"),
     (sx.Or((NP, NQ)), f"Or(args=({_P}, {_Q}))"),
@@ -450,7 +460,7 @@ def test_every_node_class_has_a_repr_case():
                if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields
                and cls is not sx.Signature}
     assert {type(node) for node, _ in NODE_REPRS} == classes
-    assert len(classes) == 19
+    assert len(classes) == 18
 
 
 @pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
@@ -466,8 +476,7 @@ def test_node_repr_and_structural_identity(node, text):
 def test_nodes_equal_only_within_one_class():
     assert sx.And((NP, NQ)) != sx.Or((NP, NQ))
     assert sx.DiaWeak(NP) != sx.BoxWeak(NP)
-    assert sx.Not(NP) != sx.Not(sx.Atom("P", (sx.Const("d"),)))
-    assert sx.Const("d") != "d"
+    assert sx.Not(NP) != sx.Not(sx.Atom("P", ("d",)))
     assert len({sx.And((NP, NQ)), sx.Or((NP, NQ)), sx.And((NP, NQ))}) == 2
 
 
@@ -498,7 +507,7 @@ def test_nodes_are_frozen():
 
 # The field layout every generic walk reads, as dataclasses.fields gave it.
 LAYOUT = {
-    sx.Atom: (('pred', None), ('args', 'terms')),
+    sx.Atom: (('pred', None), ('args', None)),
     sx.Not: (('sub', 'formula'),),
     sx.And: (('args', 'formulas'),),
     sx.Or: (('args', 'formulas'),),
@@ -513,7 +522,7 @@ LAYOUT = {
     sx.CpDiaWeak: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpDiaStrict: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpPrefAA: (('guards', 'formulas'), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
-    sx.ValAtom: (('value', None), ('party', 'term')),
+    sx.ValAtom: (('value', None), ('party', None)),
 }
 
 
@@ -524,8 +533,8 @@ def test_field_layout():
 
 # A value for every slot of a one-level node: by field kind, or by field name
 # for plain data.
-ONE_LEVEL_SLOTS = {"formula": P(), "formulas": (Q(),), "term": sx.Const("p"), "terms": (),
-                   "pred": "P", "strict": True, "value": BasicValue.FREEDOM}
+ONE_LEVEL_SLOTS = {"formula": P(), "formulas": (Q(),), "pred": "P", "args": (),
+                   "strict": True, "value": BasicValue.FREEDOM, "party": "p"}
 
 
 def test_every_formula_node_is_core():
