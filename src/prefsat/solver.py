@@ -816,18 +816,19 @@ def enum_oracle(q: Query, budget: _Budget | None = None) -> Verdict:
     return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
 
 
-def check(q: Query) -> Verdict:
-    """Answer a query with the engine(s) it names.
+def check(q: Query, budget: _Budget | None = None) -> Verdict:
+    """Answer a query with the engine(s) it names, within one budget: the
+    query's own, unless one is given.
 
     engine="both" runs the SAT path and, when the query is inside the
-    oracle's domain, the enumeration oracle, both within the one budget;
+    oracle's domain, the enumeration oracle, both within that budget;
     differing verdict kinds raise EngineDisagreement.
     """
+    budget = budget or _Budget(q.budget)
     if q.engine == "sat":
-        return check_sat_engine(q)
+        return check_sat_engine(q, budget)
     if q.engine == "enum":
-        return enum_oracle(q)
-    budget = _Budget(q.budget)
+        return enum_oracle(q, budget)
     v_sat = check_sat_engine(q, budget)
     try:
         v_enum = enum_oracle(q, budget)

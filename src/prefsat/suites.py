@@ -40,6 +40,7 @@ from .solver import (
     Countermodel,
     Query,
     Satisfiable,
+    _Budget,
     check,
     render_verdict,
     solve_at,
@@ -359,12 +360,13 @@ def _case_queries(kbs: dict[str, kbmod.KnowledgeBase], **overrides):
 
 
 def _satisfiable_row(name: str, q: Query) -> SuiteRow:
-    v = check(q)
+    budget = _Budget(q.budget)  # the row's one budget, for both checks
+    v = check(q, budget)
     if not isinstance(v, Satisfiable):
         return SuiteRow(name, False, f"expected satisfiable, got:\n{render_verdict(v)}", v.kind)
     # a one-world model is easy; also insist on a three-world one
     try:
-        bigger = solve_at(q, 3)
+        bigger = solve_at(q, 3, budget)
     except BudgetExceeded:
         return SuiteRow(name, False, "Unknown reason=budget-exhausted", "unknown")
     if bigger is None:

@@ -7,15 +7,18 @@ constant's name, a plain str.  `(forall x SORT F)` and `(exists x SORT F)`
 become the conjunction or disjunction of F over the sort's constants,
 `(other t)` folds to a constant, and the syntactic preference variants, the
 conditional and the value-layer forms (`ext`, `agg`, `vpref`, `promotes`,
-`conflict`) become the core formulas they abbreviate.  Every formula node
-is core: `SynPref` and `Cond` are functions that build the expansion, for a
-caller writing formulas by hand.  `share` makes equal subtrees one object
-for the caches keyed by node.  Printing is the inverse of parsing:
-`format_formula` emits text that parses back to an equal formula, so a
-derived form prints as its expansion.
+`conflict`) become the core formulas they abbreviate.  One table, `_FORMS`,
+gives every fixed-arity keyword form its builder and slot kinds; only the
+variadic `and`/`or`/`agg`, the binders and `vpref` are read by branches of
+their own.  Every formula node is core: `SynPref` and `Cond` are functions
+that build the expansion, for a caller writing formulas by hand.  `share`
+makes equal subtrees one object for the caches keyed by node.  Printing is
+the inverse of parsing: `format_formula` emits text that parses back to an
+equal formula, so a derived form prints as its expansion.
 """
 from __future__ import annotations
 
+import re
 from operator import attrgetter, is_not
 
 from .ontology import CONTENDERS, PRINCIPLES, BasicValue, ValueSymbol, other
@@ -158,54 +161,31 @@ class SList(Node):
     line: int
 
 
+# One match per token: a parenthesis, a symbol (a run of anything but space,
+# tab, CR, LF, parentheses and `;`), a comment to end of line, or a newline,
+# which counts lines.  Space, tab and CR match nothing and are skipped.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+
+
 def read_forms(text: str) -> list:
     """Read all top-level s-expressions.  `;` starts a comment to end of line."""
-    tokens: list[tuple[str, int]] = []
+    stack: list[tuple[list, int]] = [([], 0)]  # the top level, then each open list
     line = 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    for tok in _TOKEN.findall(text):
+        if tok == "\n":
             line += 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append((c, line))
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            tokens.append((text[i:j], line))
-            i = j
-
-    forms: list = []
-    stack: list[tuple[list, int]] = []
-    for tok, ln in tokens:
-        if tok == "(":
-            stack.append(([], ln))
+        elif tok == "(":
+            stack.append(([], line))
         elif tok == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", ln)
-            items, open_ln = stack.pop()
-            node = SList(tuple(items), open_ln)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
-        else:
-            node = SSym(tok, ln)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
-    if stack:
+            if len(stack) == 1:
+                raise ParseError("unbalanced ')'", line)
+            items, open_line = stack.pop()
+            stack[-1][0].append(SList(tuple(items), open_line))
+        elif tok[0] != ";":
+            stack[-1][0].append(SSym(tok, line))
+    if len(stack) > 1:
         raise ParseError("unclosed '('", stack[-1][1])
-    return forms
+    return stack[0][0]
 
 
 # A term is its constant's name.  `Const` is kept only because bench/ builds
@@ -402,12 +382,6 @@ def share(formulas) -> list[Formula]:
 # signature
 
 
-# The quantifiers and the derived forms have no node class: the parser
-# expands them.
-RESERVED_HEADS = frozenset(KEYWORDS) | {"other", "forall", "exists", "prefsyn", "cond",
-                                        "ext", "agg", "vpref", "promotes", "conflict"}
-
-
 class Signature(Node):
     """Declared sorts (finite constant lists) and atoms (argument sorts)."""
 
@@ -493,16 +467,11 @@ def _parse_party(node, sig: Signature, env: Env) -> str:
     return term
 
 
-def _parse_principle(principle_node, party_node, sig, env) -> Formula:
-    """The worlds realizing both values the principle commits the party to."""
-    principle = _parse_choice(principle_node, PRINCIPLES, "unknown principle")
-    return _principle_conjunction(principle, _parse_party(party_node, sig, env))
-
-
 def _parse_principle_pair(node, sig, env) -> Formula:
+    """A `(PRINCIPLE party)` pair: an ext form without its keyword."""
     if not isinstance(node, SList) or len(node.items) != 2:
         raise ParseError("expected (PRINCIPLE party)", getattr(node, "line", None))
-    return _parse_principle(*node.items, sig, env)
+    return _read_slots("ext", node.items, sig, env)
 
 
 def _parse_gammas(node, sig, env) -> tuple[Formula, ...]:
@@ -536,12 +505,14 @@ def _parse_formula(node, sig: Signature, env: Env) -> Formula:
         raise ParseError("expected an operator or atom name", node.line)
     op = head.text
     items = node.items
-    cls = KEYWORDS.get(op)
 
-    if cls in (And, Or):
+    if op in _FORMS:
+        _want(node, len(_FORMS[op][1]), op)
+        return _read_slots(op, items[1:], sig, env)
+    if op in ("and", "or"):
         if len(items) < 3:
             raise ParseError(f"{op} takes at least 2 arguments", node.line)
-        return cls(tuple(_parse_formula(x, sig, env) for x in items[1:]))
+        return KEYWORDS[op](tuple(_parse_formula(x, sig, env) for x in items[1:]))
     if op in ("forall", "exists"):
         _want(node, 3, op)
         var_node, sort_node, body_node = items[1], items[2], items[3]
@@ -557,43 +528,19 @@ def _parse_formula(node, sig: Signature, env: Env) -> Formula:
         parts = [_parse_formula(body_node, sig, {**env, var: (c, sort)})
                  for c in sig.sorts[sort]]
         return make_and(parts) if op == "forall" else make_or(parts)
-    # the value layer: each form is read straight into the core it abbreviates
-    if op == "ext":
-        _want(node, 2, op)
-        return _parse_principle(items[1], items[2], sig, env)
     if op == "agg":
         if len(items) < 2:
             raise ParseError("agg takes at least one (PRINCIPLE party) pair", node.line)
         return make_or([_parse_principle_pair(x, sig, env) for x in items[1:]])
     if op == "vpref":
-        # the chosen lift of a value preference is all-exists
+        # the chosen lift of a value preference is all-exists; both sides are
+        # read before their heads are checked
         _want(node, 3, op)
         strict = _SLOT_READERS["strict"](items[1], sig, env)
         lhs, rhs = (_parse_formula(x, sig, env) for x in items[2:])
         if not all(_head(x) in ("ext", "agg") for x in items[2:]):
             raise ParseError("vpref sides must be ext or agg forms", node.line)
         return SynPref("ae", strict, lhs, rhs)
-    if op == "promotes":
-        # factual premises tie a decision to reaching a principle's worlds
-        _want(node, 3, op)
-        premise = _parse_formula(items[1], sig, env)
-        decision = _parse_formula(items[2], sig, env)
-        target = _parse_principle_pair(items[3], sig, env)
-        return Implies(premise, BoxStrict(Iff(decision, DiaStrict(target))))
-    if op == "conflict":
-        _want(node, 1, op)
-        return conflict(_parse_party(items[1], sig, env))
-    if op in _DERIVED:
-        # prefsyn and cond list their slots in order and build the expansion
-        expand, kinds = _DERIVED[op]
-        _want(node, len(kinds), op)
-        return expand(*(_SLOT_READERS[kind](x, sig, env) for kind, x in zip(kinds, items[1:])))
-    if cls is not None:
-        # every other form lists its fields in order, each read by its kind
-        layout = _LAYOUT[cls]
-        _want(node, len(layout), op)
-        return cls(*(_SLOT_READERS[kind or name](x, sig, env)
-                     for (name, kind), x in zip(layout, items[1:])))
 
     # anything else must be a declared atom applied to terms
     if op in RESERVED_HEADS:
@@ -622,11 +569,20 @@ def _parse_choice(node, choices, message: str) -> str:
     raise ParseError(message, getattr(node, "line", None))
 
 
-# Readers of keyword-form fields, by field kind or, for plain data, field name.
+def _read_slots(op: str, nodes, sig: Signature, env: Env) -> Formula:
+    """Read the slots of a fixed-arity form in order and build it."""
+    build, kinds = _FORMS[op]
+    return build(*(_SLOT_READERS[kind](x, sig, env) for kind, x in zip(kinds, nodes)))
+
+
+# Readers of keyword-form slots, by kind: a node field's kind or, for plain
+# data, its name.
 _SLOT_READERS = {
     "formula": _parse_formula,
     "formulas": _parse_gammas,
     "party": _parse_party,
+    "pair": _parse_principle_pair,
+    "principle": lambda node, sig, env: _parse_choice(node, PRINCIPLES, "unknown principle"),
     "strict": lambda node, sig, env:
         _parse_choice(node, ("weak", "strict"), "expected weak or strict") == "strict",
     "pattern": lambda node, sig, env:
@@ -699,6 +655,7 @@ def Cond(lhs: Formula, rhs: Formula) -> Formula:
 
 
 def _principle_conjunction(principle: str, party: str) -> Formula:
+    """The worlds realizing both values the principle commits the party to."""
     v1, v2 = PRINCIPLES[principle]
     return And((ValAtom(v1, party), ValAtom(v2, party)))
 
@@ -708,12 +665,24 @@ def conflict(party: str) -> Formula:
     return And(tuple(ValAtom(v, party) for v in BasicValue))
 
 
-# The derived forms with a keyword of their own: each keyword's expansion and
-# the kinds of its slots, in order.
-_DERIVED = {
+# Every fixed-arity keyword form: its builder and the kinds of its slots, in
+# order.  A core keyword builds its node from its fields; a derived form
+# builds the core formula it abbreviates.
+_FORMS = {
+    **{kw: (cls, tuple(kind or name for name, kind in _LAYOUT[cls]))
+       for kw, cls in KEYWORDS.items() if cls not in (And, Or)},
     "prefsyn": (SynPref, ("pattern", "strict", "formula", "formula")),
     "cond": (Cond, ("formula", "formula")),
+    "ext": (_principle_conjunction, ("principle", "party")),
+    # factual premises tie a decision to reaching a principle's worlds
+    "promotes": (lambda premise, decision, target:
+                 Implies(premise, BoxStrict(Iff(decision, DiaStrict(target)))),
+                 ("formula", "formula", "pair")),
+    "conflict": (conflict, ("party",)),
 }
+# Every head the parser reads itself (the operators and `other`), so never an
+# atom's name.
+RESERVED_HEADS = frozenset((*KEYWORDS, *_FORMS, "forall", "exists", "agg", "vpref", "other"))
 
 
 def desugar(f: Formula) -> Formula:

@@ -79,7 +79,7 @@ def test_bench_only_names_are_read_by_bench_alone():
 
 def test_module_level_assignments_are_definitions():
     # a constant is checked as a function is: its own assignment is no use
-    assert {"LIFT_PATTERNS", "_DERIVED", "RESERVED_HEADS", "Env"} <= set(_definitions())
+    assert {"LIFT_PATTERNS", "_FORMS", "RESERVED_HEADS", "Env"} <= set(_definitions())
 
 
 def test_package_init_is_its_docstring_alone():

@@ -1,5 +1,7 @@
 """Command-line behavior: verdict lines, exit codes, determinism."""
 import json
+import random
+import re
 import shutil
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import pytest
 
 from prefsat.cli import main
 from prefsat.kb import case_proof_path
+
+SHIPPED = case_proof_path("pierson").parent  # the shipped .kb and .proof files
 
 
 # recorded stdout and exit code of the shipped-case commands; the same
@@ -230,3 +234,62 @@ def test_kb_without_goals(tmp_path, capsys):
     kb.write_text("(atom Rain)\n(fact f1 Rain)\n")
     code, _, err = run(capsys, "entail", str(kb))
     assert code == 2 and "declares no goals" in err
+
+
+# ---------------------------------------------------------------------------
+# bad input: every mutant of a shipped file ends with an exit code, never a
+# traceback
+
+# whitespace runs are kept as parts, so every line break survives a mutation
+_MUTANT_PART = re.compile(r"\s+|[()]|[^\s()]+")
+
+
+def mutant(text: str, rng: random.Random) -> str:
+    """The text with 1-3 tokens deleted, duplicated, swapped with another
+    token or replaced by another token of the text."""
+    parts = _MUTANT_PART.findall(text)
+    tokens = [i for i, part in enumerate(parts) if not part.isspace()]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(tokens, 2)
+        edit = rng.choice(("delete", "duplicate", "swap", "replace"))
+        if edit == "delete":
+            parts[i] = ""
+        elif edit == "duplicate":
+            parts[i] = f"{parts[i]} {parts[i]}"
+        elif edit == "swap":
+            parts[i], parts[j] = parts[j], parts[i]
+        else:
+            parts[i] = parts[j]
+    return "".join(parts)
+
+
+def mutants(seed: int, per_file: int):
+    """(shipped file name, mutant text), per_file mutants of each file."""
+    rng = random.Random(seed)
+    for path in sorted(SHIPPED.iterdir()):
+        text = path.read_text()
+        for _ in range(per_file):
+            yield path.name, mutant(text, rng)
+
+
+def mutant_argv(directory: Path, name: str, text: str) -> list[str]:
+    """Write the mutant beside copies of the shipped files; the command that
+    reads it."""
+    target = directory / f"mutant{Path(name).suffix}"
+    target.write_text(text)
+    if target.suffix == ".kb":
+        return ["entail", str(target), "--bound", "2", "--budget", "2"]
+    return ["replay", str(target), "--kb", str(directory / "pierson.kb"), "--budget", "2"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bad_input_never_ends_in_a_traceback(tmp_path, capsys, seed):
+    for path in SHIPPED.iterdir():
+        shutil.copy(path, tmp_path)
+    for name, text in mutants(seed, 14):
+        try:
+            code = main(mutant_argv(tmp_path, name, text))
+        except Exception as e:
+            pytest.fail(f"mutant of {name} raised {e!r}:\n{text}")
+        capsys.readouterr()
+        assert code in (0, 1, 2), f"mutant of {name} exited {code}:\n{text}"

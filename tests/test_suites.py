@@ -2,7 +2,7 @@
 import pytest
 
 from prefsat import kb as kbmod
-from prefsat import suites
+from prefsat import solver, suites
 from prefsat.solver import (BudgetExceeded, EngineDisagreement, Query, Unknown, check,
                             oracle_in_domain)
 from prefsat.suites import SUITE_NAMES, random_queries, run_suite, suite_queries
@@ -38,6 +38,26 @@ def test_budget_exhausted_in_the_three_world_check_is_unknown(monkeypatch):
 
     monkeypatch.setattr(suites, "solve_at", exhausted)
     text, code = run_suite("cases")
+    assert code == 2
+    rows = {line.split()[1]: line for line in text.splitlines() if line.startswith("FAIL")}
+    assert set(rows) == {f"{case}-satisfiable" for case in ("pierson", "post", "conti")}
+    assert all(line.endswith("  Unknown reason=budget-exhausted") for line in rows.values())
+
+
+def test_the_three_world_check_shares_its_rows_budget(monkeypatch):
+    # the clock passes the deadline just after the row's check returns, so the
+    # three-world model search must find the row's budget spent
+    clock = [0.0]
+    monkeypatch.setattr(solver.time, "monotonic", lambda: clock[0])
+    real = suites.check
+
+    def check_then_late(*args):
+        v = real(*args)
+        clock[0] += 2.0
+        return v
+
+    monkeypatch.setattr(suites, "check", check_then_late)
+    text, code = run_suite("cases", budget=1.0)
     assert code == 2
     rows = {line.split()[1]: line for line in text.splitlines() if line.startswith("FAIL")}
     assert set(rows) == {f"{case}-satisfiable" for case in ("pierson", "post", "conti")}

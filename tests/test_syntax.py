@@ -34,6 +34,32 @@ def test_read_forms_unbalanced():
         sx.read_forms("(a))")
 
 
+def test_read_forms_token_rules():
+    # only space, tab, CR and LF separate symbols: form feed, vertical tab and
+    # non-ASCII spaces stay inside one
+    assert sx.read_forms("a\fb c\vd e\u00a0f g\u2003h") == [
+        sx.SSym("a\fb", 1), sx.SSym("c\vd", 1), sx.SSym("e\u00a0f", 1), sx.SSym("g\u2003h", 1)]
+    # CR LF is one line end
+    assert sx.read_forms("a\r\nb\r\n\r\n(c)") == [
+        sx.SSym("a", 1), sx.SSym("b", 2), sx.SList((sx.SSym("c", 4),), 4)]
+    # `;` ends a symbol and starts a comment, which needs no newline at the end
+    assert sx.read_forms("(a;b c)\nd)") == [sx.SList((sx.SSym("a", 1), sx.SSym("d", 2)), 1)]
+    assert sx.read_forms("a ; end") == [sx.SSym("a", 1)]
+    assert sx.read_forms("a;") == [sx.SSym("a", 1)]
+    assert sx.read_forms(" \t\r\n;") == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(a)\n; )\n\n)", "line 4: unbalanced ')'"),
+    ("(a\n(b)\n(c\n d", "line 3: unclosed '('"),  # the innermost open list
+    ("(a\r\n(b\r\n)", "line 1: unclosed '('"),
+])
+def test_read_forms_error_lines(text, message):
+    with pytest.raises(ParseError) as info:
+        sx.read_forms(text)
+    assert str(info.value) == message
+
+
 def test_parse_error_carries_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_formula("\n\n(not)", sig2())
@@ -63,6 +89,14 @@ def test_reserved_names_rejected():
                  "ext", "agg", "vpref", "promotes", "conflict", "prefsyn", "cond"):
         with pytest.raises(ParseError, match="reserved"):
             sig.add_atom(name, ())
+
+
+def test_reserved_heads_are_every_operator_the_parser_reads():
+    assert sx.RESERVED_HEADS == {
+        "not", "and", "or", "implies", "iff", "boxleq", "dialeq", "boxlt", "dialt", "A", "E",
+        "cp-dialeq", "cp-dialt", "cp-pref-aa", "val", "other", "forall", "exists", "prefsyn",
+        "cond", "ext", "agg", "vpref", "promotes", "conflict"}
+    assert isinstance(sx.RESERVED_HEADS, frozenset)
 
 
 def test_name_collisions_rejected():
