@@ -246,7 +246,8 @@ class StepResult(sx.Node):
 
 def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
     """The steps of a proof script, each formula parsed under sig into the
-    ground, core formula a KB entry would be."""
+    ground, core formula a KB entry would be.  The steps' formulas share
+    their equal subtrees, as a loaded KB's entries do."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -293,7 +294,8 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
                     f"unresolved reference: step {step.name!r} cites {ref!r} "
                     "which is not an earlier step"
                 )
-    return steps
+    shared = sx.share([step.formula for step in steps])
+    return [ProofStep(step.name, f, step.uses, step.bound) for step, f in zip(steps, shared)]
 
 
 def _step_query(step: ProofStep, kb: KnowledgeBase, established: dict[str, sx.Formula],

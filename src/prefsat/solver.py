@@ -243,14 +243,19 @@ class CDCL:
     def load(self, clauses: list[list[int]], probes=()):
         """Add clauses; this is the only way to give the solver clauses.  Each
         must hold no repeated or complementary literal, as the encoder emits
-        them.  They are attached in one pass and not copied: the search
-        reorders their literals.  `probes` are literals that solve decides
-        True, one at a time, before its search."""
+        them.  They are attached in one pass, each appended to the watch lists
+        of its first two literals in the loop itself (`_attach` is the same
+        step for a learnt clause), and not copied: the search reorders their
+        literals.  A unit goes to `units` and an empty clause clears `ok`.
+        `probes` are literals that solve decides True, one at a time, before
+        its search."""
         self.probes.extend(probes)
-        attach, units = self._attach, self.units
+        attached, watch, units = self.clauses, self.watch, self.units
         for clause in clauses:
             if len(clause) > 1:
-                attach(clause)
+                attached.append(clause)
+                watch[clause[0]].append(clause)
+                watch[clause[1]].append(clause)
             elif clause:
                 units.append(clause[0])
             else:
@@ -460,6 +465,12 @@ class _Encoder:
     subtree built again as another object gets the same literal from the
     conj and iff caches, with no new variable or clause, so sharing changes
     the build's cost and not its CNF.
+
+    Every conjunction gate, k-ary or of two literals, is made by `conj`'s one
+    emitter, so all share its cache, clause layout and numbering.  The strict
+    edges s(w,v) sit in the table `_strict` (0 until built), each filled by
+    `conj` on first use, so that a gate is numbered where it was first needed
+    and every later use reads the table.
     """
 
     def __init__(self, n: int, atom_keys, inc_keys, total: bool):
@@ -484,6 +495,8 @@ class _Encoder:
         self._iff_memo: dict[tuple[int, int], int] = {}
         self._t_memo: dict[tuple[int, int], int] = {}
         self._keep: list = []  # formula refs pinned while ids are cache keys
+        # no world is strictly better than itself
+        self._strict = [[-self.vtrue if v == w else 0 for v in range(n)] for w in range(n)]
 
         for i in range(n):
             for j in range(n):
@@ -504,33 +517,59 @@ class _Encoder:
     def rlit(self, i: int, j: int) -> int:
         return self.vtrue if i == j else self.rel[(i, j)]
 
+    def strict_edge(self, w: int, v: int) -> int:
+        """The literal saying v is strictly better than w: weakly, and w not
+        weakly better than v.  Read from the table, built on first use."""
+        lit = self._strict[w][v]
+        if not lit:
+            lit = self._strict[w][v] = self.conj((self.rel[(w, v)], -self.rel[(v, w)]))
+        return lit
+
     def edge(self, w: int, v: int, strict: bool, guards) -> list[int]:
         """Literals that together say v is weakly (strictly: weakly and not
-        conversely) better than w and agrees with w on every guard."""
-        lits = [self.conj((self.rlit(w, v), -self.rlit(v, w))) if strict else self.rlit(w, v)]
+        conversely, from the strict-edge table) better than w and agrees with
+        w on every guard."""
+        lits = [self.strict_edge(w, v) if strict else self.rlit(w, v)]
         for g in guards:
             lits.append(self.iff(self.t(g, w), self.t(g, v)))
         return lits
 
     def conj(self, lits) -> int:
         """A gate for the conjunction, its literals without repeats; a
-        complementary pair is false, so each clause satisfies CDCL.load."""
-        out: dict[int, None] = {}
-        for l in lits:
-            if l == -self.vtrue or -l in out:
-                return -self.vtrue
-            if l != self.vtrue:
-                out[l] = None
-        if len(out) < 2:
-            return next(iter(out), self.vtrue)
-        key = tuple(sorted(out))
+        complementary pair is false, so each clause satisfies CDCL.load.
+
+        Two literals are normalised by comparisons alone; more (or fewer) go
+        through a dict.  Either way what is left meets one emitter: the cache,
+        keyed by the sorted literals, then a new gate g with the clauses
+        [-g, l] for each literal l in the given order and [g, -l...]."""
+        vtrue = self.vtrue
+        if len(lits) == 2:
+            a, b = lits
+            if a == -b or a == -vtrue or b == -vtrue:
+                return -vtrue
+            if a == vtrue:
+                return b
+            if b == vtrue or a == b:
+                return a
+            key = (a, b) if a < b else (b, a)
+        else:
+            out: dict[int, None] = {}
+            for l in lits:
+                if l == -vtrue or -l in out:
+                    return -vtrue
+                if l != vtrue:
+                    out[l] = None
+            if len(out) < 2:
+                return next(iter(out), vtrue)
+            lits, key = out, tuple(sorted(out))
         hit = self._conj_memo.get(key)
         if hit is not None:
             return hit
-        g = self._new()
-        for l in out:
-            self.clauses.append([-g, l])
-        self.clauses.append([g, *map(neg, out)])
+        g = self.nvars = self.nvars + 1
+        clauses = self.clauses
+        for l in lits:
+            clauses.append([-g, l])
+        clauses.append([g, *map(neg, lits)])
         self._conj_memo[key] = g
         return g
 
@@ -581,11 +620,15 @@ class _Encoder:
         if modality is not None:
             sign, strict, guarded = modality
             guards, sub = f.guards if guarded else (), f.sub
-            opts = []
+            t, conj, opts = self.t, self.conj, []
             for v in range(self.n):
-                lits = self.edge(w, v, strict, guards)
-                lits.append(sign * self.t(sub, v))
-                opts.append(self.conj(lits))
+                if guards:
+                    lits = self.edge(w, v, strict, guards)
+                    lits.append(sign * t(sub, v))
+                    opts.append(conj(lits))
+                else:
+                    e = self.strict_edge(w, v) if strict else self.rlit(w, v)
+                    opts.append(conj((e, sign * t(sub, v))))
             return sign * self.disj(opts)
         if cls is sx.Atom:
             return self.atom_vars[(f.pred, f.args)][w]
@@ -598,7 +641,7 @@ class _Encoder:
         if cls is sx.Or:
             return self.disj([self.t(a, w) for a in f.args])
         if cls is sx.Implies:
-            return self.disj([-self.t(f.lhs, w), self.t(f.rhs, w)])
+            return -self.conj((self.t(f.lhs, w), -self.t(f.rhs, w)))
         if cls is sx.Iff:
             return self.iff(self.t(f.lhs, w), self.t(f.rhs, w))
         n = self.n
@@ -627,9 +670,8 @@ class _Encoder:
         variables stay the same.  The c(w,v), in w-then-v order, are the
         solver's probe literals."""
         n = self.n
-        strict = [[self.edge(w, v, True, ())[0] if v != w else 0 for v in range(n)]
-                  for w in range(n)]
-        maximal = [self.conj([-s for s in row if s]) for row in strict]
+        strict = [[self.strict_edge(w, v) for v in range(n)] for w in range(n)]
+        maximal = [self.conj([-strict[w][v] for v in range(n) if v != w]) for w in range(n)]
         for w in range(n):
             tops = [self.conj((strict[w][v], maximal[v])) for v in range(n) if v != w]
             self.clauses.append([maximal[w], *tops])
@@ -696,7 +738,9 @@ def _validate_witness(q: Query, m: PreferenceModel):
 
 
 def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel | None:
-    """Solve the query's constraints at an exact world count; model or None."""
+    """Solve the query's constraints at an exact world count; model or None.
+    The budget is checked before the search and again before a model is
+    decoded and re-validated."""
     budget = budget or _Budget(q.budget)
     token = _ENCODE_BUDGET.set(budget)
     try:
@@ -708,6 +752,7 @@ def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel
     budget.check()
     if not solver.solve(budget):
         return None
+    budget.check()
     m = enc.decode(solver)
     _validate_witness(q, m)
     return m

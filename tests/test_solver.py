@@ -129,6 +129,21 @@ def test_load_attaches_clauses_and_queues_units():
     assert not empty.ok and not empty.solve(solver._Budget(None))
 
 
+def test_load_watches_each_clause_at_its_first_two_literals():
+    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=4)
+    enc = solver.encode(q, 4)
+    s = CDCL(enc.nvars)
+    s.load(enc.clauses + [[]], enc.probes)
+    wide = [c for c in enc.clauses if len(c) > 1]
+    assert s.clauses == wide and all(a is b for a, b in zip(s.clauses, wide))
+    for c in wide:
+        for lit in c[:2]:
+            assert sum(w is c for w in s.watch[lit]) == 1, c
+    assert sum(map(len, s.watch)) == 2 * len(wide)
+    assert s.units == [c[0] for c in enc.clauses if len(c) == 1]
+    assert s.probes == enc.probes and not s.ok
+
+
 def test_budget_is_checked_every_256_search_steps():
     class Counting:
         checks = 0
@@ -242,6 +257,33 @@ def test_conj_drops_repeats_and_reads_a_complementary_pair_as_false():
     assert enc.conj([p, q, -p]) == -enc.vtrue
     assert enc.disj([q, -q]) == enc.vtrue
     assert (enc.nvars, len(enc.clauses)) == size  # no gate and no clause for any of them
+
+
+def test_two_literal_conj_matches_the_k_ary_path():
+    # a third literal, vtrue, which conj drops, sends the pair down the k-ary path
+    for i, j in product(range(6), repeat=2):
+        results = []
+        for k_ary in (False, True):
+            enc = solver._Encoder(1, [("P", ()), ("Q", ())], [], False)
+            p, q = enc.atom_vars[("P", ())][0], enc.atom_vars[("Q", ())][0]
+            lits = (p, -p, q, -q, enc.vtrue, -enc.vtrue)
+            pair = [lits[i], lits[j]] + [enc.vtrue] * k_ary
+            results.append((enc.conj(pair), enc.nvars, enc.clauses))
+        assert results[0] == results[1], (i, j)
+
+
+def test_strict_edges_come_from_one_table():
+    enc = solver._Encoder(3, [], [], False)
+    alone = solver._Encoder(3, [], [], False)
+    for w, v in product(range(3), repeat=2):
+        if w == v:
+            assert enc.edge(w, w, True, ()) == [-enc.vtrue]
+            continue
+        lit = enc.edge(w, v, True, ())[0]
+        assert lit == alone.conj((alone.rel[(w, v)], -alone.rel[(v, w)]))
+        size = (enc.nvars, len(enc.clauses))
+        assert enc.strict_edge(w, v) == lit and (enc.nvars, len(enc.clauses)) == size
+    assert (enc.nvars, enc.clauses) == (alone.nvars, alone.clauses)
 
 
 def propagate_gates(clauses, fixed):
@@ -368,6 +410,17 @@ def test_a_loaded_kb_is_encoded_once_per_distinct_subformula():
         assert len(set(formulas)) == len(formulas), w  # no two equal nodes at one world
     copy = unshared_query(q)
     assert (len(enc._t_memo), len(solver.encode(copy, 7)._t_memo)) == (863, 1572)
+
+
+def test_proof_steps_share_their_subformulas():
+    kb = kbmod.case_kb("pierson")
+    steps = kbmod.load_proof(kbmod.case_proof_path("pierson"), kb.sig)
+    memo = 0
+    for _, q in kbmod.step_queries(steps, kb):
+        enc, copy = solver.encode(q, q.bound), solver.encode(unshared_query(q), q.bound)
+        assert (enc.nvars, enc.clauses, enc.probes) == (copy.nvars, copy.clauses, copy.probes)
+        memo += len(enc._t_memo)
+    assert memo == 626  # 754 with each step's formula built on its own
 
 
 def test_maximal_world_lemma_holds_in_every_preorder():
@@ -875,6 +928,27 @@ def test_engine_both_shares_one_budget(monkeypatch):
     assert check(q) == Unknown("budget-exhausted")
     # each engine called alone still starts a budget of its own
     assert isinstance(enum_oracle(q), BoundedValid)
+
+
+def test_budget_is_checked_before_a_model_is_decoded(monkeypatch):
+    # the clock passes the deadline as a satisfiable solve returns, so no
+    # witness is decoded or re-validated
+    clock = [0.0]
+    monkeypatch.setattr(solver.time, "monotonic", lambda: clock[0])
+    real = CDCL.solve
+
+    def solve_then_late(self, budget):
+        sat = real(self, budget)
+        clock[0] += 2.0
+        return sat
+
+    def unreachable(self, s):
+        raise AssertionError("decode reached")
+
+    monkeypatch.setattr(CDCL, "solve", solve_then_late)
+    monkeypatch.setattr(solver._Encoder, "decode", unreachable)
+    q = refute("(implies P Q)", bound=2, budget=1.0)
+    assert render_verdict(check_sat_engine(q)) == "Unknown reason=budget-exhausted"
 
 
 class StopAt:
