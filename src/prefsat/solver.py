@@ -6,13 +6,14 @@ validity / entailment) or to find a model of everything (satisfiability).
 The search solves exact world counts up to the bound, each count one
 propositional instance: relation variables for every ordered world pair,
 variables for each ground atom and value symbol per world, and definition
-gates for each distinct subformula per world (a loaded KB holds one node per
-distinct subformula, and the encoder builds each node once per world).
-Reflexivity is compiled away, the strict relation is defined from the weak
-one, and transitivity (plus optionally totality) is asserted as clauses.
-Which counts it solves, and in what order, is check_sat_engine's
-cloning-lemma search; the verdict and witness are those of the least count
-with a model.
+gates built from the query's program (its distinct subformulas, compiled
+once, children first), each node at the worlds it is needed.  Gates are
+numbered in program order, and each is defined one-sided, by the polarity
+of its uses.  Reflexivity is compiled away, the strict relation is defined
+from the weak one, and transitivity (plus optionally totality) is asserted
+as clauses.  Which counts it solves, and in what order, is
+check_sat_engine's cloning-lemma search; the verdict and witness are those
+of the least count with a model.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
@@ -25,31 +26,27 @@ evaluator on the one model, which shares no code with the encoder or the
 CDCL search.
 
 Everything is deterministic: variables are allocated in a documented order
-(relation variables, then atoms by name and world, then value symbols, then
-gates) and the solver branches on the lowest-numbered unassigned variable,
-trying False first.  With a static order, False first, no restarts and only
+(see _Encoder) and the solver branches on the lowest-numbered unassigned
+variable, trying False first.  With a static order, no restarts and only
 implied learnt clauses, the witness is the least model in that order, the
 first relation variable the most significant; this was checked against brute
-force up to 3 worlds, not proved.
+force up to 3 worlds, not proved.  A one-sided definition admits the same
+assignments of the primary variables, so it leaves that model unchanged.
 
 From LEMMA_MIN_WORLDS worlds up, the encoding ends with a maximal-world
-lemma: every world is maximal or has a strictly better maximal world.  It
-holds in every finite preorder, so the models over the primary variables do
-not change.  The solver probes the lemma's literals before its search (failed
-literals, Lynce & Marques-Silva, SAT 2003): each "v is strictly better than w
-and maximal" is decided at level 1, and a conflict is learnt as in the
-search.  Each case ruling is refuted by this argument, in n - 1 probe
+lemma, which holds in every finite preorder, and the solver probes its
+literals before its search (failed literals, Lynce & Marques-Silva, SAT
+2003).  Each case ruling is refuted by this argument, in n - 1 probe
 conflicts at n worlds; the static search alone needed 268 for pierson at 7
-worlds, about 2.6 times more per added world.  A probe's learnt clause is
-implied by the clauses, and the search then starts from level 0 in the
-static order, so witnesses are still the least model.
+worlds, about 2.6 times more per added world.
 """
 from __future__ import annotations
 
 import math
 import time
 from contextvars import ContextVar
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations, count, islice, permutations, repeat
 from operator import neg
 
 from . import syntax as sx
@@ -144,9 +141,47 @@ class Query(sx.Node):
             raise ValueError("budget must be a number of seconds, not nan")
 
     @cached_property
+    def program(self) -> tuple[tuple, tuple]:
+        """The query compiled once for every world count: its distinct
+        subformulas, children first, as (formula, child positions, every,
+        polarity), and (position, every, sign) per top-level formula.  A node
+        is built at every world (`every`) under an axiom, a modality or a node
+        true at every world or at none, else at world 0; polarity is as
+        _OPERANDS says.  Equal subtrees are one node, keyed by structure."""
+        index: dict = {}  # position by structure, and by id (every node stays alive)
+        nodes: list[list] = []
+
+        def visit(f: sx.Formula) -> int:
+            pos = index.get(id(f))
+            if pos is None:
+                kids = tuple(map(visit, sx.children(f)))
+                cls = type(f)
+                key = (cls, kids, f.strict) if cls is sx.CpPrefAA else (cls, kids) if kids else f
+                pos = index[id(f)] = index.setdefault(key, len(nodes))
+                if pos == len(nodes):
+                    nodes.append([f, kids, False, 0])
+            return pos
+
+        target = () if self.target is None else (self.target,)
+        roots = tuple((visit(f), every, sign) for formulas, every, sign in (
+            (self.axioms, True, 1), (self.facts, False, 1),
+            (target, False, -1 if self.mode == "refute" else 1)) for f in formulas)
+        for pos, every, sign in roots:
+            nodes[pos][2] |= every
+            nodes[pos][3] |= _POS if sign > 0 else _NEG
+        for f, kids, every, pol in reversed(nodes):  # all uses of a node come after it
+            spread = every or type(f) in _SPREAD
+            head, tail = _OPERANDS.get(type(f), (_SAME, ()))
+            cut = len(kids) - len(tail)
+            for j, kid in enumerate(kids):
+                nodes[kid][2] |= spread
+                nodes[kid][3] |= (head if j < cut else tail[j - cut])[pol]
+        return tuple(map(tuple, nodes)), roots
+
+    @cached_property
     def symbols(self) -> tuple[tuple, tuple]:
         """Ground atom keys and value symbols of every formula, each sorted in
-        variable order; collected once per query."""
+        variable order; collected without the program, which the oracle skips."""
         formulas = [*self.axioms, *self.facts]
         if self.target is not None:
             formulas.append(self.target)
@@ -442,15 +477,24 @@ class CDCL:
 # ---------------------------------------------------------------------------
 # encoding
 
-# The one modal rule's (sign, strict, guarded) for each modality, as in
-# model._diamond: a box is the negated diamond of its negated body.
-_MODALITIES = {
-    sx.DiaWeak: (1, False, False), sx.DiaStrict: (1, True, False),
-    sx.CpDiaWeak: (1, False, True), sx.CpDiaStrict: (1, True, True),
-    sx.BoxWeak: (-1, False, False), sx.BoxStrict: (-1, True, False),
-}
-# Formulas true at every world or at none; encoded once, at world -1.
-_WORLD_INDEPENDENT = frozenset((sx.Somewhere, sx.Everywhere, sx.CpPrefAA))
+# The one modal rule's (sign, strict) for each modality, as in model._diamond.
+_MODALITIES = {sx.DiaWeak: (1, False), sx.DiaStrict: (1, True), sx.CpDiaWeak: (1, False),
+               sx.CpDiaStrict: (1, True), sx.BoxWeak: (-1, False), sx.BoxStrict: (-1, True)}
+# Nodes whose operands are read at every world; the last three are encoded once.
+_SPREAD = frozenset((*_MODALITIES, sx.Somewhere, sx.Everywhere, sx.CpPrefAA))
+
+# Polarities as bit sets: the halves of a gate's definition its uses need
+# (Plaisted & Greenbaum, J. Symbolic Computation 1986).  Axioms and facts are
+# positive and a refuted target negative.  `not`, an implication's antecedent
+# and cp-pref-aa's operands flip an operand's polarity, `iff` operands and cp
+# guards take both, and any other operand keeps its node's: per class, the
+# rule of its leading operands and of its last ones, each indexed by the
+# node's polarity.
+_POS, _NEG, _BOTH = 1, 2, 3
+_SAME, _FLIP, _EITHER = (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 3, 3)
+_OPERANDS = {sx.Not: (_FLIP, ()), sx.Implies: (_FLIP, (_SAME,)), sx.Iff: (_EITHER, ()),
+             sx.CpDiaWeak: (_EITHER, (_SAME,)), sx.CpDiaStrict: (_EITHER, (_SAME,)),
+             sx.CpPrefAA: (_EITHER, (_FLIP, _FLIP))}
 
 
 class _Encoder:
@@ -459,89 +503,65 @@ class _Encoder:
     Variable layout: relation variables for ordered pairs (i,j), i != j, in
     lexicographic order; then one variable per ground atom (sorted by name
     and argument tuple) per world; then one per value symbol (sorted) per
-    world; then definition gates in creation order, the maximal-world lemma's
-    last.  `t` builds the gates for each distinct subformula once per world:
-    it caches by node id, and equal subtrees of a loaded KB are one node.  A
-    subtree built again as another object gets the same literal from the
-    conj and iff caches, with no new variable or clause, so sharing changes
-    the build's cost and not its CNF.
-
-    Every conjunction gate, k-ary or of two literals, is made by `conj`'s one
-    emitter, so all share its cache, clause layout and numbering.  The strict
-    edges s(w,v) sit in the table `_strict` (0 until built), each filled by
-    `conj` on first use, so that a gate is numbered where it was first needed
-    and every later use reads the table.
+    world; then definition gates in program order, the maximal-world lemma's
+    last.  `build` takes the program node by node; `lits[i]` holds node i's
+    literal per world.  Definitions are one-sided (Plaisted & Greenbaum): a
+    gate gets [-g, ...] for its positive uses and [g, ...] for its negative
+    ones, as the polarity given to `conj`, `iff` and `edges` asks.  Their
+    caches, keyed by literals, hold each gate with the halves emitted; a
+    gate met again may lack one, which is emitted then, after those its
+    operands need (their nodes come first in the program).
     """
 
     def __init__(self, n: int, atom_keys, inc_keys, total: bool):
         self.n = n
-        self.clauses: list[list[int]] = []
-        self.nvars = 0
-        self.rel: dict[tuple[int, int], int] = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    self.rel[(i, j)] = self._new()
-        self.atom_vars: dict = {}
-        for key in atom_keys:
-            self.atom_vars[key] = [self._new() for _ in range(n)]
-        self.inc_vars: dict = {}
-        for key in inc_keys:
-            self.inc_vars[key] = [self._new() for _ in range(n)]
-        self.vtrue = self._new()
-        self.clauses.append([self.vtrue])
+        ids = count(1)
+        self.rel = rel = dict(zip(permutations(range(n), 2), ids))
+        self.atom_vars = {key: list(islice(ids, n)) for key in atom_keys}
+        self.inc_vars = {key: list(islice(ids, n)) for key in inc_keys}
+        self.vtrue = self.nvars = vtrue = next(ids)
+        self.lits: list[list[int]] = []
         self.probes: list[int] = []
         self._conj_memo: dict[tuple[int, ...], int] = {}
         self._iff_memo: dict[tuple[int, int], int] = {}
-        self._t_memo: dict[tuple[int, int], int] = {}
-        self._keep: list = []  # formula refs pinned while ids are cache keys
-        # no world is strictly better than itself
-        self._strict = [[-self.vtrue if v == w else 0 for v in range(n)] for w in range(n)]
-
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if i != j and j != k and i != k:
-                        self.clauses.append(
-                            [-self.rel[(i, j)], -self.rel[(j, k)], self.rel[(i, k)]]
-                        )
+        self._weak = [[rel.get((w, v), vtrue) for v in range(n)] for w in range(n)]
+        self._strict = [[-vtrue if v == w else 0 for v in range(n)] for w in range(n)]  # 0: unbuilt
+        self._row_done = [0] * n
+        self.clauses = [[vtrue], *([-rel[(i, j)], -rel[(j, k)], rel[(i, k)]]
+                                   for i, j, k in permutations(range(n), 3))]
         if total:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    self.clauses.append([self.rel[(i, j)], self.rel[(j, i)]])
+            self.clauses += ([rel[(i, j)], rel[(j, i)]] for i, j in combinations(range(n), 2))
 
     def _new(self) -> int:
         self.nvars += 1
         return self.nvars
 
-    def rlit(self, i: int, j: int) -> int:
-        return self.vtrue if i == j else self.rel[(i, j)]
+    def edges(self, w: int, strict: bool, pol: int) -> list[int]:
+        """Per world v, the literal saying v is weakly better than w, or
+        strictly: weakly, and w not weakly better than v (false at v = w).  A
+        strict row's gates get the halves pol needs when a use first does."""
+        if not strict:
+            return self._weak[w]
+        row, rel = self._strict[w], self.rel
+        if pol & ~self._row_done[w]:
+            self._row_done[w] |= pol
+            row[:] = [self.conj((rel[(w, v)], -rel[(v, w)]), pol) if v != w else row[w]
+                      for v in range(self.n)]
+        return row
 
-    def strict_edge(self, w: int, v: int) -> int:
-        """The literal saying v is strictly better than w: weakly, and w not
-        weakly better than v.  Read from the table, built on first use."""
-        lit = self._strict[w][v]
-        if not lit:
-            lit = self._strict[w][v] = self.conj((self.rel[(w, v)], -self.rel[(v, w)]))
-        return lit
+    def edge(self, w: int, v: int, strict: bool, guards, pol: int) -> list[int]:
+        """Literals that together say v is weakly (strictly) better than w
+        and agrees with w on every guard (each its literals per world)."""
+        return [self.edges(w, strict, pol)[v], *[self.iff(g[w], g[v], pol) for g in guards]]
 
-    def edge(self, w: int, v: int, strict: bool, guards) -> list[int]:
-        """Literals that together say v is weakly (strictly: weakly and not
-        conversely, from the strict-edge table) better than w and agrees with
-        w on every guard."""
-        lits = [self.strict_edge(w, v) if strict else self.rlit(w, v)]
-        for g in guards:
-            lits.append(self.iff(self.t(g, w), self.t(g, v)))
-        return lits
-
-    def conj(self, lits) -> int:
+    def conj(self, lits, pol: int) -> int:
         """A gate for the conjunction, its literals without repeats; a
         complementary pair is false, so each clause satisfies CDCL.load.
 
         Two literals are normalised by comparisons alone; more (or fewer) go
-        through a dict.  Either way what is left meets one emitter: the cache,
-        keyed by the sorted literals, then a new gate g with the clauses
-        [-g, l] for each literal l in the given order and [g, -l...]."""
+        through a dict.  What is left meets the cache, keyed by the sorted
+        literals, then the halves pol asks for that g lacks: [-g, l] for each
+        literal l in the given order, and [g, -l...]."""
         vtrue = self.vtrue
         if len(lits) == 2:
             a, b = lits
@@ -562,149 +582,130 @@ class _Encoder:
             if len(out) < 2:
                 return next(iter(out), vtrue)
             lits, key = out, tuple(sorted(out))
-        hit = self._conj_memo.get(key)
-        if hit is not None:
-            return hit
-        g = self.nvars = self.nvars + 1
+        hit = self._conj_memo.get(key, 0)  # gate << 2 | the halves it has
+        if not pol & ~hit:
+            return hit >> 2
+        g, pol = hit >> 2 or self._new(), pol & ~hit
+        self._conj_memo[key] = g << 2 | hit | pol
         clauses = self.clauses
-        for l in lits:
-            clauses.append([-g, l])
-        clauses.append([g, *map(neg, lits)])
-        self._conj_memo[key] = g
+        if pol & _POS:
+            for l in lits:
+                clauses.append([-g, l])
+        if pol & _NEG:
+            clauses.append([g, *map(neg, lits)])
         return g
 
-    def disj(self, lits) -> int:
-        return -self.conj([-l for l in lits])
+    def disj(self, lits, pol: int) -> int:
+        return -self.conj([-l for l in lits], _FLIP[pol])
 
-    def iff(self, a: int, b: int) -> int:
-        if a == b:
-            return self.vtrue
-        if a == -b:
-            return -self.vtrue
-        if a == self.vtrue:
-            return b
-        if b == self.vtrue:
-            return a
-        if a == -self.vtrue:
-            return -b
-        if b == -self.vtrue:
-            return -a
+    def iff(self, a: int, b: int, pol: int) -> int:
+        vtrue = self.vtrue
+        if abs(a) == abs(b):
+            return vtrue if a == b else -vtrue
+        if abs(a) == vtrue:
+            return b if a > 0 else -b
+        if abs(b) == vtrue:
+            return a if b > 0 else -a
         key = (a, b) if a < b else (b, a)
-        hit = self._iff_memo.get(key)
-        if hit is not None:
-            return hit
-        g = self._new()
-        self.clauses.append([-g, -a, b])
-        self.clauses.append([-g, a, -b])
-        self.clauses.append([g, a, b])
-        self.clauses.append([g, -a, -b])
-        self._iff_memo[key] = g
+        hit = self._iff_memo.get(key, 0)
+        if not pol & ~hit:
+            return hit >> 2
+        g, pol = hit >> 2 or self._new(), pol & ~hit
+        self._iff_memo[key] = g << 2 | hit | pol
+        if pol & _POS:
+            self.clauses += ([-g, -a, b], [-g, a, -b])
+        if pol & _NEG:
+            self.clauses += ([g, a, b], [g, -a, -b])
         return g
 
-    def t(self, f: sx.Formula, w: int) -> int:
-        """Literal equivalent to "f holds at world w"."""
-        if type(f) in _WORLD_INDEPENDENT:
-            w = -1
-        key = (id(f), w)
-        hit = self._t_memo.get(key)
-        if hit is not None:
-            return hit
-        self._keep.append(f)
-        lit = self._t_build(f, w)
-        self._t_memo[key] = lit
-        return lit
-
-    def _t_build(self, f: sx.Formula, w: int) -> int:
-        cls = type(f)
-        modality = _MODALITIES.get(cls)
-        if modality is not None:
-            sign, strict, guarded = modality
-            guards, sub = f.guards if guarded else (), f.sub
-            t, conj, opts = self.t, self.conj, []
-            for v in range(self.n):
-                if guards:
-                    lits = self.edge(w, v, strict, guards)
-                    lits.append(sign * t(sub, v))
-                    opts.append(conj(lits))
-                else:
-                    e = self.strict_edge(w, v) if strict else self.rlit(w, v)
-                    opts.append(conj((e, sign * t(sub, v))))
-            return sign * self.disj(opts)
-        if cls is sx.Atom:
-            return self.atom_vars[(f.pred, f.args)][w]
-        if cls is sx.ValAtom:
-            return self.inc_vars[(f.value, f.party)][w]
-        if cls is sx.Not:
-            return -self.t(f.sub, w)
-        if cls is sx.And:
-            return self.conj([self.t(a, w) for a in f.args])
-        if cls is sx.Or:
-            return self.disj([self.t(a, w) for a in f.args])
-        if cls is sx.Implies:
-            return -self.conj((self.t(f.lhs, w), -self.t(f.rhs, w)))
-        if cls is sx.Iff:
-            return self.iff(self.t(f.lhs, w), self.t(f.rhs, w))
-        n = self.n
-        if cls is sx.Somewhere:
-            return self.disj([self.t(f.sub, v) for v in range(n)])
-        if cls is sx.Everywhere:
-            return self.conj([self.t(f.sub, v) for v in range(n)])
-        if cls is sx.CpPrefAA:
-            parts = []
-            for s in range(n):
-                for u in range(n):
-                    guard = self.conj(self.edge(s, u, f.strict, f.guards))  # first: variable order
-                    parts.append(self.disj((-self.t(f.lhs, s), -self.t(f.rhs, u), guard)))
-            return self.conj(parts)
-        raise EngineError(f"not a formula node: {cls.__name__}")
+    def build(self, nodes, budget: _Budget):
+        """Append each program node's literals, one per world it is built at,
+        checking the budget before each node."""
+        n, lits, conj, check = self.n, self.lits, self.conj, budget.check
+        get, everywhere = lits.__getitem__, range(n)
+        for f, kids, every, pol in nodes:
+            check()
+            cls = type(f)
+            if cls is sx.Atom or cls is sx.ValAtom:
+                lits.append(self.atom_vars[(f.pred, f.args)] if cls is sx.Atom
+                            else self.inc_vars[(f.value, f.party)])
+                continue
+            worlds = everywhere if every else range(1)
+            args = list(map(get, kids))
+            rows = zip(*args) if every else (next(zip(*args)),)  # operands per world
+            if cls is sx.Not:
+                out = [-a for a, in rows]
+            elif cls is sx.And:
+                out = list(map(conj, rows, repeat(pol)))
+            elif cls is sx.Or:
+                out = list(map(self.disj, rows, repeat(pol)))
+            elif cls is sx.Implies:
+                out = [-conj((a, -b), _FLIP[pol]) for a, b in rows]
+            elif cls is sx.Iff:
+                out = [self.iff(a, b, pol) for a, b in rows]
+            elif cls in _MODALITIES:  # a box is the negated diamond of its negated body
+                sign, strict = _MODALITIES[cls]
+                *guards, sub = args
+                opt = pol if sign > 0 else _FLIP[pol]  # the options' polarity
+                out = []
+                for w in worlds:
+                    if guards:
+                        opts = [conj([*self.edge(w, v, strict, guards, opt), sign * sub[v]], opt)
+                                for v in range(n)]
+                    else:
+                        opts = [conj((e, sign * x), opt)
+                                for e, x in zip(self.edges(w, strict, opt), sub)]
+                    out.append(sign * self.disj(opts, opt))
+            elif cls is sx.Somewhere or cls is sx.Everywhere:
+                out = [(self.disj if cls is sx.Somewhere else conj)(args[0], pol)] * len(worlds)
+            else:  # cp-pref-aa: every lhs world has every rhs world above it
+                *guards, lhs, rhs = args
+                parts = [self.disj((-lhs[s], -rhs[u], conj(self.edge(s, u, f.strict, guards, pol),
+                                                           pol)), pol)
+                         for s in range(n) for u in range(n)]
+                out = [conj(parts, pol)] * len(worlds)
+            lits.append(out)
 
     def maximal_world_lemma(self):
         """Clauses saying every world is maximal or has a strictly better
-        maximal world.  encode calls it last, so its new gates are numbered
-        after every formula gate.  s(w,v) is the strict edge (shared with the
-        modalities' through the conj memo), m(w) = no s(w,v) and
-        c(w,v) = s(w,v) and m(v).  For each w the clause is
+        maximal world; encode calls it last, and its gates get both halves.
+        s(w,v) is the strict edge (shared with the modalities'), m(w) = no
+        s(w,v) and c(w,v) = s(w,v) and m(v).  For each w the clause is
         [m(w), c(w,v) for v != w]: following strictly better worlds from w
         ends, by finiteness and transitivity, at a maximal world strictly
         above w.  Every preorder satisfies it, so the models over the primary
         variables stay the same.  The c(w,v), in w-then-v order, are the
         solver's probe literals."""
         n = self.n
-        strict = [[self.strict_edge(w, v) for v in range(n)] for w in range(n)]
-        maximal = [self.conj([-strict[w][v] for v in range(n) if v != w]) for w in range(n)]
+        strict = [self.edges(w, True, _BOTH) for w in range(n)]
+        maximal = [self.conj([-strict[w][v] for v in range(n) if v != w], _BOTH)
+                   for w in range(n)]
         for w in range(n):
-            tops = [self.conj((strict[w][v], maximal[v])) for v in range(n) if v != w]
+            tops = [self.conj((strict[w][v], maximal[v]), _BOTH) for v in range(n) if v != w]
             self.clauses.append([maximal[w], *tops])
             self.probes += tops
 
     def decode(self, solver: CDCL) -> PreferenceModel:
         lv = solver.lv
-        rows = tuple(sum(1 << j for j in range(self.n) if lv[self.rlit(i, j)] == 1)
-                     for i in range(self.n))
 
-        def world_sets(vars_by_key: dict) -> dict:
-            return {key: sum(1 << w for w, var in enumerate(vars_) if lv[var] == 1)
-                    for key, vars_ in vars_by_key.items()}
+        def bits(lits) -> int:  # the worlds whose literal is true
+            return sum(1 << w for w, lit in enumerate(lits) if lv[lit] == 1)
 
-        return PreferenceModel(self.n, rows, world_sets(self.atom_vars), world_sets(self.inc_vars))
+        return PreferenceModel(self.n, tuple(map(bits, self._weak)),
+                               {key: bits(vars_) for key, vars_ in self.atom_vars.items()},
+                               {key: bits(vars_) for key, vars_ in self.inc_vars.items()})
 
 
 def encode(q: Query, n: int) -> _Encoder:
-    """Clauses of the query at exactly n worlds.  Inside solve_at, its budget
-    is checked before each top-level formula."""
-    budget = _ENCODE_BUDGET.get()
+    """Clauses of the query at exactly n worlds, its program built node by
+    node.  Inside solve_at, its budget is checked before each node."""
+    nodes, roots = q.program
     enc = _Encoder(n, *q.symbols, q.total)
-    for ax in q.axioms:
-        budget.check()
-        for w in range(n):
-            enc.clauses.append([enc.t(ax, w)])
-    for fact in q.facts:
-        budget.check()
-        enc.clauses.append([enc.t(fact, 0)])
-    if q.target is not None:
-        budget.check()
-        lit = enc.t(q.target, 0)
-        enc.clauses.append([-lit] if q.mode == "refute" else [lit])
+    enc.build(nodes, _ENCODE_BUDGET.get())
+    for pos, every, sign in roots:
+        lits = enc.lits[pos]
+        for lit in lits if every else lits[:1]:
+            enc.clauses.append([sign * lit])
     if n >= LEMMA_MIN_WORLDS:
         enc.maximal_world_lemma()
     return enc
@@ -716,25 +717,17 @@ def encode(q: Query, n: int) -> _Encoder:
 
 def _model_admits(q: Query, m: PreferenceModel) -> bool:
     """Axioms true at every world and facts true at world 0."""
-    for ax in q.axioms:
-        if not globally_true(m, ax):
-            return False
-    for fact in q.facts:
-        if not truth_at(m, fact, 0):
-            return False
-    return True
+    return (all(globally_true(m, ax) for ax in q.axioms)
+            and all(truth_at(m, fact, 0) for fact in q.facts))
 
 
 def _validate_witness(q: Query, m: PreferenceModel):
     validate_model(m, total=q.total)
     if not _model_admits(q, m):
         raise EngineError("witness fails axioms or facts on re-evaluation")
-    if q.target is not None:
-        holds = truth_at(m, q.target, 0)
-        if q.mode == "refute" and holds:
-            raise EngineError("claimed countermodel satisfies the target")
-        if q.mode == "find" and not holds:
-            raise EngineError("claimed model falsifies the target")
+    if q.target is not None and truth_at(m, q.target, 0) != (q.mode == "find"):
+        raise EngineError("claimed countermodel satisfies the target" if q.mode == "refute"
+                          else "claimed model falsifies the target")
 
 
 def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel | None:
@@ -798,10 +791,17 @@ def check_sat_engine(q: Query, budget: _Budget | None = None) -> Verdict:
         return Unknown("budget-exhausted")
 
 
+@cache
+def _preorder_count(n: int, total: bool) -> int:
+    return sum(not total or is_total(rows) for rows in all_preorders(n))
+
+
 def _oracle_work(q: Query) -> int:
+    """The models enum_oracle decides: the preorders it walks (only the total
+    ones for a total query) times the valuations of the symbols."""
     atoms, incidence = q.symbols
     syms = len(atoms) + len(incidence)
-    return sum(len(all_preorders(n)) << (n * syms) for n in range(1, q.bound + 1))
+    return sum(_preorder_count(n, q.total) << (n * syms) for n in range(1, q.bound + 1))
 
 
 def oracle_in_domain(q: Query) -> bool:

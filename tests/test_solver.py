@@ -13,6 +13,7 @@ from prefsat import solver
 from prefsat.model import (
     PreferenceModel,
     all_preorders,
+    globally_true,
     is_total,
     render_text,
     truth_at,
@@ -161,15 +162,16 @@ def test_budget_is_checked_every_256_search_steps():
 
 
 # The pierson ruling at bound 6, recorded with the maximal-world lemma probed
-# from 4 worlds: per world count, the learnt clauses appended to `clauses`,
-# the unit learnts, decisions and propagated trail literals; and the sha256 of
-# the appended learnt clauses, in order, as they stand when the solve returns,
-# followed per count by its unit learnts.  The counts below 4 worlds are those
-# recorded before the literal-indexed kernel; at 4 to 6 worlds each ruling is
-# refuted by n - 1 unit learnts while probing, without a search decision.
-PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 109), 3: (1, 3, 4, 454), 4: (0, 3, 0, 507),
-             5: (0, 4, 0, 739), 6: (0, 5, 0, 1017)}
-PIERSON_6_SHA256 = "9718ed34910558c630c8227785566314d2f793fc8bcf1bedecf5fb1ee9240f2f"
+# from 4 worlds and gates defined by polarity: per world count, the learnt
+# clauses appended to `clauses`, the unit learnts, decisions and propagated
+# trail literals; and the sha256 of the appended learnt clauses, in order, as
+# they stand when the solve returns, followed per count by its unit learnts.
+# At 4 to 6 worlds each ruling is refuted by n - 1 unit learnts while probing,
+# without a search decision.  With both halves of every definition the
+# propagations were 109, 454, 507, 739 and 1017 at 2 to 6 worlds.
+PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 107), 3: (1, 3, 4, 348), 4: (0, 3, 0, 391),
+             5: (0, 4, 0, 547), 6: (0, 5, 0, 729)}
+PIERSON_6_SHA256 = "b0bd91c7214af6202fb1b447b7e5d39386cc534302e07fc26a9dd3488da172c6"
 # The deepest decision level per world count, recorded before `max_level`
 # existed by tracking the length of `lim`; a probe is decided at level 1.
 PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 1, 5: 1, 6: 1}
@@ -245,18 +247,43 @@ def test_encoder_clauses_are_normal(target):
         assert isinstance(check(replace(q, engine="both")), kind)
 
 
+BOTH = solver._BOTH
+
+
 def test_conj_drops_repeats_and_reads_a_complementary_pair_as_false():
     enc = solver._Encoder(1, [("P", ()), ("Q", ())], [], False)
     p, q = enc.atom_vars[("P", ())][0], enc.atom_vars[("Q", ())][0]
-    g = enc.conj([p, q])
+    g = enc.conj([p, q], BOTH)
     assert enc.clauses[-3:] == [[-g, p], [-g, q], [g, -p, -q]]
     size = (enc.nvars, len(enc.clauses))
-    assert enc.conj([q, p, q, enc.vtrue]) == g
-    assert enc.conj([p, enc.vtrue, p]) == p
-    assert enc.conj([enc.vtrue]) == enc.vtrue
-    assert enc.conj([p, q, -p]) == -enc.vtrue
-    assert enc.disj([q, -q]) == enc.vtrue
+    assert enc.conj([q, p, q, enc.vtrue], BOTH) == g
+    assert enc.conj([p, enc.vtrue, p], BOTH) == p
+    assert enc.conj([enc.vtrue], BOTH) == enc.vtrue
+    assert enc.conj([p, q, -p], BOTH) == -enc.vtrue
+    assert enc.disj([q, -q], BOTH) == enc.vtrue
     assert (enc.nvars, len(enc.clauses)) == size  # no gate and no clause for any of them
+
+
+def test_a_gate_gets_each_half_of_its_definition_once():
+    # a positive use emits [-g, ...], a negative one [g, ...], and a cache hit
+    # only the half still missing
+    pos, neg_ = solver._POS, solver._NEG
+    for first, second in ((pos, neg_), (neg_, pos)):
+        enc = solver._Encoder(1, [("P", ()), ("Q", ())], [], False)
+        p, q = enc.atom_vars[("P", ())][0], enc.atom_vars[("Q", ())][0]
+        start = len(enc.clauses)
+        g, h = enc.conj([p, q], first), enc.iff(p, q, first)
+        halves = {pos: [[-g, p], [-g, q], [-h, -p, q], [-h, p, -q]],
+                  neg_: [[g, -p, -q], [h, p, q], [h, -p, -q]]}
+        assert enc.clauses[start:] == halves[first]
+        assert (enc.conj([q, p], first), enc.iff(q, p, first)) == (g, h)
+        assert (enc.conj([p, q], BOTH), enc.iff(p, q, BOTH)) == (g, h)
+        assert (enc.conj([p, q], second), enc.iff(p, q, second)) == (g, h)
+        # the missing halves, each gate's at its next use
+        conj_second = [c for c in halves[second] if abs(c[0]) == g]
+        iff_second = [c for c in halves[second] if abs(c[0]) == h]
+        assert enc.clauses[start:] == halves[first] + conj_second + iff_second
+        assert enc.nvars == h
 
 
 def test_two_literal_conj_matches_the_k_ary_path():
@@ -268,7 +295,7 @@ def test_two_literal_conj_matches_the_k_ary_path():
             p, q = enc.atom_vars[("P", ())][0], enc.atom_vars[("Q", ())][0]
             lits = (p, -p, q, -q, enc.vtrue, -enc.vtrue)
             pair = [lits[i], lits[j]] + [enc.vtrue] * k_ary
-            results.append((enc.conj(pair), enc.nvars, enc.clauses))
+            results.append((enc.conj(pair, BOTH), enc.nvars, enc.clauses))
         assert results[0] == results[1], (i, j)
 
 
@@ -277,44 +304,44 @@ def test_strict_edges_come_from_one_table():
     alone = solver._Encoder(3, [], [], False)
     for w, v in product(range(3), repeat=2):
         if w == v:
-            assert enc.edge(w, w, True, ()) == [-enc.vtrue]
+            assert enc.edge(w, w, True, (), BOTH) == [-enc.vtrue]
             continue
-        lit = enc.edge(w, v, True, ())[0]
-        assert lit == alone.conj((alone.rel[(w, v)], -alone.rel[(v, w)]))
+        lit = enc.edge(w, v, True, (), BOTH)[0]
+        assert lit == alone.conj((alone.rel[(w, v)], -alone.rel[(v, w)]), BOTH)
         size = (enc.nvars, len(enc.clauses))
-        assert enc.strict_edge(w, v) == lit and (enc.nvars, len(enc.clauses)) == size
+        assert enc.edges(w, True, BOTH)[v] == lit and (enc.nvars, len(enc.clauses)) == size
     assert (enc.nvars, enc.clauses) == (alone.nvars, alone.clauses)
+    # a row built for positive uses gets the negative halves when one needs them
+    enc = solver._Encoder(2, [], [], False)
+    a, b = enc.rel[(0, 1)], enc.rel[(1, 0)]
+    g = enc.edges(0, True, solver._POS)[1]
+    assert enc.clauses[-2:] == [[-g, a], [-g, -b]]
+    assert enc.edges(0, True, BOTH)[1] == g and enc.clauses[-3:] == [[-g, a], [-g, -b], [g, -a, b]]
 
 
-def propagate_gates(clauses, fixed):
-    """Extend an assignment (variable -> bool) by naive unit propagation over
-    the given clauses, rescanning all of them until nothing changes.  Shares
-    no code with CDCL."""
-    val = dict(fixed)
-    changed = True
-    while changed:
-        changed = False
-        for c in clauses:
-            free = []
-            for lit in c:
-                v = val.get(abs(lit))
-                if v is None:
-                    free.append(lit)
-                elif v == (lit > 0):
-                    break
-            else:
-                if len(free) == 1:
-                    val[abs(free[0])] = free[0] > 0
-                    changed = True
+def gate_values(enc, fixed):
+    """Extend an assignment of the primary variables (variable -> bool) to
+    every gate by its meaning: a conjunction of its cache key's literals, or
+    the equivalence of its two.  Read from the encoder's caches, in variable
+    order, as each gate's literals are older than it; shares no code with
+    the clauses."""
+    val = dict(fixed)  # a cache holds each gate as gate << 2 | the halves emitted
+    defs = {g >> 2: (all, key) for key, g in enc._conj_memo.items()}
+    defs.update({g >> 2: (lambda holds: holds[0] == holds[1], key)
+                 for key, g in enc._iff_memo.items()})
+    for g in sorted(defs):
+        meaning, key = defs[g]
+        val[g] = meaning([val[abs(lit)] == (lit > 0) for lit in key])
     return val
 
 
 def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
     """Each case's goal query at 4 to 7 worlds, the sizes SAT witnesses reach
     and the oracle does not.  On seeded random models the relation and symbol
-    variables are set from the model and every gate is derived from its
-    defining clauses; those must all hold, and every encoded subformula must
-    be true exactly where the model evaluator says it is."""
+    variables are set from the model and every gate to its meaning; then
+    every definition clause must hold (a one-sided definition is implied by
+    the whole one), and every program node's literal must be true exactly
+    where the model evaluator says the subformula is."""
     rng = random.Random(9)
     checked = 0
     for case, goal in (("pierson", "ruling-for-d"), ("post", "ruling-for-p"),
@@ -325,10 +352,6 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
             enc = solver.encode(q, n)
             # the unit clauses are [vtrue] and the asserted formulas
             definitions = [c for c in enc.clauses if len(c) > 1]
-            nodes = {id(f): f for f in enc._keep}
-            # six models: a loaded KB shares its equal subformulas, so the
-            # memo holds each distinct (subformula, world) once, about half
-            # the entries it held unshared; three models checked 24 048
             for _ in range(6):
                 pairs = [(a, b) for a in range(n) for b in range(n)
                          if a != b and rng.random() < 0.3]
@@ -341,16 +364,17 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
                     for key, vars_ in symbols.items():
                         fixed.update({var: bool(world_sets[key] >> w & 1)
                                       for w, var in enumerate(vars_)})
-                val = propagate_gates(definitions, fixed)
-                assert len(val) == enc.nvars, (case, n, "a gate is left undetermined")
+                val = gate_values(enc, fixed)
+                assert len(val) == enc.nvars, (case, n, "a gate has no definition")
                 assert all(any(val[abs(lit)] == (lit > 0) for lit in c) for c in definitions)
-                for (node_id, w), lit in enc._t_memo.items():
-                    f = nodes[node_id]
-                    expected = truth_at(m, f, max(w, 0))  # w = -1: world-independent
-                    assert (val[abs(lit)] == (lit > 0)) == expected, \
-                        (case, n, w, render_text(m), sx.format_formula(f))
-                    checked += 1
-    assert checked > 40_000, checked
+                for (f, _, every, _), lits in zip(q.program[0], enc.lits):
+                    for w in range(n if every else 1):
+                        assert (val[abs(lits[w])] == (lits[w] > 0)) == truth_at(m, f, w), \
+                            (case, n, w, render_text(m), sx.format_formula(f))
+                        checked += 1
+    # every (node, world) of six models; the memo by node id held 48 096
+    # pairs, a node true at every world or at none once
+    assert checked == 49_500, checked
 
 
 def unshared(f):
@@ -373,9 +397,10 @@ def unshared_query(q):
 
 
 # sha256 of repr((nvars, clauses, probes)) of every encoding in
-# test_sharing_changes_no_encoding, in its order, recorded before a loaded KB
-# shared its equal subformulas
-ENCODINGS_SHA256 = "e360855742828c4f4e75c073520960473c1f7fb2e3f7482a1aff8e586108b17d"
+# test_sharing_changes_no_encoding, in its order, recorded when gates were
+# first defined by polarity and numbered in program order (before that:
+# e360855742828c4f4e75c073520960473c1f7fb2e3f7482a1aff8e586108b17d)
+ENCODINGS_SHA256 = "f45f444de2202bdaa24c001464244cf885184f6c017e4eaf478193f411baaa12"
 
 
 def test_sharing_changes_no_encoding():
@@ -399,34 +424,94 @@ def test_sharing_changes_no_encoding():
     assert digest.hexdigest() == ENCODINGS_SHA256
 
 
+def node_worlds(q, n):
+    """The (node, world) pairs the program builds at n worlds, a node true at
+    every world or at none counted once."""
+    once = {sx.Somewhere, sx.Everywhere, sx.CpPrefAA}
+    return sum(n if every and type(f) not in once else 1 for f, _, every, _ in q.program[0])
+
+
 def test_a_loaded_kb_is_encoded_once_per_distinct_subformula():
     q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
-    enc = solver.encode(q, 7)
-    nodes = {id(f): f for f in enc._keep}
-    by_world = {}
-    for node_id, w in enc._t_memo:
-        by_world.setdefault(w, []).append(nodes[node_id])
-    for w, formulas in by_world.items():
-        assert len(set(formulas)) == len(formulas), w  # no two equal nodes at one world
+    nodes = [f for f, *_ in q.program[0]]
+    assert len(set(nodes)) == len(nodes) == 131  # no two equal nodes
     copy = unshared_query(q)
-    assert (len(enc._t_memo), len(solver.encode(copy, 7)._t_memo)) == (863, 1572)
+    assert copy.program == q.program
+    # a cache by node id met 863 (node, world) pairs here and 1572 in the copy
+    assert (node_worlds(q, 7), node_worlds(copy, 7)) == (863, 863)
 
 
 def test_proof_steps_share_their_subformulas():
     kb = kbmod.case_kb("pierson")
     steps = kbmod.load_proof(kbmod.case_proof_path("pierson"), kb.sig)
-    memo = 0
+    pairs = 0
     for _, q in kbmod.step_queries(steps, kb):
         enc, copy = solver.encode(q, q.bound), solver.encode(unshared_query(q), q.bound)
         assert (enc.nvars, enc.clauses, enc.probes) == (copy.nvars, copy.clauses, copy.probes)
-        memo += len(enc._t_memo)
-    assert memo == 626  # 754 with each step's formula built on its own
+        pairs += node_worlds(q, q.bound)
+    # a cache by node id met 626, and 754 with each step's formula built on its own
+    assert pairs == 533
+
+
+def admits(q, m):
+    """The query's constraints hold in m: axioms at every world, facts at
+    world 0 and the target refuted (refute mode) or true (find mode) there."""
+    return (all(globally_true(m, ax) for ax in q.axioms)
+            and all(truth_at(m, fact, 0) for fact in q.facts)
+            and (q.target is None or truth_at(m, q.target, 0) == (q.mode == "find")))
+
+
+def test_polarity_keeps_exactly_the_admitted_assignments():
+    """With gates defined by polarity, a gate need not follow from the
+    primary variables.  What must hold: the CNF plus units fixing every
+    relation, atom and value variable is satisfiable exactly when those
+    values form a preorder (total, for a total query) whose model admits the
+    query.  Every suite query, 300 random ones, each case's queries and some
+    guarded forms, at 1, 2 and 4 worlds (the lemma's first count), under seeded assignments: half
+    of them with the relation drawn from the preorders, half at random."""
+    rng = random.Random(23)
+    queries = [q for _, q in suite_queries()] + random_queries(11, 300) + list(case_queries(4))
+    samples = [4] * len(queries)
+    # guards and cp-pref-aa operands that are gates, in each polarity: no
+    # suite query has them, and a wrong polarity there shows in few models,
+    # so these get more samples
+    for text in ("(cp-pref-aa ((or Q (dialt S))) weak P R)", "(cp-dialt ((and Q (boxleq S))) P)",
+                 "(cp-pref-aa (Q) weak (and P (boxleq Q)) (or R (dialt P)))"):
+        queries += [refute(text), find(facts=[text])]
+        samples += [200, 200]
+    outcomes = set()
+    for q, count in zip(queries, samples):
+        atom_keys, inc_keys = q.symbols
+        for n in (1, 2, 4):
+            enc = solver.encode(q, n)
+            preorders = all_preorders(n)
+            for k in range(count):
+                if k % 2:
+                    rows = rng.choice(preorders)
+                else:
+                    rows = tuple(1 << i | sum(rng.random() < 0.5 and 1 << j for j in range(n))
+                                 for i in range(n))
+                sets = {key: rng.randrange(1 << n) for key in (*atom_keys, *inc_keys)}
+                units = [[var if rows[i] >> j & 1 else -var] for (i, j), var in enc.rel.items()]
+                for symbols in (enc.atom_vars, enc.inc_vars):
+                    units += [[var if sets[key] >> w & 1 else -var]
+                              for key, vars_ in symbols.items() for w, var in enumerate(vars_)]
+                s = CDCL(enc.nvars)
+                s.load([list(c) for c in enc.clauses] + units)
+                sat = s.solve(solver._Budget(None))
+                m = PreferenceModel(n, rows, {key: sets[key] for key in atom_keys},
+                                    {key: sets[key] for key in inc_keys})
+                expected = (rows in preorders and (not q.total or is_total(rows))
+                            and admits(q, m))
+                assert sat == expected, (n, render_text(m), q)
+                outcomes.add((n, sat))
+    assert outcomes == {(n, sat) for n in (1, 2, 4) for sat in (False, True)}
 
 
 def test_maximal_world_lemma_holds_in_every_preorder():
-    """On each of the 355 preorders on 4 worlds, with a seeded valuation, the
-    gates derived from their definitions satisfy every lemma clause, and m(w)
-    is true exactly when no world is strictly better than w."""
+    """On each of the 355 preorders on 4 worlds, with a seeded valuation and
+    every gate set to its meaning, every definition and lemma clause holds,
+    and m(w) is true exactly when no world is strictly better than w."""
     n = 4
     enc = solver.encode(refute("(dialt P)", facts=["(boxlt (or P Q))"], bound=n), n)
     # world w's clause is [m(w), then its probes c(w,v)]
@@ -441,9 +526,9 @@ def test_maximal_world_lemma_holds_in_every_preorder():
         fixed.update({var: bool(rows[i] >> j & 1) for (i, j), var in enc.rel.items()})
         fixed.update({var: rng.random() < 0.5 for vars_ in enc.atom_vars.values()
                       for var in vars_})
-        val = propagate_gates(definitions, fixed)
-        assert len(val) == enc.nvars, (rows, "a gate is left undetermined")
-        for clause in lemma:
+        val = gate_values(enc, fixed)
+        assert len(val) == enc.nvars, (rows, "a gate has no definition")
+        for clause in definitions + lemma:
             assert any(val[abs(lit)] == (lit > 0) for lit in clause), (rows, clause)
         for w in range(n):
             strictly_better = any(rows[w] >> v & 1 and not rows[v] >> w & 1 for v in range(n))
@@ -813,6 +898,21 @@ def test_oracle_domain():
         enum_oracle(wide)
 
 
+def test_oracle_work_counts_the_preorders_it_walks():
+    # 1, 4 and 29 preorders on 1 to 3 worlds, of which 1, 3 and 13 are total
+    for total, counts in ((False, [1, 5, 34]), (True, [1, 4, 17])):
+        assert [solver._oracle_work(Query(mode="find", bound=b, total=total))
+                for b in (1, 2, 3)] == counts
+    # counting only the total ones moves no domain decision up to 39 symbols
+    for size in range(40):
+        target = sx.And(tuple(sx.Atom(f"X{i}") for i in range(size))) if size > 1 else (
+            sx.Atom("X0") if size else None)
+        for bound in (1, 2, 3):
+            q = Query(target=target, mode="find", bound=bound)
+            assert len(q.symbols[0]) == size
+            assert oracle_in_domain(q) == oracle_in_domain(replace(q, total=True)), (size, bound)
+
+
 def test_oracle_agrees_on_hand_picked_queries():
     queries = [
         refute("(or P (not P))", bound=2),
@@ -969,12 +1069,15 @@ def test_budget_is_checked_inside_one_world_count(monkeypatch):
 
     monkeypatch.setattr(CDCL, "solve", unreachable)
     q = refute("(implies P Q)", axioms=["(boxleq R)", "(or P S)"], facts=["Q"], bound=2)
-    # one check before each of the 4 top-level formulas, one before the search
-    for k in range(1, 6):
+    # one check before each of the 7 program nodes (R, its box, P, S, the or,
+    # Q, the implication), so a budget overruns by one node's gates at most,
+    # and one before the search
+    assert len(q.program[0]) == 7
+    for k in range(1, 9):
         with pytest.raises(BudgetExceeded):
             solve_at(q, 2, StopAt(k))
     with pytest.raises(AssertionError, match="reached"):
-        solve_at(q, 2, StopAt(6))
+        solve_at(q, 2, StopAt(9))
     # the budget does not outlive its solve_at call
     assert solver.encode(q, 2).nvars > 0
 
