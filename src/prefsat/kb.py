@@ -254,7 +254,8 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
     except OSError as e:
         raise ConfigError(f"cannot read proof file {path}: {e}") from None
     steps: list[ProofStep] = []
-    names: list[str] = []
+    lines: list[int] = []
+    index: dict[str, int] = {}  # each step's position, by name
     for form in sx.read_forms(text):
         if (not isinstance(form, sx.SList) or not form.items
                 or _sym_text(form.items[0], "form") != "step"):
@@ -263,7 +264,7 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
         if len(form.items) < 3:
             raise sx.ParseError("step takes a name and a formula", form.line)
         name = _sym_text(form.items[1], "step")
-        if name in names:
+        if name in index:
             raise sx.ParseError(f"unresolved reference: duplicate step name {name!r}", form.line)
         formula = sx._parse_formula(form.items[2], sig, {})
         clauses: dict[str, object] = {}
@@ -282,17 +283,17 @@ def load_proof(path: str | Path, sig: sx.Signature) -> list[ProofStep]:
                 clauses[key] = _bound_value(extra.items[1].text, "bound", extra.line)
             else:
                 raise sx.ParseError(f"unknown step clause {key!r}", extra.line)
+        index[name] = len(steps)
         steps.append(ProofStep(name, formula, clauses.get("uses", ()),
                                clauses.get("bound", DEFAULT_BOUND)))
-        names.append(name)
+        lines.append(form.line)
     # structural check: a step may cite only earlier steps, never itself or later ones
-    for i, step in enumerate(steps):
-        later = {s.name for s in steps[i:]}
+    for i, (step, line) in enumerate(zip(steps, lines)):
         for ref in step.uses:
-            if ref in later:
+            if index.get(ref, -1) >= i:
                 raise sx.ParseError(
                     f"unresolved reference: step {step.name!r} cites {ref!r} "
-                    "which is not an earlier step"
+                    "which is not an earlier step", line
                 )
     shared = sx.share([step.formula for step in steps])
     return [ProofStep(step.name, f, step.uses, step.bound) for step, f in zip(steps, shared)]

@@ -13,9 +13,10 @@ so world w owns the block of A bits that starts at bit w*A.  A model is a
 plain record; its frame (`PreferenceModel.frame`, built at the first
 evaluation) is the case A = 1.  Its extensions are world masks, one bit per
 world, and its symbols' extensions are the valuation and incidence masks as
-stored.  Every connective is one big-int operation.  A modal node takes each
-world distance d in turn.  It shifts its operand d blocks up, so that block
-w holds world w - d's block, and keeps the blocks w whose row holds w - d.
+stored.  Every connective is one big-int operation.  A diamond (`Dia`; a box
+is read as its dual) takes each world distance d in turn.  It shifts its
+operand d blocks up, so that block w holds world w - d's block, and keeps
+the blocks w whose row holds w - d.
 """
 from __future__ import annotations
 
@@ -190,59 +191,46 @@ def _move(x: int, k: int) -> int:
     return x >> -k if k else x  # a shift by 0 would copy x
 
 
-def _diamond(steps, sub: int, guards: list[int]) -> int:
-    """Blocks w under the assignments where sub holds at a world that the
-    steps' rows relate to w and that agrees with w on every guard."""
-    ext = 0
-    for k, mask in steps:
-        if mask:
-            for g in guards:
-                mask &= ~(g ^ _move(g, k))
-            ext |= _move(sub, k) & mask
-    return ext
-
-
 def eval_packed(s: Frame, f: sx.Formula) -> int:
-    """The packed extension of a ground formula."""
+    """The packed extension of a ground formula: one branch per core class,
+    chosen by identity.  A box or `A` is read as the negation of a Dia or
+    `E`, so one rule serves every diamond and box."""
     # Cache keyed by node identity; the node reference is kept alongside so
     # the id stays valid for the cache's lifetime.
     key = id(f)
     hit = s._cache.get(key)
     if hit is not None:
         return hit[1]
-    full = s.full_mask
-
-    if isinstance(f, sx.Atom):
+    full, cls = s.full_mask, type(f)
+    if cls is sx.Atom:
         ext = s.bits((f.pred, f.args))
-    elif isinstance(f, sx.ValAtom):
+    elif cls is sx.ValAtom:
         ext = s.bits((f.value, f.party))
-    elif isinstance(f, sx.Not):
+    elif cls is sx.Not:
         ext = full ^ eval_packed(s, f.sub)
-    elif isinstance(f, sx.And):
+    elif cls is sx.And:
         ext = full
         for a in f.args:
             ext &= eval_packed(s, a)
-    elif isinstance(f, sx.Or):
+    elif cls is sx.Or:
         ext = 0
         for a in f.args:
             ext |= eval_packed(s, a)
-    elif isinstance(f, sx.Implies):
+    elif cls is sx.Implies:
         ext = (full ^ eval_packed(s, f.lhs)) | eval_packed(s, f.rhs)
-    elif isinstance(f, sx.Iff):
+    elif cls is sx.Iff:
         ext = full ^ eval_packed(s, f.lhs) ^ eval_packed(s, f.rhs)
-    elif isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict)):
-        steps = s.steps(isinstance(f, (sx.DiaStrict, sx.CpDiaStrict)))
-        guards = [eval_packed(s, g) for g in f.guards] \
-            if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else []
-        ext = _diamond(steps, eval_packed(s, f.sub), guards)
-    elif isinstance(f, (sx.BoxWeak, sx.BoxStrict)):
-        steps = s.steps(isinstance(f, sx.BoxStrict))
-        ext = full ^ _diamond(steps, full ^ eval_packed(s, f.sub), [])
-    elif isinstance(f, sx.Somewhere):
+    elif cls is sx.Dia:  # sub at a world the rows relate to w that agrees on the guards
+        guards = [eval_packed(s, g) for g in f.guards]
+        sub, ext = eval_packed(s, f.sub), 0
+        for k, mask in s.steps(f.strict):
+            if mask:
+                for g in guards:
+                    mask &= ~(g ^ _move(g, k))
+                ext |= _move(sub, k) & mask
+    elif cls is sx.Somewhere:
         ext = s.everywhere(s.any_world(eval_packed(s, f.sub)))
-    elif isinstance(f, sx.Everywhere):
-        ext = s.everywhere(s.every_world(eval_packed(s, f.sub)))
-    elif isinstance(f, sx.CpPrefAA):
+    elif cls is sx.CpPrefAA:
         guards = [eval_packed(s, g) for g in f.guards]
         lhs, rhs = eval_packed(s, f.lhs), eval_packed(s, f.rhs)
         bad = 0  # lhs at w and rhs at v, but v not guard-respectingly better than w

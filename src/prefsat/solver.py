@@ -156,7 +156,8 @@ class Query(sx.Node):
             if pos is None:
                 kids = tuple(map(visit, sx.children(f)))
                 cls = type(f)
-                key = (cls, kids, f.strict) if cls is sx.CpPrefAA else (cls, kids) if kids else f
+                key = (cls, kids, f.strict) if cls is sx.Dia or cls is sx.CpPrefAA \
+                    else (cls, kids) if kids else f
                 pos = index[id(f)] = index.setdefault(key, len(nodes))
                 if pos == len(nodes):
                     nodes.append([f, kids, False, 0])
@@ -477,11 +478,8 @@ class CDCL:
 # ---------------------------------------------------------------------------
 # encoding
 
-# The one modal rule's (sign, strict) for each modality, as in model._diamond.
-_MODALITIES = {sx.DiaWeak: (1, False), sx.DiaStrict: (1, True), sx.CpDiaWeak: (1, False),
-               sx.CpDiaStrict: (1, True), sx.BoxWeak: (-1, False), sx.BoxStrict: (-1, True)}
-# Nodes whose operands are read at every world; the last three are encoded once.
-_SPREAD = frozenset((*_MODALITIES, sx.Somewhere, sx.Everywhere, sx.CpPrefAA))
+# Nodes whose operands are read at every world; the last two are encoded once.
+_SPREAD = frozenset((sx.Dia, sx.Somewhere, sx.CpPrefAA))
 
 # Polarities as bit sets: the halves of a gate's definition its uses need
 # (Plaisted & Greenbaum, J. Symbolic Computation 1986).  Axioms and facts are
@@ -493,8 +491,7 @@ _SPREAD = frozenset((*_MODALITIES, sx.Somewhere, sx.Everywhere, sx.CpPrefAA))
 _POS, _NEG, _BOTH = 1, 2, 3
 _SAME, _FLIP, _EITHER = (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 3, 3)
 _OPERANDS = {sx.Not: (_FLIP, ()), sx.Implies: (_FLIP, (_SAME,)), sx.Iff: (_EITHER, ()),
-             sx.CpDiaWeak: (_EITHER, (_SAME,)), sx.CpDiaStrict: (_EITHER, (_SAME,)),
-             sx.CpPrefAA: (_EITHER, (_FLIP, _FLIP))}
+             sx.Dia: (_EITHER, (_SAME,)), sx.CpPrefAA: (_EITHER, (_FLIP, _FLIP))}
 
 
 class _Encoder:
@@ -504,7 +501,8 @@ class _Encoder:
     lexicographic order; then one variable per ground atom (sorted by name
     and argument tuple) per world; then one per value symbol (sorted) per
     world; then definition gates in program order, the maximal-world lemma's
-    last.  `build` takes the program node by node; `lits[i]` holds node i's
+    last.  `build` takes the program node by node, one rule per core class
+    (a box or `A` comes as a negated Dia or `E`); `lits[i]` holds node i's
     literal per world.  Definitions are one-sided (Plaisted & Greenbaum): a
     gate gets [-g, ...] for its positive uses and [g, ...] for its negative
     ones, as the polarity given to `conj`, `iff` and `edges` asks.  Their
@@ -643,21 +641,19 @@ class _Encoder:
                 out = [-conj((a, -b), _FLIP[pol]) for a, b in rows]
             elif cls is sx.Iff:
                 out = [self.iff(a, b, pol) for a, b in rows]
-            elif cls in _MODALITIES:  # a box is the negated diamond of its negated body
-                sign, strict = _MODALITIES[cls]
+            elif cls is sx.Dia:
                 *guards, sub = args
-                opt = pol if sign > 0 else _FLIP[pol]  # the options' polarity
                 out = []
                 for w in worlds:
                     if guards:
-                        opts = [conj([*self.edge(w, v, strict, guards, opt), sign * sub[v]], opt)
+                        opts = [conj([*self.edge(w, v, f.strict, guards, pol), sub[v]], pol)
                                 for v in range(n)]
                     else:
-                        opts = [conj((e, sign * x), opt)
-                                for e, x in zip(self.edges(w, strict, opt), sub)]
-                    out.append(sign * self.disj(opts, opt))
-            elif cls is sx.Somewhere or cls is sx.Everywhere:
-                out = [(self.disj if cls is sx.Somewhere else conj)(args[0], pol)] * len(worlds)
+                        opts = [conj((e, x), pol)
+                                for e, x in zip(self.edges(w, f.strict, pol), sub)]
+                    out.append(self.disj(opts, pol))
+            elif cls is sx.Somewhere:
+                out = [self.disj(args[0], pol)] * len(worlds)
             else:  # cp-pref-aa: every lhs world has every rhs world above it
                 *guards, lhs, rhs = args
                 parts = [self.disj((-lhs[s], -rhs[u], conj(self.edge(s, u, f.strict, guards, pol),

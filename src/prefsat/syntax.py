@@ -7,11 +7,14 @@ constant's name, a plain str.  `(forall x SORT F)` and `(exists x SORT F)`
 become the conjunction or disjunction of F over the sort's constants,
 `(other t)` folds to a constant, and the syntactic preference variants, the
 conditional and the value-layer forms (`ext`, `agg`, `vpref`, `promotes`,
-`conflict`) become the core formulas they abbreviate.  One table, `_FORMS`,
-gives every fixed-arity keyword form its builder and slot kinds; only the
-variadic `and`/`or`/`agg`, the binders and `vpref` are read by branches of
-their own.  Every formula node is core: `SynPref` and `Cond` are functions
-that build the expansion, for a caller writing formulas by hand.  `share`
+`conflict`) become the core formulas they abbreviate, and so do the boxes
+and `A`, read as the duals of `Dia` (the one diamond, weak or strict, with
+guards or none) and `E`.  One table, `_FORMS`, gives every fixed-arity keyword
+form its builder and slot kinds; only the variadic `and`/`or`/`agg`, the
+binders and `vpref` are read by branches of their own.  Every formula node
+is core: `SynPref`, `Cond` and the modal forms (`DiaWeak`, `BoxStrict`,
+`Everywhere`, ...) are functions that build the expansion, for a caller
+writing formulas by hand.  `share`
 makes equal subtrees one object for the caches keyed by node.  Printing is
 the inverse of parsing: `format_formula` emits text that parses back to an
 equal formula, so a derived form prints as its expansion.
@@ -103,9 +106,9 @@ class Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-# The constructor of a node with one, two or four fields, the formula nodes'
-# counts: all fields given positionally are set directly; anything else goes
-# through Node._bind.
+# The constructor of a node with one, two or four fields, the counts of the
+# formula nodes the parser builds most: all fields given positionally are set
+# directly; anything else goes through Node._bind.
 
 
 def _init1(self, a=_MISSING, /, **kwargs):
@@ -237,47 +240,18 @@ class Iff(Formula):
     rhs: Formula
 
 
-class DiaWeak(Formula):
-    """Some weakly-better world (reflexive reachability) satisfies the body."""
+class Dia(Formula):
+    """Some world weakly (or strictly) better than this one, agreeing with it
+    on every guard, satisfies the body; with no guards, the plain diamond."""
 
-    sub: Formula
-
-
-class BoxWeak(Formula):
-    sub: Formula
-
-
-class DiaStrict(Formula):
-    """Some strictly-better world satisfies the body."""
-
-    sub: Formula
-
-
-class BoxStrict(Formula):
+    guards: tuple[Formula, ...]
+    strict: bool
     sub: Formula
 
 
 class Somewhere(Formula):
     """Global existential modality `E`."""
 
-    sub: Formula
-
-
-class Everywhere(Formula):
-    """Global universal modality `A`."""
-
-    sub: Formula
-
-
-class CpDiaWeak(Formula):
-    """Weak-betterness diamond restricted to worlds agreeing on the guards."""
-
-    guards: tuple[Formula, ...]
-    sub: Formula
-
-
-class CpDiaStrict(Formula):
-    guards: tuple[Formula, ...]
     sub: Formula
 
 
@@ -302,13 +276,10 @@ def make_or(args: list[Formula]) -> Formula:
     return args[0] if len(args) == 1 else Or(tuple(args))
 
 
-# Operator keyword of every node class but Atom, shared by parser and printer.
+# Operator keyword of every node class but Atom and Dia, shared by parser and printer.
 KEYWORDS: dict[str, type] = {
-    "not": Not, "and": And, "or": Or, "implies": Implies, "iff": Iff,
-    "boxleq": BoxWeak, "dialeq": DiaWeak, "boxlt": BoxStrict, "dialt": DiaStrict,
-    "A": Everywhere, "E": Somewhere,
-    "cp-dialeq": CpDiaWeak, "cp-dialt": CpDiaStrict, "cp-pref-aa": CpPrefAA,
-    "val": ValAtom,
+    "not": Not, "and": And, "or": Or, "implies": Implies, "iff": Iff, "E": Somewhere,
+    "cp-pref-aa": CpPrefAA, "val": ValAtom,
 }
 _KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
 
@@ -317,7 +288,7 @@ _KEYWORD_OF = {cls: kw for kw, cls in KEYWORDS.items()}
 _FIELD_KINDS = {"Formula": "formula", "tuple[Formula, ...]": "formulas"}
 _LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
     cls: tuple((name, _FIELD_KINDS.get(cls.__annotations__[name])) for name in cls._fields)
-    for cls in (Atom, *KEYWORDS.values())
+    for cls in Formula.__subclasses__()
 }
 # Nodes without sub-formulas.
 _LEAVES = frozenset(cls for cls, layout in _LAYOUT.items()
@@ -608,6 +579,11 @@ def format_formula(f: Formula) -> str:
         if not f.args:
             return f.pred
         return "(" + " ".join((f.pred, *f.args)) + ")"
+    if isinstance(f, Dia):  # dialeq or dialt, with a cp- prefix and guards if it has any
+        keyword, sub = "dialt" if f.strict else "dialeq", format_formula(f.sub)
+        if not f.guards:
+            return f"({keyword} {sub})"
+        return f"(cp-{keyword} ({' '.join(map(format_formula, f.guards))}) {sub})"
     layout = _layout(f)
     parts = [_KEYWORD_OF[type(f)]]
     for name, kind in layout:
@@ -630,6 +606,36 @@ def format_formula(f: Formula) -> str:
 
 
 LIFT_PATTERNS = ("ee", "ea", "ae", "aa")
+
+
+# The modal forms: a diamond is a Dia, a box the negated Dia of its negated
+# body (no better world fails it) and `A` the negated `E` of its negated body.
+def CpDiaWeak(guards: tuple[Formula, ...], sub: Formula) -> Formula:
+    return Dia(guards, False, sub)
+
+
+def CpDiaStrict(guards: tuple[Formula, ...], sub: Formula) -> Formula:
+    return Dia(guards, True, sub)
+
+
+def DiaWeak(sub: Formula) -> Formula:
+    return Dia((), False, sub)
+
+
+def DiaStrict(sub: Formula) -> Formula:
+    return Dia((), True, sub)
+
+
+def BoxWeak(sub: Formula) -> Formula:
+    return Not(Dia((), False, Not(sub)))
+
+
+def BoxStrict(sub: Formula) -> Formula:
+    return Not(Dia((), True, Not(sub)))
+
+
+def Everywhere(sub: Formula) -> Formula:
+    return Not(Somewhere(Not(sub)))
 
 
 def SynPref(pattern: str, strict: bool, lhs: Formula, rhs: Formula) -> Formula:
@@ -671,6 +677,11 @@ def conflict(party: str) -> Formula:
 _FORMS = {
     **{kw: (cls, tuple(kind or name for name, kind in _LAYOUT[cls]))
        for kw, cls in KEYWORDS.items() if cls not in (And, Or)},
+    "dialeq": (DiaWeak, ("formula",)), "dialt": (DiaStrict, ("formula",)),
+    "cp-dialeq": (CpDiaWeak, ("formulas", "formula")),
+    "cp-dialt": (CpDiaStrict, ("formulas", "formula")),
+    "boxleq": (BoxWeak, ("formula",)), "boxlt": (BoxStrict, ("formula",)),
+    "A": (Everywhere, ("formula",)),
     "prefsyn": (SynPref, ("pattern", "strict", "formula", "formula")),
     "cond": (Cond, ("formula", "formula")),
     "ext": (_principle_conjunction, ("principle", "party")),

@@ -194,7 +194,8 @@ def test_shipped_cases_load_and_rule():
         assert list(kb.goals) == [goal]
         v = check(goal_query(kb, goal))
         assert isinstance(v, BoundedValid), (name, v.kind)
-        assert sx.format_formula(kb.goals[goal]) == f"(boxlt (For {party}))"
+        # (boxlt (For party)), read as the negated strict diamond of its negation
+        assert sx.format_formula(kb.goals[goal]) == f"(not (dialt (not (For {party}))))"
 
 
 def test_unknown_case_rejected():
@@ -261,10 +262,14 @@ def test_shipped_formulas_print_and_parse_back():
 def test_load_proof_rejects_bad_references(tmp_path):
     kb = case_kb("pierson")
     fwd = write(tmp_path, "fwd.proof", """\
-        (step a appWildAnimal (uses b))
+        (step z appAnimal)
+        (step a appWildAnimal
+              (uses b))
         (step b appWildAnimal)
         """)
-    with pytest.raises(sx.ParseError, match="unresolved reference"):
+    # the citing step's line
+    with pytest.raises(sx.ParseError, match="^line 2: unresolved reference: step 'a' cites 'b' "
+                                            "which is not an earlier step$"):
         load_proof(fwd, kb.sig)
     dup = write(tmp_path, "dup.proof", """\
         (step a appWildAnimal)
@@ -272,8 +277,8 @@ def test_load_proof_rejects_bad_references(tmp_path):
         """)
     with pytest.raises(sx.ParseError, match="duplicate step"):
         load_proof(dup, kb.sig)
-    selfref = write(tmp_path, "self.proof", "(step a appWildAnimal (uses a))")
-    with pytest.raises(sx.ParseError, match="unresolved reference"):
+    selfref = write(tmp_path, "self.proof", "(step z appAnimal)\n\n(step a appWildAnimal (uses a))")
+    with pytest.raises(sx.ParseError, match="^line 3: unresolved reference: step 'a' cites 'a' "):
         load_proof(selfref, kb.sig)
     with pytest.raises(sx.ParseError, match="only .step"):
         load_proof(write(tmp_path, "junk.proof", "(lemma a appAnimal)"), kb.sig)

@@ -280,25 +280,15 @@ def reference_eval(m: PreferenceModel, f: sx.Formula, memo: dict) -> int:
         bits = (~ev(f.lhs) | ev(f.rhs)) & full
     elif isinstance(f, sx.Iff):
         bits = ~(ev(f.lhs) ^ ev(f.rhs)) & full
-    elif isinstance(f, (sx.DiaWeak, sx.DiaStrict, sx.CpDiaWeak, sx.CpDiaStrict)):
-        guards = f.guards if isinstance(f, (sx.CpDiaWeak, sx.CpDiaStrict)) else ()
-        rows = cp_rows(guards, isinstance(f, (sx.DiaStrict, sx.CpDiaStrict)))
+    elif isinstance(f, sx.Dia):  # a box or A comes as a negated Dia or Somewhere
+        rows = cp_rows(f.guards, f.strict)
         sub = ev(f.sub)
         bits = 0
         for w in range(n):
             if rows[w] & sub:
                 bits |= 1 << w
-    elif isinstance(f, (sx.BoxWeak, sx.BoxStrict)):
-        rows = cp_rows((), isinstance(f, sx.BoxStrict))
-        sub = ev(f.sub)
-        bits = 0
-        for w in range(n):
-            if not (rows[w] & ~sub):
-                bits |= 1 << w
     elif isinstance(f, sx.Somewhere):
         bits = full if ev(f.sub) else 0
-    elif isinstance(f, sx.Everywhere):
-        bits = full if ev(f.sub) == full else 0
     elif isinstance(f, sx.CpPrefAA):
         rows = cp_rows(f.guards, f.strict)
         lhs, rhs = ev(f.lhs), ev(f.rhs)

@@ -372,9 +372,9 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
                         assert (val[abs(lits[w])] == (lits[w] > 0)) == truth_at(m, f, w), \
                             (case, n, w, render_text(m), sx.format_formula(f))
                         checked += 1
-    # every (node, world) of six models; the memo by node id held 48 096
-    # pairs, a node true at every world or at none once
-    assert checked == 49_500, checked
+    # every (node, world) of six models, a node true at every world or at none
+    # once
+    assert checked == 59_604, checked
 
 
 def unshared(f):
@@ -427,18 +427,23 @@ def test_sharing_changes_no_encoding():
 def node_worlds(q, n):
     """The (node, world) pairs the program builds at n worlds, a node true at
     every world or at none counted once."""
-    once = {sx.Somewhere, sx.Everywhere, sx.CpPrefAA}
+    once = {sx.Somewhere, sx.CpPrefAA}
     return sum(n if every and type(f) not in once else 1 for f, _, every, _ in q.program[0])
 
 
 def test_a_loaded_kb_is_encoded_once_per_distinct_subformula():
     q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
     nodes = [f for f, *_ in q.program[0]]
-    assert len(set(nodes)) == len(nodes) == 131  # no two equal nodes
+    # no two equal nodes; a box or A reads as two `not` nodes around a Dia or
+    # E, and a `not` allocates no gate
+    assert len(set(nodes)) == len(nodes) == 156
     copy = unshared_query(q)
     assert copy.program == q.program
-    # a cache by node id met 863 (node, world) pairs here and 1572 in the copy
-    assert (node_worlds(q, 7), node_worlds(copy, 7)) == (863, 863)
+    assert (node_worlds(q, 7), node_worlds(copy, 7)) == (1032, 1032)
+    # a Dia is keyed by its strictness too: dialeq and dialt of one body stay
+    # two nodes
+    both = refute("(and (dialeq P) (dialt P))")
+    assert [f.strict for f, *_ in both.program[0] if type(f) is sx.Dia] == [False, True]
 
 
 def test_proof_steps_share_their_subformulas():
@@ -449,8 +454,7 @@ def test_proof_steps_share_their_subformulas():
         enc, copy = solver.encode(q, q.bound), solver.encode(unshared_query(q), q.bound)
         assert (enc.nvars, enc.clauses, enc.probes) == (copy.nvars, copy.clauses, copy.probes)
         pairs += node_worlds(q, q.bound)
-    # a cache by node id met 626, and 754 with each step's formula built on its own
-    assert pairs == 533
+    assert pairs == 636
 
 
 def admits(q, m):
@@ -1069,15 +1073,16 @@ def test_budget_is_checked_inside_one_world_count(monkeypatch):
 
     monkeypatch.setattr(CDCL, "solve", unreachable)
     q = refute("(implies P Q)", axioms=["(boxleq R)", "(or P S)"], facts=["Q"], bound=2)
-    # one check before each of the 7 program nodes (R, its box, P, S, the or,
-    # Q, the implication), so a budget overruns by one node's gates at most,
-    # and one before the search
-    assert len(q.program[0]) == 7
-    for k in range(1, 9):
+    # one check before each of the 9 program nodes (R, its negation, the
+    # diamond of that, the box as its negation, P, S, the or, Q, the
+    # implication), so a budget overruns by one node's gates at most, and one
+    # before the search
+    assert len(q.program[0]) == 9
+    for k in range(1, 11):
         with pytest.raises(BudgetExceeded):
             solve_at(q, 2, StopAt(k))
     with pytest.raises(AssertionError, match="reached"):
-        solve_at(q, 2, StopAt(9))
+        solve_at(q, 2, StopAt(11))
     # the budget does not outlive its solve_at call
     assert solver.encode(q, 2).nvars > 0
 

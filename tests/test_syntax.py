@@ -132,6 +132,21 @@ def test_modal_operators():
     assert f == sx.DiaWeak(sx.BoxStrict(sx.And((sx.Atom("P"), sx.Not(sx.Atom("Q"))))))
     g = parse_formula("(A (implies P (E Q)))", sig2())
     assert g == sx.Everywhere(sx.Implies(sx.Atom("P"), sx.Somewhere(sx.Atom("Q"))))
+    # each modal keyword reads as its core: a Dia, a box as the negated Dia of
+    # its negated body, and A as the negated E of it
+    P, Q = sx.Atom("P"), sx.Atom("Q")
+    for text, core in [("(dialeq P)", sx.Dia((), False, P)), ("(dialt P)", sx.Dia((), True, P)),
+                       ("(cp-dialeq (Q) P)", sx.Dia((Q,), False, P)),
+                       ("(cp-dialt (Q) P)", sx.Dia((Q,), True, P)),
+                       ("(boxleq P)", sx.Not(sx.Dia((), False, sx.Not(P)))),
+                       ("(boxlt P)", sx.Not(sx.Dia((), True, sx.Not(P)))),
+                       ("(A P)", sx.Not(sx.Somewhere(sx.Not(P))))]:
+        assert parse_formula(text, sig2()) == core, text
+    # an empty guard list gives the plain diamond's one node, printed plain
+    for keyword in ("dialeq", "dialt"):
+        plain = parse_formula(f"({keyword} P)", sig2())
+        assert parse_formula(f"(cp-{keyword} () P)", sig2()) == plain
+        assert sx.format_formula(plain) == f"({keyword} P)"
 
 
 def test_prefsyn_patterns_and_strictness():
@@ -251,19 +266,23 @@ ROUND_TRIP = [
     "(forall x contender (exists y contender (implies (conflict x) (conflict y))))",
 ]
 CONFLICT = "(and (val FREEDOM {0}) (val UTILITY {0}) (val SECURITY {0}) (val EQUALITY {0}))"
-# A derived text prints as its expansion, which parses back to an equal AST.
+# A derived text prints as its expansion, which parses back to an equal AST; a
+# box or A is a derived form, the negated diamond or E of its negated body.
 PRINTED = {
-    "(prefsyn ea weak P Q)": "(E (and Q (boxlt (not P))))",
-    "(prefsyn aa strict (and P Q) P)": "(A (implies P (boxleq (not (and P Q)))))",
-    "(cond P Q)": "(A (implies P (dialeq (and P (boxleq (implies P Q))))))",
+    "(boxleq (boxlt (E (A P))))": "(not (dialeq (not (not (dialt (not (E (not (E (not P))))))))))",
+    "(prefsyn ea weak P Q)": "(E (and Q (not (dialt (not (not P))))))",
+    "(prefsyn aa strict (and P Q) P)":
+        "(not (E (not (implies P (not (dialeq (not (not (and P Q)))))))))",
+    "(cond P Q)": "(not (E (not (implies P (dialeq (and P (not (dialeq (not (implies P Q))))))))))",
     "(ext RELI d)": "(and (val SECURITY d) (val EQUALITY d))",
     "(agg (WILL p) (FAIR p))":
         "(or (and (val FREEDOM p) (val UTILITY p)) (and (val EQUALITY p) (val FREEDOM p)))",
     "(vpref weak (agg (WILL p)) (ext RELI d))":
-        "(A (implies (and (val FREEDOM p) (val UTILITY p))"
-        " (dialeq (and (val SECURITY d) (val EQUALITY d)))))",
+        "(not (E (not (implies (and (val FREEDOM p) (val UTILITY p))"
+        " (dialeq (and (val SECURITY d) (val EQUALITY d)))))))",
     "(promotes (and P Q) Q (GAIN p))":
-        "(implies (and P Q) (boxlt (iff Q (dialt (and (val UTILITY p) (val FREEDOM p))))))",
+        "(implies (and P Q) (not (dialt (not (iff Q (dialt"
+        " (and (val UTILITY p) (val FREEDOM p))))))))",
     "(conflict p)": CONFLICT.format("p"),
     ROUND_TRIP[-1]:
         "(and (or (implies {p} {p}) (implies {p} {d})) (or (implies {d} {p}) (implies {d} {d})))"
@@ -441,7 +460,7 @@ def test_share_keeps_the_formulas_and_makes_equal_subtrees_one_object():
     one_of_each = {}
     for sub in occurrences:
         assert one_of_each.setdefault(sub, sub) is sub, sx.format_formula(sub)
-    assert (len(one_of_each), len(occurrences)) == (17, 30)
+    assert (len(one_of_each), len(occurrences)) == (25, 38)
     # sharing shared formulas gives them back as they are
     assert all(map(is_, sx.share(shared), shared))
 
@@ -476,16 +495,23 @@ NODE_REPRS = [
     (sx.Or((NP, NQ)), f"Or(args=({_P}, {_Q}))"),
     (sx.Implies(NP, NQ), f"Implies(lhs={_P}, rhs={_Q})"),
     (sx.Iff(NP, NQ), f"Iff(lhs={_P}, rhs={_Q})"),
-    (sx.DiaWeak(NP), f"DiaWeak(sub={_P})"),
-    (sx.BoxWeak(NP), f"BoxWeak(sub={_P})"),
-    (sx.DiaStrict(NP), f"DiaStrict(sub={_P})"),
-    (sx.BoxStrict(NP), f"BoxStrict(sub={_P})"),
+    (sx.Dia((NP,), True, NQ), f"Dia(guards=({_P},), strict=True, sub={_Q})"),
     (sx.Somewhere(NP), f"Somewhere(sub={_P})"),
-    (sx.Everywhere(NP), f"Everywhere(sub={_P})"),
-    (sx.CpDiaWeak((NP,), NQ), f"CpDiaWeak(guards=({_P},), sub={_Q})"),
-    (sx.CpDiaStrict((NP,), NQ), f"CpDiaStrict(guards=({_P},), sub={_Q})"),
     (sx.CpPrefAA((NP,), False, NP, NQ),
      f"CpPrefAA(guards=({_P},), strict=False, lhs={_P}, rhs={_Q})"),
+]
+
+# Each modal shorthand, a function, and the core node it builds: a diamond is
+# a Dia, a box the negated Dia of its negated body and A the negated E of it.
+_NOT_P = f"Not(sub={_P})"
+BUILT_REPRS = [
+    ("DiaWeak", sx.DiaWeak(NP), f"Dia(guards=(), strict=False, sub={_P})"),
+    ("DiaStrict", sx.DiaStrict(NP), f"Dia(guards=(), strict=True, sub={_P})"),
+    ("CpDiaWeak", sx.CpDiaWeak((NP,), NQ), f"Dia(guards=({_P},), strict=False, sub={_Q})"),
+    ("CpDiaStrict", sx.CpDiaStrict((NP,), NQ), f"Dia(guards=({_P},), strict=True, sub={_Q})"),
+    ("BoxWeak", sx.BoxWeak(NP), f"Not(sub=Dia(guards=(), strict=False, sub={_NOT_P}))"),
+    ("BoxStrict", sx.BoxStrict(NP), f"Not(sub=Dia(guards=(), strict=True, sub={_NOT_P}))"),
+    ("Everywhere", sx.Everywhere(NP), f"Not(sub=Somewhere(sub={_NOT_P}))"),
 ]
 
 
@@ -494,10 +520,14 @@ def test_every_node_class_has_a_repr_case():
                if isinstance(cls, type) and issubclass(cls, sx.Node) and cls._fields
                and cls is not sx.Signature}
     assert {type(node) for node, _ in NODE_REPRS} == classes
-    assert len(classes) == 18
+    assert len(classes) == 12
+    # the shorthands are functions, not classes beside the core
+    assert not any(isinstance(getattr(sx, name), type) for name, _, _ in BUILT_REPRS)
 
 
-@pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("node, text", [
+    *(pytest.param(node, text, id=f"{type(node).__name__}-str") for node, text in NODE_REPRS),
+    *(pytest.param(node, text, id=f"{name}-str") for name, node, text in BUILT_REPRS)])
 def test_node_repr_and_structural_identity(node, text):
     assert repr(node) == text
     values = tuple(getattr(node, name) for name in node._fields)
@@ -542,21 +572,15 @@ def test_nodes_are_frozen():
 # The field layout every generic walk reads, as dataclasses.fields gave it.
 LAYOUT = {
     sx.Atom: (('pred', None), ('args', None)),
+    sx.ValAtom: (('value', None), ('party', None)),
     sx.Not: (('sub', 'formula'),),
     sx.And: (('args', 'formulas'),),
     sx.Or: (('args', 'formulas'),),
     sx.Implies: (('lhs', 'formula'), ('rhs', 'formula')),
     sx.Iff: (('lhs', 'formula'), ('rhs', 'formula')),
-    sx.BoxWeak: (('sub', 'formula'),),
-    sx.DiaWeak: (('sub', 'formula'),),
-    sx.BoxStrict: (('sub', 'formula'),),
-    sx.DiaStrict: (('sub', 'formula'),),
-    sx.Everywhere: (('sub', 'formula'),),
+    sx.Dia: (('guards', 'formulas'), ('strict', None), ('sub', 'formula')),
     sx.Somewhere: (('sub', 'formula'),),
-    sx.CpDiaWeak: (('guards', 'formulas'), ('sub', 'formula')),
-    sx.CpDiaStrict: (('guards', 'formulas'), ('sub', 'formula')),
     sx.CpPrefAA: (('guards', 'formulas'), ('strict', None), ('lhs', 'formula'), ('rhs', 'formula')),
-    sx.ValAtom: (('value', None), ('party', None)),
 }
 
 
@@ -574,7 +598,8 @@ ONE_LEVEL_SLOTS = {"formula": P(), "formulas": (Q(),), "pred": "P", "args": (),
 def test_every_formula_node_is_core():
     # no node class stands for a derived form: each one the parser or printer
     # knows, both engines accept
-    assert set(sx.Formula.__subclasses__()) == set(sx._LAYOUT)
+    assert set(sx.Formula.__subclasses__()) == set(sx._LAYOUT) \
+        == {sx.Atom, sx.Dia, *sx.KEYWORDS.values()}
     m = PreferenceModel(2, (0b11, 0b10), {("P", ()): 0b01, ("Q", ()): 0b10},
                         {(BasicValue.FREEDOM, "p"): 0b10})
     for cls, layout in sx._LAYOUT.items():
