@@ -6,17 +6,19 @@ map for value symbols.  The strict relation is never stored: it is derived as
 "weakly better but not weakly worse".
 
 One evaluator, eval_packed, serves both a single model and the enumeration
-oracle.  It reads a Frame, which holds the packed layout: one preorder under
-all A assignments of world sets to a list of symbols at once.  An extension
-is one packed int: bit w*A + i says "holds at world w under assignment i",
-so world w owns the block of A bits that starts at bit w*A.  A model is a
-plain record; its frame (`PreferenceModel.frame`, built at the first
-evaluation) is the case A = 1.  Its extensions are world masks, one bit per
-world, and its symbols' extensions are the valuation and incidence masks as
-stored.  Every connective is one big-int operation.  A diamond (`Dia`; a box
-is read as its dual) takes each world distance d in turn.  It shifts its
-operand d blocks up, so that block w holds world w - d's block, and keeps
-the blocks w whose row holds w - d.
+oracle.  It reads a Frame, which holds the packed layout: P preorders on the
+same worlds, each under all A assignments of world sets to a list of
+symbols, at once.  An extension is one packed int: bit w*W + p*A + i says
+"holds at world w of preorder p under assignment i", so world w owns the
+block of W = P*A bits that starts at bit w*W, and preorder p owns bits
+p*A .. (p+1)*A - 1 of every block.  A model is a plain record; its frame
+(`PreferenceModel.frame`, built at the first evaluation) is the case P = 1,
+A = 1.  Its extensions are world masks, one bit per world, and its symbols'
+extensions are the valuation and incidence masks as stored.  Every
+connective is one big-int operation.  A diamond (`Dia`; a box is read as its
+dual) takes each world distance d in turn.  It shifts its operand d blocks
+up, so that block w holds world w - d's block, and keeps the sub-blocks
+(w, p) where preorder p's row w holds w - d.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ class PreferenceModel(sx.Node):
     @cached_property
     def frame(self) -> Frame:
         """The evaluator's view of the model, built at its first evaluation."""
-        return Frame(self.leq, {**self.valuation, **self.incidence})
+        return Frame((self.leq,), {**self.valuation, **self.incidence})
 
 
 def strict_rows(leq: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,18 +124,22 @@ def is_total(leq: tuple[int, ...]) -> bool:
 
 
 class Frame:
-    """What the evaluator reads: `n` worlds, the weak rows `leq`, `symbols`
-    (each atom key's and value symbol's packed extension), `width`
-    assignments (A) per world block, `block` (one world's block: every
-    assignment) and `full_mask` (every world under every assignment).  A
-    model's frame has A = 1; the oracle's has one preorder under every
-    assignment of its symbols."""
+    """What the evaluator reads: `n` worlds, the weak rows of each of
+    `preorders`, `symbols` (each atom key's and value symbol's packed
+    extension), `assignments` (A) per preorder, `width` (W = P * A bits per
+    world block), `block` (one world's block: every preorder under every
+    assignment) and `full_mask` (every world of every preorder under every
+    assignment).  A model's frame holds its one preorder with A = 1; the
+    oracle's holds a chunk of preorders under every assignment of its
+    symbols."""
 
-    def __init__(self, leq: tuple[int, ...], symbols: dict, width: int = 1):
-        self.n = n = len(leq)
-        self.leq = leq
+    def __init__(self, preorders: tuple[tuple[int, ...], ...], symbols: dict,
+                 assignments: int = 1):
+        self.n = n = len(preorders[0])
+        self.preorders = preorders
         self.symbols = symbols
-        self.width = width
+        self.assignments = assignments
+        self.width = width = len(preorders) * assignments
         self.block = (1 << width) - 1
         self.full_mask = (1 << n * width) - 1
         self._offsets = range(0, n * width, width)  # where each world's block starts
@@ -147,18 +153,20 @@ class Frame:
             raise ModelError(f"{key!r} not interpreted in model") from None
 
     def steps(self, strict: bool) -> list[tuple[int, int]]:
-        """Per world distance d = w - v, from 1 - n to n - 1: the shift d * A
-        that moves world v's block onto world w's, and the mask of the blocks
-        w at which v is weakly (or strictly) better than w.  Computed once."""
+        """Per world distance d = w - v, from 1 - n to n - 1: the shift d * W
+        that moves world v's block onto world w's, and the mask of the
+        sub-blocks (w, p) at which v is weakly (or strictly) better than w
+        in preorder p.  Computed once."""
         steps = self._steps.get(strict)
         if steps is None:
-            n, width, leq = self.n, self.width, self.leq
+            n, width, size = self.n, self.width, self.assignments
             marks = [0] * (2 * n - 1)
-            for w, row in enumerate(leq):
-                for v in range(n):
-                    if row >> v & 1 and not (strict and leq[v] >> w & 1):
-                        marks[w - v + n - 1] |= 1 << w * width
-            steps = self._steps[strict] = [(d * width, (mark << width) - mark)
+            for p, leq in enumerate(self.preorders):
+                for w, row in enumerate(leq):
+                    for v in range(n):
+                        if row >> v & 1 and not (strict and leq[v] >> w & 1):
+                            marks[w - v + n - 1] |= 1 << w * width + p * size
+            steps = self._steps[strict] = [(d * width, (mark << size) - mark)
                                            for d, mark in zip(range(1 - n, n), marks)]
         return steps
 
@@ -269,10 +277,12 @@ def globally_true(m: PreferenceModel, f: sx.Formula) -> bool:
 # order; A = 2^(n*count).
 
 
-def valuation_slices(n: int, keys) -> dict:
-    """Each symbol's packed extension under every assignment: bit w*A + i is
-    bit w of the world set that assignment i gives the symbol."""
-    width = 1 << (n * len(keys))
+def valuation_slices(n: int, keys, width: int) -> dict:
+    """Each symbol's packed extension under every assignment, in blocks of
+    `width` bits, a multiple of A: bit w*W + p*A + i is bit w of the world
+    set that assignment i gives the symbol, whatever p.  A is a power of two,
+    so bit r < n*count of the index p*A + i is bit r of i."""
+    block = (1 << width) - 1
     out = {}
     for k, key in enumerate(keys):
         ext = 0
@@ -283,7 +293,7 @@ def valuation_slices(n: int, keys) -> dict:
             while period < width:
                 bits |= bits << period
                 period *= 2
-            ext |= bits << w * width
+            ext |= (bits & block) << w * width
         out[key] = ext
     return out
 

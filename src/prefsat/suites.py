@@ -148,9 +148,10 @@ def _enum_models(max_n: int = 3):
     pm; Q's worlds qm).  Bit i of a packed extension of s is then world 0
     under the valuation."""
     for n in range(1, max_n + 1):
-        slices, width = valuation_slices(n, _PQ), 1 << n * len(_PQ)
+        width = 1 << n * len(_PQ)
+        slices = valuation_slices(n, _PQ, width)
         for rows in all_preorders(n):
-            m, s = PreferenceModel(n, rows), Frame(rows, slices, width)
+            m, s = PreferenceModel(n, rows), Frame((rows,), slices, width)
             for i in range(s.width):
                 yield m, s, i, i >> n, i & (1 << n) - 1
 

@@ -302,7 +302,8 @@ def reference_eval(m: PreferenceModel, f: sx.Formula, memo: dict) -> int:
 
 def test_sliced_evaluation_matches_per_model_evaluation():
     """The packed evaluator against the reference at every A: each model on
-    its own (A = 1), and each preorder under all 2^(3n) assignments."""
+    its own (A = 1), and each preorder under all 2^(3n) assignments.  Then
+    several preorders in one frame against each preorder's own frame."""
     P, Q = sx.Atom("P"), sx.Atom("Q")
     value, party = ALL_VALUE_SYMBOLS[0]
     V = sx.ValAtom(value, party)
@@ -324,11 +325,13 @@ def test_sliced_evaluation_matches_per_model_evaluation():
         assignments = [valuation_at(n, keys, i) for i in range(count)]
         assert [tuple(a.values()) for a in assignments] == \
             list(product(range(1 << n), repeat=len(keys)))
-        slices = valuation_slices(n, keys)
+        slices = valuation_slices(n, keys, count)
+        own = []  # each preorder's extensions in its own frame
         for rows in all_preorders(n):
-            s = Frame(rows, slices, count)
+            s = Frame((rows,), slices, count)
             assert s.width == count
             exts = [eval_packed(s, f) for f in formulas]
+            own.append(exts)
             for i, sets in enumerate(assignments):
                 m = PreferenceModel(n, rows, {k: sets[k] for k in keys[:2]},
                                     {keys[2]: sets[keys[2]]})
@@ -339,6 +342,29 @@ def test_sliced_evaluation_matches_per_model_evaluation():
                     assert got == want, (rows, sets, sx.format_formula(f))
                     assert eval_formula(m, f) == want, (rows, sets, sx.format_formula(f))
                 checked += 1
+        # a block of 29 * A bits holds 29 copies of the A-bit block of slices
+        wide = valuation_slices(n, keys, 29 * count)
+        for key in keys:
+            for w in range(n):
+                block = slices[key] >> w * count & (1 << count) - 1
+                assert wide[key] >> w * 29 * count & (1 << 29 * count) - 1 == \
+                    sum(block << p * count for p in range(29))
+        # every preorder in one frame, and an inner run of them: bit
+        # w*W + p*A + i is bit w*A + i of preorder p's own extension
+        preorders = all_preorders(n)
+        start, stop = {1: (0, 1), 2: (1, 3), 3: (5, 13)}[n]
+        for first, chunk in ((0, preorders), (start, preorders[start:stop])):
+            width = len(chunk) * count
+            s = Frame(chunk, valuation_slices(n, keys, width), count)
+            assert (s.width, s.assignments) == (width, count)
+            for k, f in enumerate(formulas):
+                ext = eval_packed(s, f)
+                assert ext >> n * width == 0, sx.format_formula(f)
+                for p in range(len(chunk)):
+                    for w in range(n):
+                        got = ext >> w * width + p * count & (1 << count) - 1
+                        want = own[first + p][k] >> w * count & (1 << count) - 1
+                        assert got == want, (n, first + p, w, sx.format_formula(f))
     assert checked == 1 * 8 + 4 * 64 + 29 * 512
 
 

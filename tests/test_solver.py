@@ -971,9 +971,31 @@ def test_oracle_matches_the_per_model_reference():
     comparable = refute("(or (prefsyn ee weak P Q) (prefsyn ee weak Q P))",
                         axioms=["(E P)", "(E Q)"], bound=3)
     queries += [comparable, replace(comparable, total=True)]
+    # three symbols at bound 3: A = 512 at 3 worlds, so the oracle packs the
+    # 29 preorders in chunks of 8, 8, 8 and 5, and the 13 total ones in
+    # chunks of 8 and 5
+    assert max(1, solver.ORACLE_CHUNK_BITS // 512) == 8
+    # the worlds without R tie, below R at world 0: only one preorder has
+    # that shape, the 28th of 29 and the 12th of 13 total ones
+    tied_below = find(axioms=["(iff R (not (dialt (or R (not R)))))",
+                              "(implies (not R) (and (dialeq (and (not R) P))"
+                              " (dialeq (and (not R) (not P)))))"],
+                      facts=["(and R Q)", "(E (and (not R) P))", "(E (and (not R) (not P)))"],
+                      bound=3)
+    split = [find(facts=["(dialt (and P (dialt (and Q R))))"], bound=3), tied_below,
+             refute("(implies (and P Q) (dialeq (or Q R)))", bound=3)]
+    split += [replace(q, total=True) for q in split]
+    assert all(len(q.symbols[0]) == 3 for q in split)
+    queries += split
     assert len(queries) > 190
-    for q in queries:
-        assert render_verdict(enum_oracle(q)) == render_verdict(reference_oracle(q)), q
+    verdicts = [enum_oracle(q) for q in queries]
+    for q, v in zip(queries, verdicts):
+        assert render_verdict(v) == render_verdict(reference_oracle(q)), q
+    # where each first model sits among the preorders walked: at 3 worlds,
+    # the first of the second chunk, and inside each walk's short last chunk
+    firsts = [(q.total, v.model.n, solver._oracle_preorders(v.model.n, q.total).index(v.model.leq))
+              for q, v in zip(split, verdicts[-len(split):]) if isinstance(v, Satisfiable)]
+    assert firsts == [(False, 3, 8), (False, 3, 27), (True, 3, 0), (True, 3, 11)]
 
 
 def test_check_both_compares_and_falls_back():
@@ -1032,6 +1054,30 @@ def test_engine_both_shares_one_budget(monkeypatch):
     assert check(q) == Unknown("budget-exhausted")
     # each engine called alone still starts a budget of its own
     assert isinstance(enum_oracle(q), BoundedValid)
+
+
+def test_oracle_checks_the_budget_before_each_chunk(monkeypatch):
+    # three symbols split the 29 preorders on 3 worlds into chunks of 8, 8,
+    # 8 and 5; the clock passes the deadline as the first of them is decided
+    clock = [0.0]
+    monkeypatch.setattr(solver.time, "monotonic", lambda: clock[0])
+    real, chunks = solver._sliced_admitted, []
+
+    def recording(q, s):
+        chunks.append((s.n, len(s.preorders)))
+        if s.n == 3:
+            clock[0] += 2.0
+        return real(q, s)
+
+    monkeypatch.setattr(solver, "_sliced_admitted", recording)
+    q = refute("(implies (and P Q) (dialeq (or Q R)))", bound=3, budget=1.0)
+    assert enum_oracle(q) == Unknown("budget-exhausted")
+    assert chunks == [(1, 1), (2, 4), (3, 8)]
+    # with a clock that stands still the walk decides every chunk
+    monkeypatch.setattr(solver.time, "monotonic", lambda: 0.0)
+    chunks.clear()
+    assert isinstance(enum_oracle(q), BoundedValid)
+    assert chunks == [(1, 1), (2, 4), (3, 8), (3, 8), (3, 8), (3, 5)]
 
 
 def test_budget_is_checked_before_a_model_is_decoded(monkeypatch):
