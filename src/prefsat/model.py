@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
-from .ontology import BasicValue, ValueSymbol
+from .ontology import BASIC_VALUES, ValueSymbol
 from . import syntax as sx
 
 MAX_WORLDS = 62  # extensions fit comfortably in a machine-width int
@@ -314,16 +314,15 @@ def _atom_label(key: AtomKey) -> str:
 
 
 def _value_label(key: ValueSymbol) -> str:
-    value, party = key
-    return f"{value.name}@{party}"
+    return "@".join(key)
 
 
-_VALUE_ORDER = {v: i for i, v in enumerate(BasicValue)}
+_VALUE_ORDER = {v: i for i, v in enumerate(BASIC_VALUES)}
 
 
 def _world_labels(m: PreferenceModel) -> list[tuple[list[str], list[str]]]:
     """Per world, the labels of the atoms and of the value symbols true there,
-    atoms sorted by key and values in BasicValue order."""
+    atoms sorted by key and values in BASIC_VALUES order."""
     atoms_sorted = sorted(m.valuation.keys())
     values_sorted = sorted(m.incidence.keys(), key=lambda k: (_VALUE_ORDER[k[0]], k[1]))
     return [([_atom_label(k) for k in atoms_sorted if m.valuation[k] >> w & 1],

@@ -6,14 +6,17 @@ syntax layer (which validates names while parsing) and the extension layer
 """
 from __future__ import annotations
 
-from enum import Enum
 
+class BasicValue:
+    """The four basic values; each is its own name, a plain str."""
 
-class BasicValue(Enum):
     FREEDOM = "FREEDOM"
     UTILITY = "UTILITY"
     SECURITY = "SECURITY"
     EQUALITY = "EQUALITY"
+
+
+BASIC_VALUES = (BasicValue.FREEDOM, BasicValue.UTILITY, BasicValue.SECURITY, BasicValue.EQUALITY)
 
 
 # Contenders: exactly two parties, each the other's opponent.
@@ -29,19 +32,19 @@ def other(party: str) -> str:
     raise ValueError(f"not a contender: {party!r}")
 
 
-# A value symbol is a basic value indexed by the party it is observed for.
-# With four values and two parties there are exactly eight of them.
-ValueSymbol = tuple[BasicValue, str]
+# A value symbol is a basic value's name indexed by the party it is observed
+# for.  With four values and two parties there are exactly eight of them.
+ValueSymbol = tuple[str, str]
 
 ALL_VALUE_SYMBOLS: tuple[ValueSymbol, ...] = tuple(
-    (v, x) for v in BasicValue for x in CONTENDERS
+    (v, x) for v in BASIC_VALUES for x in CONTENDERS
 )
 
 # Each principle commits to exactly two basic values.  The pairs below cover
 # the four adjacent combinations twice, so four extensionally equal pairs
 # appear under two names each (WILL=GAIN, RESP=FAIR, STAB=EFFI, RELI=EQUI);
 # keeping the duplicate names lets rule text use whichever reading fits.
-PRINCIPLES: dict[str, tuple[BasicValue, BasicValue]] = {
+PRINCIPLES: dict[str, tuple[str, str]] = {
     "WILL": (BasicValue.FREEDOM, BasicValue.UTILITY),
     "RESP": (BasicValue.FREEDOM, BasicValue.EQUALITY),
     "STAB": (BasicValue.SECURITY, BasicValue.UTILITY),

@@ -201,7 +201,7 @@ class Query(sx.Node):
         if self.target is not None:
             formulas.append(self.target)
         atoms, incidence = sx.collect_symbols(formulas)
-        return tuple(sorted(atoms)), tuple(sorted(incidence, key=lambda k: (k[0].value, k[1])))
+        return tuple(sorted(atoms)), tuple(sorted(incidence))
 
 
 class BoundedValid(sx.Node):

@@ -3,7 +3,8 @@
 Formulas are written as s-expressions.  The parser checks names, arities and
 sorts against a Signature and produces immutable, ground formulas of the
 modal core: it expands every derived form as it reads it.  A term is its
-constant's name, a plain str.  `(forall x SORT F)` and `(exists x SORT F)`
+constant's name and a basic value its own name, each a plain str.
+`(forall x SORT F)` and `(exists x SORT F)`
 become the conjunction or disjunction of F over the sort's constants,
 `(other t)` folds to a constant, and the syntactic preference variants, the
 conditional and the value-layer forms (`ext`, `agg`, `vpref`, `promotes`,
@@ -24,7 +25,7 @@ from __future__ import annotations
 import re
 from operator import attrgetter, is_not
 
-from .ontology import CONTENDERS, PRINCIPLES, BasicValue, ValueSymbol, other
+from .ontology import BASIC_VALUES, CONTENDERS, PRINCIPLES, ValueSymbol, other
 
 # ---------------------------------------------------------------------------
 # immutable nodes
@@ -214,7 +215,7 @@ class Atom(Formula):
 class ValAtom(Formula):
     """Incidence atom: a basic value observed for one party at a world."""
 
-    value: BasicValue
+    value: str  # the basic value's name
     party: str  # the contender's name
 
 
@@ -290,9 +291,6 @@ _LAYOUT: dict[type, tuple[tuple[str, str | None], ...]] = {
     cls: tuple((name, _FIELD_KINDS.get(cls.__annotations__[name])) for name in cls._fields)
     for cls in Formula.__subclasses__()
 }
-# Nodes without sub-formulas.
-_LEAVES = frozenset(cls for cls, layout in _LAYOUT.items()
-                    if not any(kind in ("formula", "formulas") for _, kind in layout))
 
 
 def _layout(f: Formula) -> tuple[tuple[str, str | None], ...]:
@@ -315,15 +313,12 @@ def share(formulas) -> list[Formula]:
     """The formulas, equal to the given ones, with every equal subtree made
     one object (hash-consing: Filliâtre & Conchon, ML 2006), so that a cache
     keyed by node id meets each distinct sub-formula once.  Bottom-up, a
-    node's key is its class, its other fields and the ids of its shared
-    sub-formulas, so no deep tree is ever hashed; a leaf's key is the node
-    itself.  A node not yet met whose sub-formulas come back as they were is
-    kept rather than rebuilt."""
+    node's key is its class, its plain-data fields and the ids of its shared
+    sub-formulas, so no deep tree is ever hashed.  A node not yet met whose
+    sub-formulas come back as they were is kept rather than rebuilt."""
     table: dict = {}  # key -> shared node; keeps the keyed ids alive
 
     def walk(f: Formula) -> Formula:
-        if type(f) in _LEAVES:
-            return table.setdefault(f, f)
         key, values, changed = [type(f)], [], False
         for name, kind in _layout(f):
             value = getattr(f, name)
@@ -380,7 +375,7 @@ class Signature(Node):
         self.sorts[name] = consts
 
     def add_atom(self, name: str, arg_sorts: tuple[str, ...], line: int | None = None):
-        if name in RESERVED_HEADS or name in PRINCIPLES or name in BasicValue.__members__:
+        if name in RESERVED_HEADS or name in PRINCIPLES or name in BASIC_VALUES:
             raise ParseError(f"reserved name {name!r} cannot be an atom", line)
         if name in self.atoms or self.const_sort(name) is not None or name in self.sorts:
             raise ParseError(f"name {name!r} already in use", line)
@@ -558,8 +553,7 @@ _SLOT_READERS = {
         _parse_choice(node, ("weak", "strict"), "expected weak or strict") == "strict",
     "pattern": lambda node, sig, env:
         _parse_choice(node, LIFT_PATTERNS, "pattern must be one of ee ea ae aa"),
-    "value": lambda node, sig, env:
-        BasicValue[_parse_choice(node, BasicValue.__members__, "unknown basic value")],
+    "value": lambda node, sig, env: _parse_choice(node, BASIC_VALUES, "unknown basic value"),
 }
 
 
@@ -596,8 +590,8 @@ def format_formula(f: Formula) -> str:
             parts.append(subs if len(layout) == 1 else f"({subs})")
         elif isinstance(value, bool):
             parts.append("strict" if value else "weak")
-        else:  # a party prints as itself, a basic value as its name
-            parts.append(value if isinstance(value, str) else value.name)
+        else:  # a party or a basic value prints as its name
+            parts.append(value)
     return "(" + " ".join(parts) + ")"
 
 
@@ -668,7 +662,7 @@ def _principle_conjunction(principle: str, party: str) -> Formula:
 
 def conflict(party: str) -> Formula:
     """All four basic values observed for one party at once."""
-    return And(tuple(ValAtom(v, party) for v in BasicValue))
+    return And(tuple(ValAtom(v, party) for v in BASIC_VALUES))
 
 
 # Every fixed-arity keyword form: its builder and the kinds of its slots, in

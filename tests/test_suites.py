@@ -3,6 +3,7 @@ import pytest
 
 from prefsat import kb as kbmod
 from prefsat import solver, suites
+from prefsat import syntax as sx
 from prefsat.solver import (BudgetExceeded, EngineDisagreement, Query, Unknown, check,
                             oracle_in_domain)
 from prefsat.suites import SUITE_NAMES, random_queries, run_suite, suite_queries
@@ -78,6 +79,23 @@ def test_budget_exhausted_in_the_replay_is_unknown(monkeypatch):
 def test_fault_injection_surfaces_as_disagreement(enum_fault):
     with pytest.raises(EngineDisagreement):
         run_suite("meta", engine="both", bound=2)
+
+
+def test_cp_collapse_row_catches_a_swapped_guarded_all_all(monkeypatch):
+    # with no guards, cp-pref-aa must read as the plain all-all lift; an
+    # evaluator that swaps its sides must turn the row into a FAIL
+    real = suites.eval_packed
+
+    def swapped(s, f):
+        if type(f) is sx.CpPrefAA:
+            f = sx.CpPrefAA(f.guards, f.strict, f.rhs, f.lhs)
+        return real(s, f)
+
+    assert suites._cp_collapse_row().ok
+    monkeypatch.setattr(suites, "eval_packed", swapped)
+    row = suites._cp_collapse_row()
+    assert not row.ok
+    assert row.detail.startswith("guarded all-all formula differs from plain:\n")
 
 
 def test_suite_queries_are_named_and_well_formed():

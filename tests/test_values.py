@@ -5,16 +5,19 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import prefsat.syntax as sx
+from prefsat.kb import case_kb, sat_query
 from prefsat.lifts import sem_lift
 from prefsat.model import ModelError, PreferenceModel, all_preorders, eval_formula, globally_true
 from prefsat.ontology import (
     ALL_VALUE_SYMBOLS,
+    BASIC_VALUES,
     CONTENDERS,
     PRINCIPLES,
     BasicValue,
     ValueSymbol,
     other,
 )
+from prefsat.solver import Satisfiable, check
 from prefsat.values import (
     Concept,
     aggregate1,
@@ -66,7 +69,7 @@ def vpref_holds(m: PreferenceModel, strict: bool, lhs_parts, rhs_parts) -> bool:
 
 def conflict_extension(m: PreferenceModel, party: str) -> int:
     """Worlds where all four basic values are observed for the party."""
-    return down(m, [(v, party) for v in BasicValue])
+    return down(m, [(v, party) for v in BASIC_VALUES])
 
 
 F, U, S, E = BasicValue.FREEDOM, BasicValue.UTILITY, BasicValue.SECURITY, BasicValue.EQUALITY
@@ -105,6 +108,38 @@ def test_principle_symbols():
         principle_symbols("XX", "p")
     with pytest.raises(ValueError, match="contender"):
         principle_symbols("WILL", "q")
+
+
+def is_plain(symbols) -> bool:
+    """Every symbol is a (value name, party name) pair of plain strs."""
+    return all(type(sym) is tuple and len(sym) == 2 and all(type(x) is str for x in sym)
+               for sym in symbols)
+
+
+def test_a_value_symbol_is_plain_data():
+    # a basic value is its name, so a value symbol is keyed like an atom
+    assert BasicValue.FREEDOM == "FREEDOM" and type(BasicValue.FREEDOM) is str
+    assert len(ALL_VALUE_SYMBOLS) == 8 and is_plain(ALL_VALUE_SYMBOLS)
+    for name in ("general", "pierson", "post", "conti"):
+        kb = case_kb(name)
+        _, incidence = sx.collect_symbols([*kb.axioms.values(), *kb.facts.values(),
+                                           *kb.goals.values()])
+        q = sat_query(kb, bound=2)
+        v = check(q)
+        assert isinstance(v, Satisfiable), name
+        for symbols in (incidence, q.symbols[1], v.model.incidence):
+            assert symbols and is_plain(symbols), name
+
+
+def test_value_forms_print_and_parse_back():
+    sig = sx.Signature()
+    texts = [f"(val {value} {x})" for value in BASIC_VALUES for x in CONTENDERS]
+    texts += [f"(ext {principle} {x})" for principle in PRINCIPLES for x in CONTENDERS]
+    texts += [f"(conflict {x})" for x in CONTENDERS]
+    for text in texts:
+        f = sx.parse_formula(text, sig)
+        assert sx.parse_formula(sx.format_formula(f), sig) == f, text
+    assert sx.format_formula(sx.ValAtom(BasicValue.FREEDOM, "p")) == "(val FREEDOM p)"
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +266,8 @@ def test_principle_and_conflict_extensions():
 
 
 def test_conflict_needs_all_four_values():
-    for missing in BasicValue:
-        m = ctx(1, {(v, "p"): 1 for v in BasicValue if v is not missing})
+    for missing in BASIC_VALUES:
+        m = ctx(1, {(v, "p"): 1 for v in BASIC_VALUES if v != missing})
         assert conflict_extension(m, "p") == 0
 
 
