@@ -46,8 +46,8 @@ class PreferenceModel(sx.Node):
     incidence: dict[ValueSymbol, int]
 
     def __init__(self, n, leq, valuation=None, incidence=None):
-        super().__init__(n, tuple(leq), {} if valuation is None else valuation,
-                         {} if incidence is None else incidence)
+        sx._init4(self, n, tuple(leq), {} if valuation is None else valuation,
+                  {} if incidence is None else incidence)
         if not (1 <= self.n <= MAX_WORLDS):
             raise ModelError(f"world count must be in 1..{MAX_WORLDS}")
 
@@ -122,6 +122,36 @@ def is_total(leq: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation (the packed layout is in the module docstring)
 
+# The oracle evaluates max(1, ORACLE_CHUNK_BITS // A) preorders of one world
+# count in one packed pass.  Below this width a pass costs interpreter calls,
+# not bit work, so packing saves passes.  Above it the bit work dominates,
+# and since the oracle stops at the first preorder with a model, a wider
+# chunk evaluates preorders it would never reach.  Over 1 488 in-domain
+# suite and seeded random queries (Python 3.11, one 2-core host), caps of
+# 1, 1024, 4096 and 16384 bits took 0.29, 0.18-0.22, 0.17-0.19 and
+# 0.20-0.21 s, and packing every preorder 0.35-0.39 s.  The cap also keeps
+# every block within max(A, 4096) bits, which bounds each cached extension
+# and the time between budget checks.
+ORACLE_CHUNK_BITS = 4096
+
+# Tables that depend only on a frame's shape, shared by every frame of that
+# shape: Frame.steps by (preorders, A, strict) and valuation_slices by (n,
+# symbol count, W).  Only blocks of at most ORACLE_CHUNK_BITS bits are kept:
+# that covers every model's frame and every chunk the oracle packs, while a
+# wider block is one preorder under more assignments, whose tables would
+# hold megabytes for one query.  A table full at _SHAPE_TABLE_ENTRIES is
+# cleared, so a long run of distinct witnesses cannot grow it without bound.
+_STEP_TABLES: dict[tuple, tuple[tuple[int, int], ...]] = {}
+_SLICE_TABLES: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_SHAPE_TABLE_ENTRIES = 1024
+
+
+def _keep(tables: dict, shape: tuple, table: tuple, width: int) -> None:
+    if width <= ORACLE_CHUNK_BITS:
+        if len(tables) >= _SHAPE_TABLE_ENTRIES:
+            tables.clear()
+        tables[shape] = table
+
 
 class Frame:
     """What the evaluator reads: `n` worlds, the weak rows of each of
@@ -144,7 +174,7 @@ class Frame:
         self.full_mask = (1 << n * width) - 1
         self._offsets = range(0, n * width, width)  # where each world's block starts
         self._cache: dict[int, tuple[object, int]] = {}  # eval_packed's, by node id
-        self._steps: dict[bool, list[tuple[int, int]]] = {}
+        self._steps: dict[bool, tuple[tuple[int, int], ...]] = {}
 
     def bits(self, key: AtomKey | ValueSymbol) -> int:
         try:
@@ -152,22 +182,28 @@ class Frame:
         except KeyError:
             raise ModelError(f"{key!r} not interpreted in model") from None
 
-    def steps(self, strict: bool) -> list[tuple[int, int]]:
+    def steps(self, strict: bool) -> tuple[tuple[int, int], ...]:
         """Per world distance d = w - v, from 1 - n to n - 1: the shift d * W
         that moves world v's block onto world w's, and the mask of the
         sub-blocks (w, p) at which v is weakly (or strictly) better than w
-        in preorder p.  Computed once."""
+        in preorder p.  It depends only on (preorders, A, strict), so it is
+        built once per shape (see _STEP_TABLES)."""
         steps = self._steps.get(strict)
         if steps is None:
-            n, width, size = self.n, self.width, self.assignments
-            marks = [0] * (2 * n - 1)
-            for p, leq in enumerate(self.preorders):
-                for w, row in enumerate(leq):
-                    for v in range(n):
-                        if row >> v & 1 and not (strict and leq[v] >> w & 1):
-                            marks[w - v + n - 1] |= 1 << w * width + p * size
-            steps = self._steps[strict] = [(d * width, (mark << size) - mark)
-                                           for d, mark in zip(range(1 - n, n), marks)]
+            shape = (self.preorders, self.assignments, strict)
+            steps = _STEP_TABLES.get(shape)
+            if steps is None:
+                n, width, size = self.n, self.width, self.assignments
+                marks = [0] * (2 * n - 1)
+                for p, leq in enumerate(self.preorders):
+                    for w, row in enumerate(leq):
+                        for v in range(n):
+                            if row >> v & 1 and not (strict and leq[v] >> w & 1):
+                                marks[w - v + n - 1] |= 1 << w * width + p * size
+                steps = tuple((d * width, (mark << size) - mark)
+                              for d, mark in zip(range(1 - n, n), marks))
+                _keep(_STEP_TABLES, shape, steps, width)
+            self._steps[strict] = steps
         return steps
 
     def any_world(self, ext: int) -> int:
@@ -281,21 +317,28 @@ def valuation_slices(n: int, keys, width: int) -> dict:
     """Each symbol's packed extension under every assignment, in blocks of
     `width` bits, a multiple of A: bit w*W + p*A + i is bit w of the world
     set that assignment i gives the symbol, whatever p.  A is a power of two,
-    so bit r < n*count of the index p*A + i is bit r of i."""
-    block = (1 << width) - 1
-    out = {}
-    for k, key in enumerate(keys):
-        ext = 0
-        for w in range(n):
-            # bit j of the index i: runs of 2^j clear bits, then 2^j set bits
-            run = 1 << (n * (len(keys) - 1 - k) + w)
-            bits, period = ((1 << run) - 1) << run, 2 * run
-            while period < width:
-                bits |= bits << period
-                period *= 2
-            ext |= (bits & block) << w * width
-        out[key] = ext
-    return out
+    so bit r < n*count of the index p*A + i is bit r of i.  The extensions
+    depend only on (n, count, W), so they are built once per shape (see
+    _SLICE_TABLES)."""
+    shape = (n, len(keys), width)
+    exts = _SLICE_TABLES.get(shape)
+    if exts is None:
+        block = (1 << width) - 1
+        out = []
+        for k in range(len(keys)):
+            ext = 0
+            for w in range(n):
+                # bit j of the index i: runs of 2^j clear bits, then 2^j set bits
+                run = 1 << (n * (len(keys) - 1 - k) + w)
+                bits, period = ((1 << run) - 1) << run, 2 * run
+                while period < width:
+                    bits |= bits << period
+                    period *= 2
+                ext |= (bits & block) << w * width
+            out.append(ext)
+        exts = tuple(out)
+        _keep(_SLICE_TABLES, shape, exts, width)
+    return dict(zip(keys, exts))
 
 
 def valuation_at(n: int, keys, i: int) -> dict:

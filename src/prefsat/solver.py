@@ -13,7 +13,9 @@ of its uses.  Reflexivity is compiled away, the strict relation is defined
 from the weak one, and transitivity (plus optionally totality) is asserted
 as clauses.  Which counts it solves, and in what order, is
 check_sat_engine's cloning-lemma search; the verdict and witness are those
-of the least count with a model.
+of the least count with a model.  Under engine="both" the oracle runs first
+and the search starts at its witness's world count (the bound when it found
+none), so the SAT side solves each count once, not again from 1.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
@@ -53,6 +55,7 @@ from operator import neg
 from . import syntax as sx
 from .model import (
     MAX_WORLDS,
+    ORACLE_CHUNK_BITS,
     Frame,
     PreferenceModel,
     all_preorders,
@@ -76,18 +79,6 @@ DEFAULT_BOUND = 4
 # peak memory doubles with every doubling of A.
 ORACLE_MAX_WORLDS = 3
 ORACLE_MAX_WORK = 1 << 23
-
-# The oracle evaluates max(1, ORACLE_CHUNK_BITS // A) preorders of one world
-# count in one packed pass.  Below this width a pass costs interpreter calls,
-# not bit work, so packing saves passes.  Above it the bit work dominates,
-# and since the oracle stops at the first preorder with a model, a wider
-# chunk evaluates preorders it would never reach.  Over 1 488 in-domain
-# suite and seeded random queries (Python 3.11, one 2-core host), caps of
-# 1, 1024, 4096 and 16384 bits took 0.29, 0.18-0.22, 0.17-0.19 and
-# 0.20-0.21 s, and packing every preorder 0.35-0.39 s.  The cap also keeps
-# every block within max(A, 4096) bits, which bounds each cached extension
-# and the time between budget checks.
-ORACLE_CHUNK_BITS = 4096
 
 # The least world count whose encoding gets the maximal-world lemma.  Below
 # it the canonical search refutes each case ruling in at most 4 conflicts,
@@ -761,21 +752,23 @@ def solve_at(q: Query, n: int, budget: _Budget | None = None) -> PreferenceModel
     return m
 
 
-def check_sat_engine(q: Query, budget: _Budget | None = None) -> Verdict:
+def check_sat_engine(q: Query, budget: _Budget | None = None, start: int = 1) -> Verdict:
     """The verdict at the least world count with a model, found by exponential
-    search (Bentley & Yao, IPL 1976).
+    search (Bentley & Yao, IPL 1976) from `start` worlds (1 to the bound).
 
     Cloning lemma: give a model one more world that copies a world w, weakly
     better and weakly worse than w, related to every other world as w is and
     with w's valuation.  Every formula keeps its truth at the old worlds and
     holds at the copy as at w, so a model on n worlds gives one on n + 1.
-    Having a model is thus monotone in n.  The search probes n = 1, 2, 4, ...
-    and then the bound; no model at the bound means none at any count.  When
-    probe p has a model, it bisects between the last probe without one and p
-    (least 3 at bound 4: 1, 2, 4, 3; least 6 at bound 7: 1, 2, 4, 7, 5, 6).
-    The witness is solve_at's model at the least count, the one a scan of
-    every count from 1 would return.  The budget (the query's own, unless
-    one is given) is checked before each probe.
+    Having a model is thus monotone in n.  The search probes n = start,
+    2 * start, 4 * start, ... and then the bound; no model at the bound means
+    none at any count.  When probe p has a model, it bisects between the last
+    probe without one (0 when p is the first) and p.  From start = 1, least 3
+    at bound 4 probes 1, 2, 4, 3 and least 6 at bound 7 probes 1, 2, 4, 7,
+    5, 6; from start = 2, least 2 probes 2, 1.  By monotonicity any start
+    ends at the same least count, and the witness is solve_at's model there,
+    the one a scan of every count from 1 would return.  The budget (the
+    query's own, unless one is given) is checked before each probe.
     """
     budget = budget or _Budget(q.budget)
 
@@ -784,7 +777,7 @@ def check_sat_engine(q: Query, budget: _Budget | None = None) -> Verdict:
         return solve_at(q, n, budget)
 
     try:
-        lo, n = 0, 1  # no model at lo worlds (0: vacuously); n is probed next
+        lo, n = 0, start  # no model at lo worlds (0: vacuously); n is probed next
         while (m := probe(n)) is None:
             if n == q.bound:
                 return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
@@ -881,20 +874,24 @@ def check(q: Query, budget: _Budget | None = None) -> Verdict:
     """Answer a query with the engine(s) it names, within one budget: the
     query's own, unless one is given.
 
-    engine="both" runs the SAT path and, when the query is inside the
-    oracle's domain, the enumeration oracle, both within that budget;
-    differing verdict kinds raise EngineDisagreement.
+    engine="both" runs the enumeration oracle first, when the query is inside
+    its domain, and then the SAT search from the world count of the oracle's
+    witness (the bound when it found none; 1 outside the domain), both
+    within that budget.  The search still decides from its own solves (one,
+    at the bound, for a valid query); differing verdict kinds raise
+    EngineDisagreement.
     """
     budget = budget or _Budget(q.budget)
     if q.engine == "sat":
         return check_sat_engine(q, budget)
     if q.engine == "enum":
         return enum_oracle(q, budget)
-    v_sat = check_sat_engine(q, budget)
     try:
         v_enum = enum_oracle(q, budget)
     except OracleDomainError:
-        return v_sat
+        return check_sat_engine(q, budget)
+    witness = getattr(v_enum, "model", None)
+    v_sat = check_sat_engine(q, budget, q.bound if witness is None else witness.n)
     if isinstance(v_sat, Unknown) or isinstance(v_enum, Unknown):
         return v_sat if isinstance(v_sat, Unknown) else v_enum
     if v_sat.kind != v_enum.kind:

@@ -9,6 +9,7 @@ import pytest
 
 import prefsat.syntax as sx
 from prefsat import kb as kbmod
+from prefsat import model as modelmod
 from prefsat import solver
 from prefsat.model import (
     PreferenceModel,
@@ -808,7 +809,14 @@ def test_search_gives_what_the_linear_scan_gave(monkeypatch, solved_as_shipped):
     (lambda: chain(2), [1, 2, 4, 3], 3),
     (lambda: chain(5), [1, 2, 4, 7, 5, 6], 6),
     (lambda: find(target="(and P (not P))", bound=7), [1, 2, 4, 7], None),
-], ids=["pierson-ruling", "pierson-axioms-only", "least-3", "least-6", "contradiction"])
+    # engine=both starts the search at the oracle's count, the bound when
+    # the oracle found no model
+    (lambda: refute("(or P (not P))", bound=3, engine="both"), [3], None),
+    (lambda: refute("P", bound=3, engine="both"), [1], 1),
+    (lambda: find(facts=["(and (dialt P) (not P))"], bound=3, engine="both"), [2, 1], 2),
+    (lambda: replace(chain(2), bound=3, engine="both"), [3, 1, 2], 3),
+], ids=["pierson-ruling", "pierson-axioms-only", "least-3", "least-6", "contradiction",
+        "both-valid", "both-least-1", "both-least-2", "both-least-3"])
 def test_probe_order_is_pinned(monkeypatch, query, probes, least):
     seen = []
     real = solver.solve_at
@@ -818,9 +826,27 @@ def test_probe_order_is_pinned(monkeypatch, query, probes, least):
         return real(q, n, budget)
 
     monkeypatch.setattr(solver, "solve_at", recording)
-    v = check_sat_engine(query())
+    q = query()
+    assert q.engine == "sat" or oracle_in_domain(q)
+    v = check(q)
     assert seen == probes
     assert worlds(v) == least
+
+
+def test_search_ends_at_the_same_count_from_any_start():
+    """By the cloning lemma, the search returns the least count with a model,
+    and that count's witness, whichever count it probes first."""
+    queries = [replace(q, bound=3, engine="sat") for _, q in suite_queries()]
+    queries += random_queries(11, 300, bound=3)
+    least = set()
+    for q in queries:
+        from_one = check_sat_engine(q)
+        for start in (2, 3):
+            assert render_verdict(check_sat_engine(q, start=start)) == \
+                render_verdict(from_one), (start, q)
+        least.add(worlds(from_one))
+    # starts below, at and above the least count, and no model at the bound
+    assert least == {1, 2, 3, None}
 
 
 def test_budget_running_out_in_the_four_world_probe(monkeypatch):
@@ -998,6 +1024,55 @@ def test_oracle_matches_the_per_model_reference():
     assert firsts == [(False, 3, 8), (False, 3, 27), (True, 3, 0), (True, 3, 11)]
 
 
+class CountingTable(dict):
+    """A shape table that counts the lookups that find an entry (hits) and
+    those that do not (misses)."""
+
+    hits = misses = 0
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return super().get(key, default)
+
+
+def test_shape_tables_keep_only_blocks_of_a_chunk(monkeypatch):
+    steps, slices = CountingTable(), CountingTable()
+    monkeypatch.setattr(modelmod, "_STEP_TABLES", steps)
+    monkeypatch.setattr(modelmod, "_SLICE_TABLES", slices)
+    # six symbols: A = 2^18 at 3 worlds, so the oracle decides each preorder
+    # there in a block of its own, 64 times ORACLE_CHUNK_BITS wide
+    sig = sx.base_signature("P", "Q", "R", "S", "T", "U")
+    wide = Query(target=sx.parse_formula(
+        "(implies (and (dialt P) (boxleq Q) R S T U) (dialeq P))", sig), bound=3, engine="enum")
+    assert isinstance(check(wide), BoundedValid)
+    assert steps.misses > len(steps) > 0 and slices.misses > len(slices) > 0
+    assert all(len(preorders) * count <= solver.ORACLE_CHUNK_BITS
+               for preorders, count, _ in steps)
+    assert all(width <= solver.ORACLE_CHUNK_BITS for _, _, width in slices)
+    # two queries of the crosscheck shape, two symbols at bound 3: the
+    # second finds every table the first built
+    for text in ("(implies (and (dialt P) Q) (dialeq P))", "(implies (boxleq Q) (or P (boxlt Q)))"):
+        steps.hits = steps.misses = slices.hits = slices.misses = 0
+        assert isinstance(check(refute(text, bound=3, engine="both")), BoundedValid)
+    assert steps.hits and slices.hits and not (steps.misses or slices.misses)
+
+
+def test_a_full_shape_table_starts_again(monkeypatch):
+    # each witness of a new preorder adds a step table; a long run of them
+    # must not grow the table past its cap
+    steps = {}
+    monkeypatch.setattr(modelmod, "_STEP_TABLES", steps)
+    monkeypatch.setattr(modelmod, "_SHAPE_TABLE_ENTRIES", 2)
+    sizes = []
+    for rows in all_preorders(3):
+        truth_at(PreferenceModel(3, rows, {("P", ()): 1}), fm("(dialeq P)"), 0)
+        sizes.append(len(steps))
+    assert max(sizes) == 2 and ((rows,), 1, False) in steps
+
+
 def test_check_both_compares_and_falls_back():
     q = refute("(implies P (dialeq P))", bound=2, engine="both")
     assert isinstance(check(q), BoundedValid)
@@ -1037,23 +1112,24 @@ def test_exhausted_budget_reports_unknown():
 
 
 def test_engine_both_shares_one_budget(monkeypatch):
-    # the clock passes the deadline just after the SAT engine returns, so the
-    # oracle must find the budget spent rather than start one of its own
+    # the clock passes the deadline just after the oracle returns, so the SAT
+    # engine must find the budget spent rather than start one of its own
     clock = [0.0]
     monkeypatch.setattr(solver.time, "monotonic", lambda: clock[0])
-    real = solver.check_sat_engine
+    real = solver.enum_oracle
 
-    def sat_then_late(*args):
+    def oracle_then_late(*args):
         v = real(*args)
         clock[0] += 2.0
         return v
 
-    monkeypatch.setattr(solver, "check_sat_engine", sat_then_late)
+    monkeypatch.setattr(solver, "enum_oracle", oracle_then_late)
     q = refute("(or P (not P))", bound=2, budget=1.0, engine="both")
     assert oracle_in_domain(q)
     assert check(q) == Unknown("budget-exhausted")
     # each engine called alone still starts a budget of its own
     assert isinstance(enum_oracle(q), BoundedValid)
+    assert isinstance(check_sat_engine(q), BoundedValid)
 
 
 def test_oracle_checks_the_budget_before_each_chunk(monkeypatch):
