@@ -7,15 +7,18 @@ The search solves exact world counts up to the bound, each count one
 propositional instance: relation variables for every ordered world pair,
 variables for each ground atom and value symbol per world, and definition
 gates built from the query's program (its distinct subformulas, compiled
-once, children first), each node at the worlds it is needed.  Gates are
-numbered in program order, and each is defined one-sided, by the polarity
-of its uses.  Reflexivity is compiled away, the strict relation is defined
-from the weak one, and transitivity (plus optionally totality) is asserted
-as clauses.  Which counts it solves, and in what order, is
-check_sat_engine's cloning-lemma search; the verdict and witness are those
-of the least count with a model.  Under engine="both" the oracle runs first
-and the search starts at its witness's world count (the bound when it found
-none), so the SAT side solves each count once, not again from 1.
+once, children first), each node at the worlds it is needed.  The asserted
+formulas are clauses over the program's nodes, so their top-level
+connectives get no gate.  Gates are numbered in program order, and each is
+defined one-sided, by the polarity of its uses; a diamond's negative half
+is one clause per world pair, with no gate.  Reflexivity is compiled away,
+the strict relation is defined from the weak one, and transitivity (plus
+optionally totality) is asserted as clauses.  Which counts it solves, and
+in what order, is check_sat_engine's cloning-lemma search; the verdict and
+witness are those of the least count with a model.  Under engine="both" the
+oracle runs first and the search starts at its witness's world count (the
+bound when it found none), so the SAT side solves each count once, not
+again from 1.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
@@ -33,8 +36,10 @@ Everything is deterministic: variables are allocated in a documented order
 variable, trying False first.  With a static order, no restarts and only
 implied learnt clauses, the witness is the least model in that order, the
 first relation variable the most significant; this was checked against brute
-force up to 3 worlds, not proved.  A one-sided definition admits the same
-assignments of the primary variables, so it leaves that model unchanged.
+force up to 3 worlds, not proved.  A one-sided definition, and a clause in
+place of a gate, holds whenever every gate takes its exact value, and no
+gate it drops is more than a definition; so each admits the same
+assignments of the primary variables and leaves that model unchanged.
 
 From LEMMA_MIN_WORLDS worlds up, the encoding ends with a maximal-world
 lemma, which holds in every finite preorder, and the solver probes its
@@ -147,12 +152,15 @@ class Query(sx.Node):
 
     @cached_property
     def program(self) -> tuple[tuple, tuple]:
-        """The query compiled once for every world count: its distinct
-        subformulas, children first, as (formula, child positions, every,
-        polarity), and (position, every, sign) per top-level formula.  A node
-        is built at every world (`every`) under an axiom, a modality or a node
-        true at every world or at none, else at world 0; polarity is as
-        _OPERANDS says.  Equal subtrees are one node, keyed by structure."""
+        """The query compiled once for every world count: each asserted
+        formula clausified with its sign (-1 for a refuted target) by
+        _flatten, the roots as (clause of (position, sign) pairs, every) in
+        formula order, and the program as the distinct subformulas of their
+        literals, children first, as (formula, child positions, every,
+        polarity).  A node is built at every world (`every`) under an axiom,
+        a modality or a node true at every world or at none, else at world 0;
+        a literal's polarity is its sign's, an operand's as _OPERANDS says.
+        Equal subtrees are one node, keyed by structure."""
         index: dict = {}  # position by structure, and by id (every node stays alive)
         nodes: list[list] = []
 
@@ -169,12 +177,15 @@ class Query(sx.Node):
             return pos
 
         target = () if self.target is None else (self.target,)
-        roots = tuple((visit(f), every, sign) for formulas, every, sign in (
-            (self.axioms, True, 1), (self.facts, False, 1),
-            (target, False, -1 if self.mode == "refute" else 1)) for f in formulas)
-        for pos, every, sign in roots:
-            nodes[pos][2] |= every
-            nodes[pos][3] |= _POS if sign > 0 else _NEG
+        asserted = ((self.axioms, True, 1), (self.facts, False, 1),
+                    (target, False, -1 if self.mode == "refute" else 1))
+        roots = tuple((tuple((visit(lit), s) for lit, s in _flatten(part, sign, False)), every)
+                      for formulas, every, top in asserted for f in formulas
+                      for part, sign in _flatten(f, top, True))
+        for clause, every in roots:
+            for pos, sign in clause:
+                nodes[pos][2] |= every
+                nodes[pos][3] |= _POS if sign > 0 else _NEG
         for f, kids, every, pol in reversed(nodes):  # all uses of a node come after it
             spread = every or type(f) in _SPREAD
             head, tail = _OPERANDS.get(type(f), (_SAME, ()))
@@ -499,6 +510,24 @@ _OPERANDS = {sx.Not: (_FLIP, ()), sx.Implies: (_FLIP, (_SAME,)), sx.Iff: (_EITHE
              sx.Dia: (_EITHER, (_SAME,)), sx.CpPrefAA: (_EITHER, (_FLIP, _FLIP))}
 
 
+def _flatten(f: sx.Formula, sign: int, conjunctive: bool):
+    """sign · f as the signed operands of a conjunction (conjunctive) or a
+    disjunction, in operand order: `not` flips the sign, and an operand of
+    that kind is flattened in turn (`and`, a negated `or` or `implies` is
+    conjunctive; `or`, `implies` or a negated `and` disjunctive).  Anything
+    else is its one operand."""
+    while type(f) is sx.Not:
+        f, sign = f.sub, -sign
+    cls = type(f)
+    if (cls is sx.And or cls is sx.Or or cls is sx.Implies) \
+            and ((sign > 0) == (cls is sx.And)) == conjunctive:
+        parts = ((f.lhs, -sign), (f.rhs, sign)) if cls is sx.Implies else zip(f.args, repeat(sign))
+        for part, s in parts:
+            yield from _flatten(part, s, conjunctive)
+    else:
+        yield f, sign
+
+
 class _Encoder:
     """Compile a query at an exact world count into clauses.
 
@@ -513,7 +542,13 @@ class _Encoder:
     ones, as the polarity given to `conj`, `iff` and `edges` asks.  Their
     caches, keyed by literals, hold each gate with the halves emitted; a
     gate met again may lack one, which is emitted then, after those its
-    operands need (their nodes come first in the program).
+    operands need (their nodes come first in the program).  A diamond's
+    gate is fresh, one per world, and its negative half has no gate per
+    world pair.  Every clause emitted holds when each gate takes its exact
+    value, and every gate a clause stands for (an asserted connective's, a
+    diamond pair's) was only a definition; so the models over the relation,
+    atom and value variables, and every verdict and witness, are those of
+    full definitions.
     """
 
     def __init__(self, n: int, atom_keys, inc_keys, total: bool):
@@ -557,14 +592,26 @@ class _Encoder:
         and agrees with w on every guard (each its literals per world)."""
         return [self.edges(w, strict, pol)[v], *[self.iff(g[w], g[v], pol) for g in guards]]
 
+    def clause(self, lits) -> list[int] | None:
+        """The clause of lits without false or repeated literals, in order;
+        None when it holds (a true literal or a complementary pair).  So each
+        clause satisfies CDCL.load, which reads an empty one as UNSAT."""
+        vtrue, out = self.vtrue, {}
+        for l in lits:
+            if l == vtrue or -l in out:
+                return None
+            if l != -vtrue:
+                out[l] = None
+        return list(out)
+
     def conj(self, lits, pol: int) -> int:
         """A gate for the conjunction, its literals without repeats; a
-        complementary pair is false, so each clause satisfies CDCL.load.
+        complementary pair is false.
 
-        Two literals are normalised by comparisons alone; more (or fewer) go
-        through a dict.  What is left meets the cache, keyed by the sorted
-        literals, then the halves pol asks for that g lacks: [-g, l] for each
-        literal l in the given order, and [g, -l...]."""
+        Two literals are normalised by comparisons alone; more (or fewer) as
+        the clause of their negations.  What is left meets the cache, keyed by
+        the sorted literals, then the halves pol asks for that g lacks:
+        [-g, l] for each literal l in the given order, and [g, -l...]."""
         vtrue = self.vtrue
         if len(lits) == 2:
             a, b = lits
@@ -576,15 +623,13 @@ class _Encoder:
                 return a
             key = (a, b) if a < b else (b, a)
         else:
-            out: dict[int, None] = {}
-            for l in lits:
-                if l == -vtrue or -l in out:
-                    return -vtrue
-                if l != vtrue:
-                    out[l] = None
-            if len(out) < 2:
-                return next(iter(out), vtrue)
-            lits, key = out, tuple(sorted(out))
+            negs = self.clause(map(neg, lits))
+            if negs is None:
+                return -vtrue
+            if len(negs) < 2:
+                return -negs[0] if negs else vtrue
+            lits = [-l for l in negs]
+            key = tuple(sorted(lits))
         hit = self._conj_memo.get(key, 0)  # gate << 2 | the halves it has
         if not pol & ~hit:
             return hit >> 2
@@ -621,6 +666,38 @@ class _Encoder:
             self.clauses += ([g, a, b], [g, -a, -b])
         return g
 
+    def diamond(self, w: int, strict: bool, guards, sub: list[int], pol: int) -> int:
+        """Some world v has the edge e(w,v) from w (its guards' `iff`s
+        included) and sub x(v).  Each candidate v, the clause [-e(w,v), -x(v)]
+        normalised, is dropped when false; a true one makes the diamond true,
+        and a lone one is its conjunction.  Else the diamond is a fresh gate
+        D: its negative half is [D, -e(w,v), -x(v)] per candidate, with no
+        gate per pair, and its positive half [-D, c(w,v)...], c(w,v) the
+        conjunction of e(w,v) and x(v)."""
+        row, vtrue = self.edges(w, strict, pol), self.vtrue
+        cands = []  # each candidate's literals, to be conjoined
+        for v, e in enumerate(row):
+            x = sub[v]
+            if e == -vtrue or x == -vtrue:  # a false candidate
+                continue
+            if guards or e == vtrue or x == vtrue or abs(e) == abs(x):
+                c = self.clause([*map(neg, self.edge(w, v, strict, guards, pol)), -x])
+                if c is None:
+                    continue
+                if not c:
+                    return vtrue
+                cands.append([-l for l in c])
+            else:  # two distinct literals, neither constant: nothing to normalise
+                cands.append((e, x))
+        if len(cands) < 2:
+            return self.conj(cands[0], pol) if cands else -vtrue
+        d = self._new()
+        if pol & _NEG:
+            self.clauses += ([d, *map(neg, c)] for c in cands)
+        if pol & _POS:
+            self.clauses.append([-d, *[self.conj(c, _POS) for c in cands]])
+        return d
+
     def build(self, nodes, budget: _Budget):
         """Append each program node's literals, one per world it is built at,
         checking the budget before each node."""
@@ -648,15 +725,7 @@ class _Encoder:
                 out = [self.iff(a, b, pol) for a, b in rows]
             elif cls is sx.Dia:
                 *guards, sub = args
-                out = []
-                for w in worlds:
-                    if guards:
-                        opts = [conj([*self.edge(w, v, f.strict, guards, pol), sub[v]], pol)
-                                for v in range(n)]
-                    else:
-                        opts = [conj((e, x), pol)
-                                for e, x in zip(self.edges(w, f.strict, pol), sub)]
-                    out.append(self.disj(opts, pol))
+                out = [self.diamond(w, f.strict, guards, sub, pol) for w in worlds]
             elif cls is sx.Somewhere:
                 out = [self.disj(args[0], pol)] * len(worlds)
             else:  # cp-pref-aa: every lhs world has every rhs world above it
@@ -699,14 +768,19 @@ class _Encoder:
 
 def encode(q: Query, n: int) -> _Encoder:
     """Clauses of the query at exactly n worlds, its program built node by
-    node.  Inside solve_at, its budget is checked before each node."""
+    node, then each root clause at every world (axioms) or at world 0
+    (facts and target), normalised: a false literal dropped, a clause that
+    holds skipped, and an empty one left for CDCL.load to read as UNSAT.
+    Inside solve_at, its budget is checked before each node."""
     nodes, roots = q.program
     enc = _Encoder(n, *q.symbols, q.total)
     enc.build(nodes, _ENCODE_BUDGET.get())
-    for pos, every, sign in roots:
-        lits = enc.lits[pos]
-        for lit in lits if every else lits[:1]:
-            enc.clauses.append([sign * lit])
+    lits = enc.lits
+    for clause, every in roots:
+        for w in range(n if every else 1):
+            c = enc.clause([sign * lits[pos][w] for pos, sign in clause])
+            if c is not None:
+                enc.clauses.append(c)
     if n >= LEMMA_MIN_WORLDS:
         enc.maximal_world_lemma()
     return enc

@@ -2,6 +2,7 @@
 import hashlib
 import random
 from dataclasses import FrozenInstanceError
+from functools import partial
 from itertools import combinations, product
 from operator import neg
 
@@ -168,11 +169,13 @@ def test_budget_is_checked_every_256_search_steps():
 # trail literals; and the sha256 of the appended learnt clauses, in order, as
 # they stand when the solve returns, followed per count by its unit learnts.
 # At 4 to 6 worlds each ruling is refuted by n - 1 unit learnts while probing,
-# without a search decision.  With both halves of every definition the
-# propagations were 109, 454, 507, 739 and 1017 at 2 to 6 worlds.
-PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 107), 3: (1, 3, 4, 348), 4: (0, 3, 0, 391),
-             5: (0, 4, 0, 547), 6: (0, 5, 0, 729)}
-PIERSON_6_SHA256 = "b0bd91c7214af6202fb1b447b7e5d39386cc534302e07fc26a9dd3488da172c6"
+# without a search decision.  Recorded once the asserted formulas were
+# clauses and a diamond's negative half had no gate per world pair; before,
+# the propagations were 107, 348, 391, 547 and 729 at 2 to 6 worlds, and
+# with both halves of every definition 109, 454, 507, 739 and 1017.
+PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 34), 3: (1, 3, 4, 230), 4: (0, 3, 0, 234),
+             5: (0, 4, 0, 351), 6: (0, 5, 0, 494)}
+PIERSON_6_SHA256 = "4648beed883f2128f1e984b6fac2807bce507302fcc40c300bb16062ab447842"
 # The deepest decision level per world count, recorded before `max_level`
 # existed by tracking the length of `lim`; a probe is decided at level 1.
 PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 1, 5: 1, 6: 1}
@@ -320,19 +323,37 @@ def test_strict_edges_come_from_one_table():
     assert enc.edges(0, True, BOTH)[1] == g and enc.clauses[-3:] == [[-g, a], [-g, -b], [g, -a, b]]
 
 
-def gate_values(enc, fixed):
+def gate_values(enc, fixed, program):
     """Extend an assignment of the primary variables (variable -> bool) to
     every gate by its meaning: a conjunction of its cache key's literals, or
-    the equivalence of its two.  Read from the encoder's caches, in variable
-    order, as each gate's literals are older than it; shares no code with
-    the clauses."""
+    the equivalence of its two, read from the encoder's caches; a diamond's
+    gate, which no cache holds, is read from the program as the OR over v of
+    v's edge from the gate's world, agreement on each guard and the body at
+    v.  Taken in variable order, as each gate's literals are older than it;
+    shares no code with the clauses."""
     val = dict(fixed)  # a cache holds each gate as gate << 2 | the halves emitted
-    defs = {g >> 2: (all, key) for key, g in enc._conj_memo.items()}
-    defs.update({g >> 2: (lambda holds: holds[0] == holds[1], key)
+
+    def holds(lit):
+        return val[abs(lit)] == (lit > 0)
+
+    defs = {g >> 2: lambda key=key: all(map(holds, key)) for key, g in enc._conj_memo.items()}
+    defs.update({g >> 2: lambda key=key: holds(key[0]) == holds(key[1])
                  for key, g in enc._iff_memo.items()})
+    for (f, kids, every, _), lits in zip(program, enc.lits):
+        if type(f) is not sx.Dia:
+            continue
+        *guards, sub = (enc.lits[k] for k in kids)
+        edges = enc._strict if f.strict else enc._weak
+
+        def diamond(w, guards=guards, sub=sub, edges=edges):
+            return any(holds(edges[w][v]) and all(holds(g[w]) == holds(g[v]) for g in guards)
+                       and holds(sub[v]) for v in range(enc.n))
+
+        for w in range(enc.n if every else 1):
+            if abs(lits[w]) > enc.vtrue:  # a gate; the first node that has it made it
+                defs.setdefault(abs(lits[w]), partial(diamond, w))
     for g in sorted(defs):
-        meaning, key = defs[g]
-        val[g] = meaning([val[abs(lit)] == (lit > 0) for lit in key])
+        val[g] = defs[g]()
     return val
 
 
@@ -351,8 +372,10 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
         atom_keys, inc_keys = q.symbols
         for n in (4, 5, 6, 7):
             enc = solver.encode(q, n)
-            # the unit clauses are [vtrue] and the asserted formulas
-            definitions = [c for c in enc.clauses if len(c) > 1]
+            # the other clauses are [vtrue] and those the roots assert
+            asserted = {frozenset(sign * enc.lits[pos][w] for pos, sign in clause) - {-enc.vtrue}
+                        for clause, every in q.program[1] for w in range(n if every else 1)}
+            definitions = [c for c in enc.clauses if len(c) > 1 and frozenset(c) not in asserted]
             for _ in range(6):
                 pairs = [(a, b) for a in range(n) for b in range(n)
                          if a != b and rng.random() < 0.3]
@@ -365,7 +388,7 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
                     for key, vars_ in symbols.items():
                         fixed.update({var: bool(world_sets[key] >> w & 1)
                                       for w, var in enumerate(vars_)})
-                val = gate_values(enc, fixed)
+                val = gate_values(enc, fixed, q.program[0])
                 assert len(val) == enc.nvars, (case, n, "a gate has no definition")
                 assert all(any(val[abs(lit)] == (lit > 0) for lit in c) for c in definitions)
                 for (f, _, every, _), lits in zip(q.program[0], enc.lits):
@@ -375,7 +398,7 @@ def test_encoder_agrees_with_the_evaluator_at_the_shipped_kbs_sizes():
                         checked += 1
     # every (node, world) of six models, a node true at every world or at none
     # once
-    assert checked == 59_604, checked
+    assert checked == 37_560, checked
 
 
 def unshared(f):
@@ -398,10 +421,12 @@ def unshared_query(q):
 
 
 # sha256 of repr((nvars, clauses, probes)) of every encoding in
-# test_sharing_changes_no_encoding, in its order, recorded when gates were
-# first defined by polarity and numbered in program order (before that:
-# e360855742828c4f4e75c073520960473c1f7fb2e3f7482a1aff8e586108b17d)
-ENCODINGS_SHA256 = "f45f444de2202bdaa24c001464244cf885184f6c017e4eaf478193f411baaa12"
+# test_sharing_changes_no_encoding, in its order, recorded when the asserted
+# formulas became clauses and a diamond's negative half lost its gate per
+# world pair (before that, with gates defined by polarity and numbered in
+# program order: f45f444de2202bdaa24c001464244cf885184f6c017e4eaf478193f411baaa12;
+# before polarity: e360855742828c4f4e75c073520960473c1f7fb2e3f7482a1aff8e586108b17d)
+ENCODINGS_SHA256 = "fe56e266d922d88c3271adbc7a873aaee433332f10f2b904b746153fbb1b72e5"
 
 
 def test_sharing_changes_no_encoding():
@@ -436,11 +461,12 @@ def test_a_loaded_kb_is_encoded_once_per_distinct_subformula():
     q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
     nodes = [f for f, *_ in q.program[0]]
     # no two equal nodes; a box or A reads as two `not` nodes around a Dia or
-    # E, and a `not` allocates no gate
-    assert len(set(nodes)) == len(nodes) == 156
+    # E, and a `not` allocates no gate; an asserted formula's top-level
+    # connectives are clauses, not nodes
+    assert len(set(nodes)) == len(nodes) == 94
     copy = unshared_query(q)
     assert copy.program == q.program
-    assert (node_worlds(q, 7), node_worlds(copy, 7)) == (1032, 1032)
+    assert (node_worlds(q, 7), node_worlds(copy, 7)) == (628, 628)
     # a Dia is keyed by its strictness too: dialeq and dialt of one body stay
     # two nodes
     both = refute("(and (dialeq P) (dialt P))")
@@ -455,7 +481,7 @@ def test_proof_steps_share_their_subformulas():
         enc, copy = solver.encode(q, q.bound), solver.encode(unshared_query(q), q.bound)
         assert (enc.nvars, enc.clauses, enc.probes) == (copy.nvars, copy.clauses, copy.probes)
         pairs += node_worlds(q, q.bound)
-    assert pairs == 636
+    assert pairs == 501
 
 
 def admits(q, m):
@@ -513,12 +539,74 @@ def test_polarity_keeps_exactly_the_admitted_assignments():
     assert outcomes == {(n, sat) for n in (1, 2, 4) for sat in (False, True)}
 
 
+def clausified(f, sign):
+    """sign · f as clauses of signed formulas, as Query.program asserts it."""
+    return [list(solver._flatten(part, s, False)) for part, s in solver._flatten(f, sign, True)]
+
+
+def test_clausification_is_exact():
+    """Every suite query, 300 random ones and each case's queries: on seeded
+    models of 1 to 3 worlds, the clauses of each asserted formula, in either
+    sign, all hold at a world exactly where sign · f holds, by the evaluator
+    alone.  The program's roots are those clauses in order, each literal the
+    node of its formula."""
+    rng = random.Random(31)
+    queries = [q for _, q in suite_queries()] + random_queries(11, 300) + list(case_queries(3))
+    shapes = set()
+    for q in queries:
+        target = () if q.target is None else (q.target,)
+        asserted = [(f, True, 1) for f in q.axioms] + [(f, False, 1) for f in q.facts] \
+            + [(f, False, -1 if q.mode == "refute" else 1) for f in target]
+        nodes, roots = q.program
+        assert [([(nodes[pos][0], s) for pos, s in clause], every) for clause, every in roots] \
+            == [(clause, every) for f, every, sign in asserted for clause in clausified(f, sign)]
+        atom_keys, inc_keys = q.symbols
+        models = [from_edges(n, [(a, b) for a in range(n) for b in range(n)
+                                 if a != b and rng.random() < 0.4],
+                             {k: rng.randrange(1 << n) for k in atom_keys},
+                             {k: rng.randrange(1 << n) for k in inc_keys}) for n in (1, 2, 3)]
+        for f, _, _ in asserted:
+            for sign in (1, -1):
+                clauses = clausified(f, sign)
+                shapes.add((len(clauses), max(map(len, clauses), default=0)))
+                for m in models:
+                    for w in range(m.n):
+                        holds = all(any(truth_at(m, g, w) == (s > 0) for g, s in clause)
+                                    for clause in clauses)
+                        assert holds == (truth_at(m, f, w) == (sign > 0)), \
+                            (sign, w, sx.format_formula(f), render_text(m))
+    # split conjunctions and clauses of several literals both occur
+    assert any(k > 1 for k, _ in shapes) and any(width > 1 for _, width in shapes)
+
+
+def test_a_diamond_used_only_negatively_has_no_gate_per_pair():
+    """The axiom (implies (dialt P) Q) at 3 worlds asserts [-D(w), Q(w)] per
+    world, so D is used only negatively: it gets [D(w), -s(w,v), -P(v)] per
+    pair and one gate per world, and the implication no gate (31 variables
+    and 31 clauses with a gate per pair and per implication)."""
+    n = 3
+    query = find(axioms=["(implies (dialt P) Q)"], bound=n)
+    enc = solver.encode(query, n)
+    # 6 relation, 6 atom variables and vtrue; a gate per strict edge and per D(w)
+    assert enc.nvars == 13 + 6 + 3
+    # [vtrue], transitivity, the strict edges' negative halves, D's and the axiom's
+    assert len(enc.clauses) == 1 + 6 + 6 + 6 + 3
+    p, q = enc.atom_vars[("P", ())], enc.atom_vars[("Q", ())]
+    [dia] = [lits for (f, *_), lits in zip(query.program[0], enc.lits) if type(f) is sx.Dia]
+    for w in range(n):
+        for v in range(n):
+            if v != w:
+                assert [dia[w], -enc._strict[w][v], -p[v]] in enc.clauses
+        assert [-dia[w], q[w]] in enc.clauses
+
+
 def test_maximal_world_lemma_holds_in_every_preorder():
     """On each of the 355 preorders on 4 worlds, with a seeded valuation and
     every gate set to its meaning, every definition and lemma clause holds,
     and m(w) is true exactly when no world is strictly better than w."""
     n = 4
-    enc = solver.encode(refute("(dialt P)", facts=["(boxlt (or P Q))"], bound=n), n)
+    q = refute("(dialt P)", facts=["(boxlt (or P Q))"], bound=n)
+    enc = solver.encode(q, n)
     # world w's clause is [m(w), then its probes c(w,v)]
     lemma = [next(c for c in enc.clauses if c[1:] == enc.probes[w * (n - 1):(w + 1) * (n - 1)])
              for w in range(n)]
@@ -531,7 +619,7 @@ def test_maximal_world_lemma_holds_in_every_preorder():
         fixed.update({var: bool(rows[i] >> j & 1) for (i, j), var in enc.rel.items()})
         fixed.update({var: rng.random() < 0.5 for vars_ in enc.atom_vars.values()
                       for var in vars_})
-        val = gate_values(enc, fixed)
+        val = gate_values(enc, fixed, q.program[0])
         assert len(val) == enc.nvars, (rows, "a gate has no definition")
         for clause in definitions + lemma:
             assert any(val[abs(lit)] == (lit > 0) for lit in clause), (rows, clause)
@@ -1195,16 +1283,16 @@ def test_budget_is_checked_inside_one_world_count(monkeypatch):
 
     monkeypatch.setattr(CDCL, "solve", unreachable)
     q = refute("(implies P Q)", axioms=["(boxleq R)", "(or P S)"], facts=["Q"], bound=2)
-    # one check before each of the 9 program nodes (R, its negation, the
-    # diamond of that, the box as its negation, P, S, the or, Q, the
-    # implication), so a budget overruns by one node's gates at most, and one
-    # before the search
-    assert len(q.program[0]) == 9
-    for k in range(1, 11):
+    # one check before each of the 6 program nodes (R, its negation, the
+    # diamond of that, P, S, Q: the box, the or and the implication are
+    # clauses over them), so a budget overruns by one node's gates at most,
+    # and one before the search
+    assert len(q.program[0]) == 6
+    for k in range(1, 8):
         with pytest.raises(BudgetExceeded):
             solve_at(q, 2, StopAt(k))
     with pytest.raises(AssertionError, match="reached"):
-        solve_at(q, 2, StopAt(11))
+        solve_at(q, 2, StopAt(8))
     # the budget does not outlive its solve_at call
     assert solver.encode(q, 2).nvars > 0
 
