@@ -891,12 +891,17 @@ def test_search_gives_what_the_linear_scan_gave(monkeypatch, solved_as_shipped):
 
 @pytest.mark.parametrize("query, probes, least", [
     (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7),
-     [1, 2, 4, 7], None),
+     [1, 2, 7], None),
     (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", with_facts=False,
                               bound=7), [1, 2], 2),
-    (lambda: chain(2), [1, 2, 4, 3], 3),
-    (lambda: chain(5), [1, 2, 4, 7, 5, 6], 6),
-    (lambda: find(target="(and P (not P))", bound=7), [1, 2, 4, 7], None),
+    (lambda: chain(2), [1, 2, 7, 4, 3], 3),
+    (lambda: chain(5), [1, 2, 7, 4, 5, 6], 6),
+    (lambda: find(target="(and P (not P))", bound=7), [1, 2, 7], None),
+    # bounds 4 and 8 are doubled up to
+    (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=4),
+     [1, 2, 4], None),
+    (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=8),
+     [1, 2, 4, 8], None),
     # engine=both starts the search at the oracle's count, the bound when
     # the oracle found no model
     (lambda: refute("(or P (not P))", bound=3, engine="both"), [3], None),
@@ -904,6 +909,7 @@ def test_search_gives_what_the_linear_scan_gave(monkeypatch, solved_as_shipped):
     (lambda: find(facts=["(and (dialt P) (not P))"], bound=3, engine="both"), [2, 1], 2),
     (lambda: replace(chain(2), bound=3, engine="both"), [3, 1, 2], 3),
 ], ids=["pierson-ruling", "pierson-axioms-only", "least-3", "least-6", "contradiction",
+        "pierson-ruling-bound-4", "pierson-ruling-bound-8",
         "both-valid", "both-least-1", "both-least-2", "both-least-3"])
 def test_probe_order_is_pinned(monkeypatch, query, probes, least):
     seen = []
@@ -919,6 +925,30 @@ def test_probe_order_is_pinned(monkeypatch, query, probes, least):
     v = check(q)
     assert seen == probes
     assert worlds(v) == least
+
+
+@pytest.mark.parametrize("bound", range(1, 17))
+def test_search_schedule(monkeypatch, bound):
+    """With solve_at stubbed to have a model from `least` worlds on, the
+    search ends at the least count for every least count or none, probes no
+    count twice, and for a valid query probes the powers of two up to half
+    the bound, then the bound."""
+    for least in (*range(1, bound + 1), None):
+        seen = []
+
+        def stub(q, n, budget=None):
+            seen.append(n)
+            if least is None or n < least:
+                return None
+            return PreferenceModel(n, ((1 << n) - 1,) * n, {}, {})
+
+        monkeypatch.setattr(solver, "solve_at", stub)
+        v = check_sat_engine(find(facts=["P"], bound=bound))
+        assert worlds(v) == least, (bound, least, seen)
+        assert len(set(seen)) == len(seen), (bound, least, seen)
+        if least is None:
+            assert seen == [*(1 << k for k in range(bound.bit_length()) if 2 << k <= bound),
+                            bound], seen
 
 
 def test_search_ends_at_the_same_count_from_any_start():
@@ -938,7 +968,7 @@ def test_search_ends_at_the_same_count_from_any_start():
 
 
 def test_budget_running_out_in_the_four_world_probe(monkeypatch):
-    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=7)
+    q = kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=8)
     seen = []
     real = solver.solve_at
 
