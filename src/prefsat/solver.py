@@ -14,8 +14,8 @@ defined one-sided, by the polarity of its uses; a diamond's negative half
 is one clause per world pair, with no gate.  Reflexivity is compiled away,
 the strict relation is defined from the weak one, and transitivity (plus
 optionally totality) is asserted as clauses.  Which counts it solves, and
-in what order, is check_sat_engine's cloning-lemma search (1, 2, 4, ... up
-to half the bound, then the bound, then a bisection); the verdict and
+in what order, is check_sat_engine's cloning-lemma search (1, 2, then 4, 8,
+... up to half the bound, then the bound, then a bisection); the verdict and
 witness are those of the least count with a model.  Under engine="both" the
 oracle runs first and the search starts at its witness's world count (the
 bound when it found none), so the SAT side solves each count once, not
@@ -674,8 +674,7 @@ class _Encoder:
         and a lone one is its conjunction.  Else the diamond is a fresh gate
         D: its negative half is [D, -e(w,v), -x(v)] per candidate, with no
         gate per pair, and its positive half [-D, c(w,v)...], c(w,v) the
-        conjunction of e(w,v) and x(v).  A candidate of two literals needs no
-        normalising, so its clause and gate (as `conj` builds it) are direct."""
+        conjunction of e(w,v) and x(v)."""
         row, vtrue = self.edges(w, strict, pol), self.vtrue
         cands = []  # each candidate's literals, to be conjoined
         for v, e in enumerate(row):
@@ -693,24 +692,11 @@ class _Encoder:
                 cands.append((e, x))
         if len(cands) < 2:
             return self.conj(cands[0], pol) if cands else -vtrue
-        d, clauses = self._new(), self.clauses
+        d = self._new()
         if pol & _NEG:
-            clauses += ([d, -c[0], -c[1]] if len(c) == 2 else [d, *map(neg, c)] for c in cands)
+            self.clauses += ([d, *map(neg, c)] for c in cands)
         if pol & _POS:
-            gates, memo = [-d], self._conj_memo
-            for c in cands:
-                if len(c) != 2:
-                    gates.append(self.conj(c, _POS))
-                    continue
-                e, x = c
-                key = (e, x) if e < x else (x, e)
-                hit = memo.get(key, 0)  # as in conj
-                if not hit & _POS:
-                    g = hit >> 2 or self._new()
-                    hit = memo[key] = g << 2 | hit | _POS
-                    clauses += ([-g, e], [-g, x])
-                gates.append(hit >> 2)
-            clauses.append(gates)
+            self.clauses.append([-d, *[self.conj(c, _POS) for c in cands]])
         return d
 
     def build(self, nodes, budget: _Budget):
@@ -790,20 +776,12 @@ def encode(q: Query, n: int) -> _Encoder:
     nodes, roots = q.program
     enc = _Encoder(n, *q.symbols, q.total)
     enc.build(nodes, _ENCODE_BUDGET.get())
-    lits, vtrue, emit = enc.lits, enc.vtrue, enc.clauses.append
+    lits = enc.lits
     for clause, every in roots:
-        worlds = range(n if every else 1)
-        if len(clause) == 1:  # a unit, normalised as `clause` would
-            (pos, sign), = clause
-            for w in worlds:
-                l = sign * lits[pos][w]
-                if l != vtrue:
-                    emit([] if l == -vtrue else [l])
-            continue
-        for w in worlds:
+        for w in range(n if every else 1):
             c = enc.clause([sign * lits[pos][w] for pos, sign in clause])
             if c is not None:
-                emit(c)
+                enc.clauses.append(c)
     if n >= LEMMA_MIN_WORLDS:
         enc.maximal_world_lemma()
     return enc
@@ -858,18 +836,18 @@ def check_sat_engine(q: Query, budget: _Budget | None = None, start: int = 1) ->
     with w's valuation.  Every formula keeps its truth at the old worlds and
     holds at the copy as at w, so a model on n worlds gives one on n + 1.
     Having a model is thus monotone in n.  The search probes n = start,
-    2 * start, 4 * start, ... while the double is at most half the bound, and
-    then the bound; no model at the bound means none at any count.  (A last
-    doubling in [bound/2, bound) would cost a large share of the bound's own
-    solve and, on the case queries, decide nothing.)  When probe p has a
-    model, it bisects between the last probe without one (0 when p is the
-    first) and p.  From start = 1, a valid query probes 1, 3 at bound 3, 1, 2,
-    4 at bound 4, 1, 2, 7 at bound 7 and 1, 2, 4, 8 at bound 8; least 3 at
-    bound 7 probes 1, 2, 7, 4, 3 and least 6 probes 1, 2, 7, 4, 5, 6; from
-    start = 2, least 2 probes 2, 1.  By monotonicity any start ends at the
-    same least count, and the witness is solve_at's model there, the one a
-    scan of every count from 1 would return.  The budget (the query's own,
-    unless one is given) is checked before each probe.
+    2 * start, 4 * start, ... while the double is 2 or at most half the
+    bound, and then the bound; no model at the bound means none at any count.
+    (A last doubling in (bound/2, bound) would cost a large share of the
+    bound's own solve and, on the case queries, decide nothing.)  When probe
+    p has a model, it bisects between the last probe without one (0 when p is
+    the first) and p.  From start = 1, a valid query probes 1, 2, 3 at bound
+    3, 1, 2, 4 at bound 4, 1, 2, 7 at bound 7 and 1, 2, 4, 8 at bound 8;
+    least 3 at bound 7 probes 1, 2, 7, 4, 3 and least 6 probes 1, 2, 7, 4, 5,
+    6; from start = 2, least 2 probes 2, 1.  By monotonicity any start ends
+    at the same least count, and the witness is solve_at's model there, the
+    one a scan of every count from 1 would return.  The budget (the query's
+    own, unless one is given) is checked before each probe.
     """
     budget = budget or _Budget(q.budget)
 
@@ -882,7 +860,7 @@ def check_sat_engine(q: Query, budget: _Budget | None = None, start: int = 1) ->
         while (m := probe(n)) is None:
             if n == q.bound:
                 return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
-            lo, n = n, 2 * n if 4 * n <= q.bound else q.bound
+            lo, n = n, 2 * n if n == 1 or 4 * n <= q.bound else q.bound
         while n - lo > 1:  # model m at n worlds, none at lo
             mid = (lo + n) // 2
             found = probe(mid)

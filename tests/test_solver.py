@@ -897,7 +897,8 @@ def test_search_gives_what_the_linear_scan_gave(monkeypatch, solved_as_shipped):
     (lambda: chain(2), [1, 2, 7, 4, 3], 3),
     (lambda: chain(5), [1, 2, 7, 4, 5, 6], 6),
     (lambda: find(target="(and P (not P))", bound=7), [1, 2, 7], None),
-    # bounds 4 and 8 are doubled up to
+    # 2 is always probed, and bounds 4 and 8 are doubled up to
+    (lambda: find(facts=["(and (dialt P) (not P))"], bound=3), [1, 2], 2),
     (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=4),
      [1, 2, 4], None),
     (lambda: kbmod.goal_query(kbmod.case_kb("pierson"), "ruling-for-d", bound=8),
@@ -909,7 +910,7 @@ def test_search_gives_what_the_linear_scan_gave(monkeypatch, solved_as_shipped):
     (lambda: find(facts=["(and (dialt P) (not P))"], bound=3, engine="both"), [2, 1], 2),
     (lambda: replace(chain(2), bound=3, engine="both"), [3, 1, 2], 3),
 ], ids=["pierson-ruling", "pierson-axioms-only", "least-3", "least-6", "contradiction",
-        "pierson-ruling-bound-4", "pierson-ruling-bound-8",
+        "least-2-bound-3", "pierson-ruling-bound-4", "pierson-ruling-bound-8",
         "both-valid", "both-least-1", "both-least-2", "both-least-3"])
 def test_probe_order_is_pinned(monkeypatch, query, probes, least):
     seen = []
@@ -931,8 +932,8 @@ def test_probe_order_is_pinned(monkeypatch, query, probes, least):
 def test_search_schedule(monkeypatch, bound):
     """With solve_at stubbed to have a model from `least` worlds on, the
     search ends at the least count for every least count or none, probes no
-    count twice, and for a valid query probes the powers of two up to half
-    the bound, then the bound."""
+    count twice, and for a valid query probes 1 and 2, then the powers of
+    two up to half the bound, then the bound."""
     for least in (*range(1, bound + 1), None):
         seen = []
 
@@ -947,7 +948,8 @@ def test_search_schedule(monkeypatch, bound):
         assert worlds(v) == least, (bound, least, seen)
         assert len(set(seen)) == len(seen), (bound, least, seen)
         if least is None:
-            assert seen == [*(1 << k for k in range(bound.bit_length()) if 2 << k <= bound),
+            powers = (1 << k for k in range(bound.bit_length()))
+            assert seen == [*(p for p in powers if p < bound and (p <= 2 or 2 * p <= bound)),
                             bound], seen
 
 
