@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from prefsat.cli import main
-from prefsat.kb import case_proof_path
+from prefsat.kb import case_proof_path, goal_query, load_kb, load_proof, replay
+from prefsat.model import render_dot
+from prefsat.solver import check
 
 SHIPPED = case_proof_path("pierson").parent  # the shipped .kb and .proof files
 
@@ -234,6 +236,83 @@ def test_kb_without_goals(tmp_path, capsys):
     kb.write_text("(atom Rain)\n(fact f1 Rain)\n")
     code, _, err = run(capsys, "entail", str(kb))
     assert code == 2 and "declares no goals" in err
+
+
+# ---------------------------------------------------------------------------
+# how each command ends: its exit code, and which model --dot writes
+
+OUTCOME_KB = """\
+(atom Rain)
+(atom Wet)
+(axiom rain-wets (implies Rain Wet))
+(fact raining Rain)
+(goal wet Wet)
+(goal dry (not Wet))
+"""
+
+# s1 passes; s2 and s3 fail with different countermodels, and s3 cites a
+# name that resolves to nothing
+OUTCOME_PROOF = """\
+(step s1 Wet (uses rain-wets raining))
+(step s2 Rain (uses rain-wets))
+(step s3 (not Wet) (uses ghost raining))
+"""
+
+
+def test_entail_dot_is_the_refuted_goals_countermodel(tmp_path, capsys):
+    kb = tmp_path / "rain.kb"
+    kb.write_text(OUTCOME_KB)
+    dot = tmp_path / "out.dot"
+    code, out, err = run(capsys, "entail", str(kb), "--dot", str(dot))
+    assert (code, err) == (1, "")
+    assert out.startswith("goal wet: BoundedValid bound=4\ngoal dry: Countermodel worlds=")
+    assert out.endswith(f"dot written to {dot}\n")
+    refuted = check(goal_query(load_kb(kb), "dry"))
+    assert dot.read_text() == render_dot(refuted.model)
+
+
+def test_model_of_contradictory_facts_writes_no_dot(tmp_path, capsys):
+    kb = tmp_path / "clash.kb"
+    kb.write_text("(atom Rain)\n(fact raining Rain)\n(fact dry (not Rain))\n")
+    dot = tmp_path / "out.dot"
+    code, out, err = run(capsys, "model", str(kb), "--dot", str(dot))
+    assert (code, out, err) == (1, "clash: NoModel bound=4\n", "")
+    assert not dot.exists()
+
+
+def test_replay_dot_is_the_first_failing_steps_countermodel(tmp_path, capsys):
+    kb = tmp_path / "rain.kb"
+    kb.write_text(OUTCOME_KB)
+    proof = tmp_path / "rain.proof"
+    proof.write_text(OUTCOME_PROOF)
+    dot = tmp_path / "out.dot"
+    code, out, err = run(capsys, "replay", str(proof), "--kb", str(kb), "--dot", str(dot))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "step s1: pass"
+    assert "step s2: FAIL" in lines and "step s3: FAIL [missing=ghost]" in lines
+    assert lines[-2:] == [f"dot written to {dot}", "replay: 1/3 steps passed"]
+    loaded = load_kb(kb)
+    results = replay(load_proof(proof, loaded.sig), loaded)
+    first, second = (r.verdict.model for r in results[1:])
+    assert first != second
+    assert dot.read_text() == render_dot(first)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "pierson"), ("entail", "pierson"), ("model", "pierson"), ("replay", "pierson"),
+])
+def test_zero_budget_exits_2_and_writes_no_dot(tmp_path, capsys, argv):
+    dot = tmp_path / "out.dot"
+    code, out, _ = run(capsys, *argv, "--budget", "0", "--dot", str(dot))
+    assert code == 2
+    assert "Unknown reason=budget-exhausted" in out and "dot written" not in out
+    assert not dot.exists()
+
+
+def test_zero_budget_suite_exits_2(capsys):
+    code, out, _ = run(capsys, "suite", "values", "--budget", "0")
+    assert code == 2 and out.startswith("suite values: engine=sat bound=4 seed=0\n")
 
 
 # ---------------------------------------------------------------------------
