@@ -8,11 +8,11 @@ Commands:
   suite NAME    run a built-in verification suite (meta, values, cases)
 
 KB arguments accept a file path or the name of a shipped case (pierson,
-post, conti).  Exit codes: 0 every query came back positive (bounded-valid,
-satisfiable, or all steps passed); 1 a countermodel or failing step was
-found and rendered; 2 usage, parse, or budget problems, or a query outside
-the enumeration oracle's domain under --engine enum; 3 the two engines
-disagreed (a bug report is printed).
+post, conti).  Exit codes, by solver.exit_code over a command's results: 2
+when a budget ran out, else 0 when every result passed, else 1.  A usage,
+parse or file error, or a query outside the enumeration oracle's domain
+under --engine enum, exits 2; an engine disagreement exits 3 (a bug report
+is printed).  --dot writes the first model among the verdicts printed.
 
 Output is deterministic: the same command line always produces the same
 bytes.
@@ -29,24 +29,24 @@ from .model import ModelError, render_dot
 from .solver import (
     DEFAULT_BOUND,
     BoundedValid,
-    Countermodel,
     EngineDisagreement,
     OracleDomainError,
     Satisfiable,
-    Unknown,
     check,
+    exit_code,
     render_verdict,
 )
 from .suites import SUITE_NAMES, run_suite
 
 
-def _bound_arg(text: str) -> int:
-    """--bound, read as a KB's (option bound N) is: ASCII digits, in
-    1..model.MAX_WORLDS."""
-    try:
-        return kbmod._bound_value(text, "bound", None)
-    except sx.ParseError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _kb_arg(read, what: str):
+    """An option's type that reads its text as the KB reader `read` does."""
+    def convert(text: str) -> int:
+        try:
+            return read(text, what, None)
+        except sx.ParseError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # replay takes no --bound: every step runs at its own (bound N), 4 without one
     bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--bound", type=_bound_arg, default=None, metavar="N",
-                         help="largest world count to search (default 4)")
+    bounded.add_argument("--bound", type=_kb_arg(kbmod._bound_value, "bound"), default=None,
+                         metavar="N", help="largest world count to search (default 4)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--engine", choices=("sat", "enum", "both"), default=None,
                         help="decision engine; 'both' cross-checks them")
@@ -94,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", parents=[bounded, common],
                        help="run a built-in verification suite")
     p.add_argument("name", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suite rows")
+    p.add_argument("--seed", type=_kb_arg(kbmod._int_value, "seed"), default=0,
+                   help="seed for randomized suite rows")
 
     return ap
 
@@ -117,10 +118,14 @@ def _overrides(args) -> dict:
     }
 
 
-def _write_dot(args, model) -> None:
+def _finish(args, outcomes: list) -> int:
+    """Write --dot from the first verdict with a model, of the command's
+    (passed, verdict) pairs in printed order; return the exit code."""
+    model = next((v.model for _, v in outcomes if hasattr(v, "model")), None)
     if args.dot and model is not None:
         Path(args.dot).write_text(render_dot(model))
         print(f"dot written to {args.dot}")
+    return exit_code([(passed, v.kind) for passed, v in outcomes])
 
 
 def _cmd_goals(args, with_facts: bool) -> int:
@@ -128,30 +133,19 @@ def _cmd_goals(args, with_facts: bool) -> int:
     if not kb.goals:
         print(f"error: {kb.name} declares no goals", file=sys.stderr)
         return 2
-    dot_model = None
-    verdicts = []
+    outcomes = []
     for name in kb.goals:
-        q = kbmod.goal_query(kb, name, with_facts=with_facts, **_overrides(args))
-        v = check(q)
+        v = check(kbmod.goal_query(kb, name, with_facts=with_facts, **_overrides(args)))
         print(f"goal {name}: {render_verdict(v)}")
-        if isinstance(v, Countermodel) and dot_model is None:
-            dot_model = v.model
-        verdicts.append(v)
-    _write_dot(args, dot_model)
-    if any(isinstance(v, Unknown) for v in verdicts):
-        return 2
-    return 0 if all(isinstance(v, BoundedValid) for v in verdicts) else 1
+        outcomes.append((isinstance(v, BoundedValid), v))
+    return _finish(args, outcomes)
 
 
 def _cmd_model(args) -> int:
     kb = _load_kb_arg(args.kb_file)
-    q = kbmod.sat_query(kb, **_overrides(args))
-    v = check(q)
+    v = check(kbmod.sat_query(kb, **_overrides(args)))
     print(f"{kb.name}: {render_verdict(v)}")
-    if isinstance(v, Satisfiable):
-        _write_dot(args, v.model)
-        return 0
-    return 2 if isinstance(v, Unknown) else 1
+    return _finish(args, [(isinstance(v, Satisfiable), v)])
 
 
 def _cmd_replay(args) -> int:
@@ -169,7 +163,6 @@ def _cmd_replay(args) -> int:
     steps = kbmod.load_proof(proof_path, kb.sig)
     results = kbmod.replay(steps, kb, engine=args.engine, total=args.total,
                            budget=args.budget)
-    dot_model = None
     for r in results:
         notes = []
         if r.missing:
@@ -182,14 +175,9 @@ def _cmd_replay(args) -> int:
         else:
             print(f"step {r.name}: FAIL{suffix}")
             print(render_verdict(r.verdict))
-            if isinstance(r.verdict, Countermodel) and dot_model is None:
-                dot_model = r.verdict.model
-    _write_dot(args, dot_model)
-    passed = sum(r.passed for r in results)
-    print(f"replay: {passed}/{len(results)} steps passed")
-    if any(isinstance(r.verdict, Unknown) for r in results):
-        return 2
-    return 0 if passed == len(results) else 1
+    code = _finish(args, [(r.passed, r.verdict) for r in results])
+    print(f"replay: {sum(r.passed for r in results)}/{len(results)} steps passed")
+    return code
 
 
 def _cmd_suite(args) -> int:

@@ -133,13 +133,18 @@ def load_kb(path: str | Path, _loading: frozenset | None = None) -> KnowledgeBas
 _TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _bound_value(text: str, what: str, line: int | None) -> int:
-    """A world count as written in a KB or proof file, checked at its line.
+def _int_value(text: str, what: str, line: int | None) -> int:
+    """An integer as written in a KB or proof file, checked at its line.
     It is ASCII decimal digits after an optional `-`: int() alone would also
     take `1_0`, `+3` and other scripts' digits."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise sx.ParseError(f"{what} takes an integer", line)
-    bound = int(text)
+    return int(text)
+
+
+def _bound_value(text: str, what: str, line: int | None) -> int:
+    """A world count: an integer (see _int_value) in 1..MAX_WORLDS."""
+    bound = _int_value(text, what, line)
     if not 1 <= bound <= MAX_WORLDS:
         raise sx.ParseError(f"{what} must be in 1..{MAX_WORLDS}, not {bound}", line)
     return bound

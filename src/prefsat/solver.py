@@ -248,6 +248,14 @@ def render_verdict(v: Verdict) -> str:
     return f"Unknown reason={v.reason}"
 
 
+def exit_code(outcomes: list[tuple[bool, str]]) -> int:
+    """How a command ends, from its results' (passed, verdict kind) pairs:
+    2 when a budget ran out, else 0 when every result passed, else 1."""
+    if any(kind == Unknown.kind for _, kind in outcomes):
+        return 2
+    return 0 if all(passed for passed, _ in outcomes) else 1
+
+
 # ---------------------------------------------------------------------------
 # CDCL SAT core
 

@@ -42,6 +42,7 @@ from .solver import (
     Satisfiable,
     _Budget,
     check,
+    exit_code,
     render_verdict,
     solve_at,
 )
@@ -424,13 +425,7 @@ def run_suite(name: str, *, engine: str = "sat", bound: int = DEFAULT_BOUND,
         raise ValueError(f"unknown suite {name!r}; pick from {', '.join(SUITE_NAMES)}")
     rows = _SUITES[name](engine=engine, bound=bound, seed=seed, budget=budget)
     text = format_suite(name, rows, engine=engine, bound=bound, seed=seed)
-    if any(r.kind == "unknown" for r in rows):
-        code = 2  # a budget ran out; the table says where
-    elif all(r.ok for r in rows):
-        code = 0
-    else:
-        code = 1
-    return text, code
+    return text, exit_code([(r.ok, r.kind) for r in rows])
 
 
 def suite_queries() -> list[tuple[str, Query]]:

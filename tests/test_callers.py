@@ -10,6 +10,7 @@ no caller uses.
 """
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -98,6 +99,26 @@ def test_importing_the_cli_loads_every_traced_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout == "\n", f"not loaded by import prefsat.cli: {out.stdout.split()}"
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # bench/tracing.py patches these attributes by name; one that is renamed
+    # or dropped in src/prefsat would only fail once the tracer is installed.
+    # The tracer imports the standard library alone.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(where, name) for _, where, names in tracing.LAYERS for name in names]
+    wrapped.append(("solver", "_model_admits"))  # counted apart from LAYERS
+    missing = []
+    for where, name in wrapped:
+        mod_name, _, cls_name = where.partition(".")
+        module = importlib.import_module(f"prefsat.{mod_name}")
+        # the tracer reads a class attribute from the class's own dict
+        attrs = vars(getattr(module, cls_name)) if cls_name else vars(module)
+        if not callable(attrs.get(name)):
+            missing.append(f"{where}.{name}")
+    assert not missing, f"bench/tracing.py wraps names that do not resolve: {missing}"
 
 
 def test_commands_do_not_import_dataclasses():

@@ -86,6 +86,21 @@ def test_bound_takes_ascii_digits_in_range_only(capsys, bound, message):
     assert err.endswith(f"error: argument --bound: {message}\n")
 
 
+@pytest.mark.parametrize("seed", ["1_0", "+3", " 3", "\u0663"])
+def test_seed_takes_ascii_digits_only(capsys, seed):
+    # read as --bound is, without its range: int() would run these as 10, 3, 3, 3
+    with pytest.raises(SystemExit) as exit_info:
+        main(["suite", "meta", "--seed", seed])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    assert err.endswith("error: argument --seed: seed takes an integer\n")
+
+
+def test_negative_seed_is_a_seed(capsys):
+    code, out, _ = run(capsys, "suite", "meta", "--seed", "-1")
+    assert code == 0 and out.startswith("suite meta: engine=sat bound=4 seed=-1\n")
+
+
 def test_model_finds_a_case_model(capsys):
     code, out, _ = run(capsys, "model", "conti")
     assert code == 0
