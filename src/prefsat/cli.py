@@ -12,7 +12,8 @@ post, conti).  Exit codes, by solver.exit_code over a command's results: 2
 when a budget ran out, else 0 when every result passed, else 1.  A usage,
 parse or file error, or a query outside the enumeration oracle's domain
 under --engine enum, exits 2; an engine disagreement exits 3 (a bug report
-is printed).  --dot writes the first model among the verdicts printed.
+is printed).  A stdout closed by its reader exits 1, with nothing on
+stderr.  --dot writes the first model among the verdicts printed.
 
 Output is deterministic: the same command line always produces the same
 bytes.
@@ -20,6 +21,8 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -63,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--engine", choices=("sat", "enum", "both"), default=None,
                         help="decision engine; 'both' cross-checks them")
-    common.add_argument("--budget", type=float, default=None, metavar="SECONDS",
+    common.add_argument("--budget", default=None, metavar="SECONDS",
                         help="time budget per query")
 
     frame = argparse.ArgumentParser(add_help=False)
@@ -98,6 +101,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="seed for randomized suite rows")
 
     return ap
+
+
+def _budget_value(text: str | None) -> float | None:
+    """--budget, read inside main so that a bad one is reported there, as
+    Query reports a NaN budget: ASCII decimal digits after an optional `-`,
+    with an optional fraction.  float() alone would also take `inf`, `1e400`
+    (no budget at all), `1_0`, ` 3` and other scripts' digits."""
+    if text is not None and not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", text):
+        raise ValueError(f"budget must be a number of seconds, not {text}")
+    return None if text is None else float(text)
 
 
 def _load_kb_arg(arg: str) -> kbmod.KnowledgeBase:
@@ -195,15 +208,22 @@ def _cmd_suite(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_goals(args, with_facts=False)
-        if args.command == "entail":
-            return _cmd_goals(args, with_facts=True)
-        if args.command == "model":
-            return _cmd_model(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_suite(args)
+        args.budget = _budget_value(args.budget)
+        if args.command in ("check", "entail"):
+            code = _cmd_goals(args, with_facts=args.command == "entail")
+        elif args.command == "model":
+            code = _cmd_model(args)
+        elif args.command == "replay":
+            code = _cmd_replay(args)
+        else:
+            code = _cmd_suite(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # flush at exit cannot fail again (Python's signal docs, on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except EngineDisagreement as e:
         print("engine disagreement (this is a bug; file the output below)")
         print(str(e))

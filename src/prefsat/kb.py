@@ -344,14 +344,19 @@ def step_queries(steps: list[ProofStep], kb: KnowledgeBase,
 
 def replay(steps: list[ProofStep], kb: KnowledgeBase, *, engine: str | None = None,
            total: bool | None = None, budget: float | None = None) -> list[StepResult]:
-    """Check every step against exactly its cited support."""
+    """Check every step against exactly its cited support.
+
+    A step is a claim that should hold, so under engine="sat" its search
+    starts at the step's bound: a passing step costs one solve there, and a
+    failing one bisects down to the least world count with a countermodel,
+    the count and witness a search from 1 would give (check_sat_engine)."""
     results: list[StepResult] = []
     established: dict[str, sx.Formula] = {}  # passed steps' formulas
     failed: set[str] = set()
     overrides = {"engine": engine, "total": total, "budget": budget}
     for step in steps:
         q, missing, unavailable = _step_query(step, kb, established, failed, overrides)
-        verdict = check(q)
+        verdict = check(q, start=q.bound)
         # broken support fails the step even when the shrunken check passes;
         # the verdict is kept so a genuine countermodel can still be rendered
         passed = isinstance(verdict, BoundedValid) and not missing and not unavailable

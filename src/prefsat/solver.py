@@ -16,10 +16,13 @@ the strict relation is defined from the weak one, and transitivity (plus
 optionally totality) is asserted as clauses.  Which counts it solves, and
 in what order, is check_sat_engine's cloning-lemma search (1, 2, then 4, 8,
 ... up to half the bound, then the bound, then a bisection); the verdict and
-witness are those of the least count with a model.  Under engine="both" the
-oracle runs first and the search starts at its witness's world count (the
-bound when it found none), so the SAT side solves each count once, not
-again from 1.
+witness are those of the least count with a model, from whichever count
+the search starts.  Under engine="both" the oracle runs first and the
+search starts at its witness's world count (the bound when it found none),
+so the SAT side solves each count once, not again from 1.  A caller that
+expects a query to be valid can start the search at the bound (check's
+`start`): kb.replay does so for each proof step, which then costs one
+solve when it passes.
 
 Two independent engines answer the same queries: the CDCL SAT core below and
 an enumeration oracle for very small instances.  The oracle shares no code
@@ -87,11 +90,15 @@ ORACLE_MAX_WORLDS = 3
 ORACLE_MAX_WORK = 1 << 23
 
 # The least world count whose encoding gets the maximal-world lemma.  Below
-# it the canonical search refutes each case ruling in at most 4 conflicts,
-# and the lemma's gates and probes only cost time: applied from 2 worlds, they
-# slowed the oracle cross-check's queries (bound 3 or less) by 7 %.  From 4,
-# every encoding at 3 worlds or fewer is the one without the lemma.
-LEMMA_MIN_WORLDS = 4
+# it the lemma's gates and probes cost more than they save.  Applied from 2
+# worlds, they slowed the oracle cross-check's queries (bound 3 or less) by
+# 7 %.  At 4 worlds they paid only for the case rulings: over the 43
+# suite_queries() at their own bounds, dropping the lemma there cut the
+# total time by about 7 % (19.6 -> 18.1 ms and 20.2 -> 18.8 ms, in process).
+# Each of the three case rulings got 0.6 ms slower (3 -> 14 conflicts), the
+# s3 proof step 0.7 ms faster and each valid meta row about 0.2 ms faster.
+# The bound-7 rulings still get the lemma, at 7 worlds.
+LEMMA_MIN_WORLDS = 5
 
 
 class EngineError(Exception):
@@ -957,20 +964,23 @@ def enum_oracle(q: Query, budget: _Budget | None = None) -> Verdict:
     return BoundedValid(q.bound) if q.mode == "refute" else NoModel(q.bound)
 
 
-def check(q: Query, budget: _Budget | None = None) -> Verdict:
+def check(q: Query, budget: _Budget | None = None, start: int = 1) -> Verdict:
     """Answer a query with the engine(s) it names, within one budget: the
     query's own, unless one is given.
 
-    engine="both" runs the enumeration oracle first, when the query is inside
-    its domain, and then the SAT search from the world count of the oracle's
-    witness (the bound when it found none; 1 outside the domain), both
-    within that budget.  The search still decides from its own solves (one,
-    at the bound, for a valid query); differing verdict kinds raise
-    EngineDisagreement.
+    engine="sat" runs the search from `start` worlds; a caller that expects
+    the query to be valid passes its bound, so that a valid query costs one
+    solve there.  engine="enum" has no search to start.  engine="both" runs
+    the enumeration oracle first, when the query is inside its domain, and
+    then the SAT search from the world count of the oracle's witness (the
+    bound when it found none; 1 outside the domain), both within that
+    budget, whatever `start` is.  The search still decides from its own
+    solves (one, at the bound, for a valid query); differing verdict kinds
+    raise EngineDisagreement.
     """
     budget = budget or _Budget(q.budget)
     if q.engine == "sat":
-        return check_sat_engine(q, budget)
+        return check_sat_engine(q, budget, start)
     if q.engine == "enum":
         return enum_oracle(q, budget)
     try:

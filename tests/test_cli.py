@@ -1,8 +1,11 @@
 """Command-line behavior: verdict lines, exit codes, determinism."""
+import io
 import json
+import os
 import random
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,7 +225,7 @@ def test_zero_budget_is_exhausted_before_any_search(capsys):
 
 
 def test_a_ruling_at_sixteen_worlds_fits_a_ten_second_budget(capsys):
-    # probed at 1, 2, 4, 8 and 16 worlds; each refutation from 4 worlds up
+    # probed at 1, 2, 4, 8 and 16 worlds; each refutation from 5 worlds up
     # ends while the maximal-world lemma is probed
     code, out, _ = run(capsys, "entail", "pierson", "--bound", "16", "--budget", "10")
     assert (code, out) == (0, "goal ruling-for-d: BoundedValid bound=16\n")
@@ -237,6 +240,65 @@ def test_nan_budget_is_a_usage_error(capsys):
     code, out, _ = run(capsys, "entail", "pierson", "--budget", "-1")
     assert code == 2
     assert out == "goal ruling-for-d: Unknown reason=budget-exhausted\n"
+
+
+@pytest.mark.parametrize("budget", ["inf", "1e400", "1_0", " 3", "+3", "\u0663", "1.", ".5",
+                                    "1e1", "0x10"])
+def test_budget_takes_an_ascii_decimal_only(capsys, budget):
+    # float() would run the first two as no budget and the next four as 10,
+    # 3, 3 and 3 seconds
+    for argv in (("entail", "pierson"), ("replay", "pierson"), ("suite", "values")):
+        code, out, err = run(capsys, *argv, f"--budget={budget}")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: budget must be a number of seconds, not {budget}\n", argv
+
+
+@pytest.mark.parametrize("budget, code, verdict", [
+    ("10", 0, "BoundedValid bound=4"),
+    ("2.5", 0, "BoundedValid bound=4"),
+    ("-0.5", 2, "Unknown reason=budget-exhausted"),
+    ("0.0", 2, "Unknown reason=budget-exhausted"),
+])
+def test_a_decimal_budget_is_seconds(capsys, budget, code, verdict):
+    assert run(capsys, "entail", "pierson", "--budget", budget)[:2] == \
+        (code, f"goal ruling-for-d: {verdict}\n")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: `method` raises BrokenPipeError, and
+    fileno() is a file descriptor the test owns."""
+
+    def __init__(self, method, fd):
+        super().__init__()
+        self.method, self.fd = method, fd
+
+    def write(self, text):
+        if self.method == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("argv", [("entail", "pierson"), ("replay", "pierson"),
+                                  ("suite", "meta", "--bound", "2")])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, capsys, monkeypatch,
+                                                        method, argv):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(method, fd))
+        assert main(list(argv)) == 1
+        # what is left buffered would go to devnull at exit
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_out_of_range_kb_bound_is_a_parse_error_even_when_overridden(tmp_path, capsys):

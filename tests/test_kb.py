@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import prefsat.syntax as sx
+from prefsat import solver
 from prefsat.cli import main
 from prefsat.kb import (
     ConfigError,
@@ -19,7 +20,8 @@ from prefsat.kb import (
     sat_query,
     step_queries,
 )
-from prefsat.solver import BoundedValid, Countermodel, Satisfiable, check
+from prefsat.model import render_dot
+from prefsat.solver import BoundedValid, Countermodel, Satisfiable, check, render_verdict
 from conftest import replace
 
 
@@ -375,3 +377,70 @@ def test_replay_honours_the_total_option(tmp_path):
     assert result.passed and isinstance(result.verdict, BoundedValid)
     (_, q), = step_queries(load_proof(proof, kb.sig), kb)
     assert q.total and q.bound == 4
+
+
+def recording_solves(monkeypatch):
+    """The world counts solve_at is called at, in order."""
+    seen = []
+    real = solver.solve_at
+
+    def recording(q, n, budget=None):
+        seen.append(n)
+        return real(q, n, budget)
+
+    monkeypatch.setattr(solver, "solve_at", recording)
+    return seen
+
+
+def test_a_passing_step_is_one_solve_at_its_bound(monkeypatch):
+    kb = case_kb("pierson")
+    steps = load_proof(case_proof_path("pierson"), kb.sig)
+    seen = recording_solves(monkeypatch)
+    results = replay(steps, kb, engine="sat")
+    assert all(r.passed for r in results)
+    assert seen == [4] * len(steps)
+
+
+WILD = ("(step s1-wild-setting appWildAnimal\n"
+        "  (uses fox-alpha pursue-p Tax-fox-wild T-wild-dispute) (bound 4))\n")
+
+
+@pytest.mark.parametrize("kb_text, proof, probes", [
+    # s2 without the preference rule it needs, after s1's one solve: a
+    # one-world countermodel, reached from 4 by bisection
+    (None, WILD + "(step s2 (vpref strict (ext WILL p) (ext STAB d))"
+                  " (uses s1-wild-setting) (bound 4))\n", [4, 4, 2, 1]),
+    # a strict chain of three worlds refutes the step; from 7 the search
+    # bisects down to 3
+    ("(atom P)\n", "(step no-chain (not (dialt (dialt P))) (bound 7))\n", [7, 3, 1, 2]),
+], ids=["pierson-s2-unsupported", "least-3-at-bound-7"])
+def test_a_failing_step_renders_what_a_search_from_one_gives(
+        tmp_path, capsys, monkeypatch, kb_text, proof, probes):
+    kb_arg = "pierson" if kb_text is None else str(write(tmp_path, "k.kb", kb_text))
+    kb = case_kb(kb_arg) if kb_text is None else load_kb(kb_arg)
+    proof_path = write(tmp_path, "p.proof", proof)
+    _, q = step_queries(load_proof(proof_path, kb.sig), kb)[-1]
+    expected = check(q)  # from 1 world
+    assert isinstance(expected, Countermodel)
+    seen = recording_solves(monkeypatch)
+    dot = tmp_path / "step.dot"
+    assert main(["replay", str(proof_path), "--kb", kb_arg, "--dot", str(dot)]) == 1
+    assert seen == probes
+    out = capsys.readouterr().out
+    assert f"{render_verdict(expected)}\n" in out
+    assert dot.read_text() == render_dot(expected.model)
+
+
+def test_a_step_under_both_engines_starts_at_the_oracles_count(tmp_path, monkeypatch):
+    # at bound 3 both steps are inside the oracle's domain: the valid one is
+    # solved at the bound, the refuted one from its witness's 2 worlds down
+    kb = load_kb(write(tmp_path, "k.kb", "(atom P)\n"))
+    proof = write(tmp_path, "p.proof", """\
+        (step transitive (implies (dialt (dialt P)) (dialt P)) (bound 3))
+        (step none-better (not (dialt P)) (bound 3))
+        """)
+    seen = recording_solves(monkeypatch)
+    results = replay(load_proof(proof, kb.sig), kb, engine="both")
+    assert [r.passed for r in results] == [True, False]
+    assert results[1].verdict.model.n == 2
+    assert seen == [3, 2, 1]

@@ -164,21 +164,24 @@ def test_budget_is_checked_every_256_search_steps():
 
 
 # The pierson ruling at bound 6, recorded with the maximal-world lemma probed
-# from 4 worlds and gates defined by polarity: per world count, the learnt
+# from 5 worlds and gates defined by polarity: per world count, the learnt
 # clauses appended to `clauses`, the unit learnts, decisions and propagated
 # trail literals; and the sha256 of the appended learnt clauses, in order, as
 # they stand when the solve returns, followed per count by its unit learnts.
-# At 4 to 6 worlds each ruling is refuted by n - 1 unit learnts while probing,
-# without a search decision.  Recorded once the asserted formulas were
-# clauses and a diamond's negative half had no gate per world pair; before,
-# the propagations were 107, 348, 391, 547 and 729 at 2 to 6 worlds, and
-# with both halves of every definition 109, 454, 507, 739 and 1017.
-PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 34), 3: (1, 3, 4, 230), 4: (0, 3, 0, 234),
+# At 5 and 6 worlds each ruling is refuted by n - 1 unit learnts while
+# probing, without a search decision; at 4 the canonical search refutes it in
+# 14 conflicts.  Recorded once the asserted formulas were clauses and a
+# diamond's negative half had no gate per world pair; before, the
+# propagations were 107, 348, 391, 547 and 729 at 2 to 6 worlds, and with
+# both halves of every definition 109, 454, 507, 739 and 1017.  With the
+# lemma from 4 worlds, count 4 read (0, 3, 0, 234) at max level 1, and the
+# sha256 was 4648beed883f2128f1e984b6fac2807bce507302fcc40c300bb16062ab447842.
+PIERSON_6 = {1: (0, 0, 0, 0), 2: (0, 0, 0, 34), 3: (1, 3, 4, 230), 4: (10, 4, 17, 788),
              5: (0, 4, 0, 351), 6: (0, 5, 0, 494)}
-PIERSON_6_SHA256 = "4648beed883f2128f1e984b6fac2807bce507302fcc40c300bb16062ab447842"
+PIERSON_6_SHA256 = "04a8abb83d524299a051c5d8da220001fa07594f9a29efeca95bdc2b50687247"
 # The deepest decision level per world count, recorded before `max_level`
 # existed by tracking the length of `lim`; a probe is decided at level 1.
-PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 1, 5: 1, 6: 1}
+PIERSON_6_MAX_LEVEL = {1: 0, 2: 0, 3: 2, 4: 6, 5: 1, 6: 1}
 
 
 def test_pierson_search_trajectory_is_pinned(monkeypatch):
@@ -216,13 +219,13 @@ def test_pierson_search_trajectory_is_pinned(monkeypatch):
 
 
 def test_rulings_are_refuted_while_probing():
-    """Each case ruling at 4 to 9 worlds: one conflict per probe until n - 1
-    worlds are known not to be maximal, then a conflict at level 0; the
-    canonical search makes no decision."""
+    """Each case ruling at LEMMA_MIN_WORLDS to 9 worlds: one conflict per
+    probe until n - 1 worlds are known not to be maximal, then a conflict at
+    level 0; the canonical search makes no decision."""
     for case, goal in (("pierson", "ruling-for-d"), ("post", "ruling-for-p"),
                        ("conti", "ruling-for-p")):
         q = kbmod.goal_query(kbmod.case_kb(case), goal, bound=9, engine="sat")
-        for n in range(4, 10):
+        for n in range(solver.LEMMA_MIN_WORLDS, 10):
             enc = solver.encode(q, n)
             assert len(enc.probes) == n * (n - 1)
             s = CDCL(enc.nvars)
@@ -423,10 +426,13 @@ def unshared_query(q):
 # sha256 of repr((nvars, clauses, probes)) of every encoding in
 # test_sharing_changes_no_encoding, in its order, recorded when the asserted
 # formulas became clauses and a diamond's negative half lost its gate per
-# world pair (before that, with gates defined by polarity and numbered in
-# program order: f45f444de2202bdaa24c001464244cf885184f6c017e4eaf478193f411baaa12;
+# world pair, and re-recorded when the maximal-world lemma moved from 4 worlds
+# to 5 (with it from 4: fe56e266d922d88c3271adbc7a873aaee433332f10f2b904b746153fbb1b72e5;
+# before the asserted formulas were clauses, with gates defined by polarity and
+# numbered in program order:
+# f45f444de2202bdaa24c001464244cf885184f6c017e4eaf478193f411baaa12;
 # before polarity: e360855742828c4f4e75c073520960473c1f7fb2e3f7482a1aff8e586108b17d)
-ENCODINGS_SHA256 = "fe56e266d922d88c3271adbc7a873aaee433332f10f2b904b746153fbb1b72e5"
+ENCODINGS_SHA256 = "009774a564462729858812b36e89731585ead9a1474c2bff9378121f3b4f0314"
 
 
 def test_sharing_changes_no_encoding():
@@ -492,14 +498,17 @@ def admits(q, m):
             and (q.target is None or truth_at(m, q.target, 0) == (q.mode == "find")))
 
 
-def test_polarity_keeps_exactly_the_admitted_assignments():
+def test_polarity_keeps_exactly_the_admitted_assignments(monkeypatch):
     """With gates defined by polarity, a gate need not follow from the
     primary variables.  What must hold: the CNF plus units fixing every
     relation, atom and value variable is satisfiable exactly when those
     values form a preorder (total, for a total query) whose model admits the
     query.  Every suite query, 300 random ones, each case's queries and some
-    guarded forms, at 1, 2 and 4 worlds (the lemma's first count), under seeded assignments: half
-    of them with the relation drawn from the preorders, half at random."""
+    guarded forms, at 1, 2 and 4 worlds, under seeded assignments: half
+    of them with the relation drawn from the preorders, half at random.  The
+    maximal-world lemma is stated from 4 worlds here, below LEMMA_MIN_WORLDS,
+    so that its clauses are checked too: all_preorders stops at 4 worlds."""
+    monkeypatch.setattr(solver, "LEMMA_MIN_WORLDS", 4)
     rng = random.Random(23)
     queries = [q for _, q in suite_queries()] + random_queries(11, 300) + list(case_queries(4))
     samples = [4] * len(queries)
@@ -600,10 +609,13 @@ def test_a_diamond_used_only_negatively_has_no_gate_per_pair():
         assert [-dia[w], q[w]] in enc.clauses
 
 
-def test_maximal_world_lemma_holds_in_every_preorder():
+def test_maximal_world_lemma_holds_in_every_preorder(monkeypatch):
     """On each of the 355 preorders on 4 worlds, with a seeded valuation and
     every gate set to its meaning, every definition and lemma clause holds,
-    and m(w) is true exactly when no world is strictly better than w."""
+    and m(w) is true exactly when no world is strictly better than w.  The
+    lemma is stated from 4 worlds here, below LEMMA_MIN_WORLDS, so that every
+    preorder of that size can be checked."""
+    monkeypatch.setattr(solver, "LEMMA_MIN_WORLDS", 4)
     n = 4
     q = refute("(dialt P)", facts=["(boxlt (or P Q))"], bound=n)
     enc = solver.encode(q, n)
@@ -635,7 +647,7 @@ def lemma_off(monkeypatch):
 
 def test_encodings_below_four_worlds_are_untouched(monkeypatch):
     queries = [q for _, q in suite_queries()] + random_queries(11, 300)
-    for n in (1, 2, 3):
+    for n in range(1, solver.LEMMA_MIN_WORLDS):
         encodings = [solver.encode(q, n) for q in queries]
         assert not any(enc.probes for enc in encodings)
         with monkeypatch.context() as mp:

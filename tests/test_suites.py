@@ -66,7 +66,7 @@ def test_the_three_world_check_shares_its_rows_budget(monkeypatch):
 
 
 def test_budget_exhausted_in_the_replay_is_unknown(monkeypatch):
-    monkeypatch.setattr(kbmod, "check", lambda q: Unknown("budget-exhausted"))
+    monkeypatch.setattr(kbmod, "check", lambda q, start=1: Unknown("budget-exhausted"))
     text, code = run_suite("cases")
     assert code == 2
     lines = text.splitlines()
